@@ -2,18 +2,21 @@
 
 Exit codes: 0 success, 1 partial success (skipped lines or per-row report
 errors in lenient mode), 2 fatal error, 64 usage error. All stages stream
-line by line, so memory stays bounded regardless of corpus size.
+line by line; the run's set of seen tweet ids is the only state that grows
+with the corpus.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from coinbuzz import annotate as annotate_mod
 from coinbuzz import irc as irc_mod
@@ -114,19 +117,28 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _message_writer(out: IO[str]) -> Callable[[message_mod.Message], None]:
+    return lambda msg: out.write(message_mod.to_json_line(msg) + "\n")
+
+
 def _cmd_parse_irc(args: argparse.Namespace) -> int:
-    messages, stats = irc_mod.ingest_log(
-        args.infile, args.channel, strict=args.strict, tz=args.tz
-    )
-    with open(args.outfile, "w", encoding="utf-8") as out:
-        message_mod.write_messages(messages, out)
+    with open(args.infile, "r", encoding="utf-8", errors="replace") as src:
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as out:
+                stats = irc_mod.ingest_log(
+                    src, _message_writer(out), args.channel, strict=args.strict, tz=args.tz
+                )
+        except BaseException:
+            # Messages stream out as they parse; a failed run leaves no partial file.
+            Path(args.outfile).unlink(missing_ok=True)
+            raise
     print(
         f"parse-irc: lines={stats.lines_in} messages={stats.messages} "
         f"dropped_network={stats.dropped_network} unparsable={stats.unparsable} "
         f"blank={stats.blank}",
         file=sys.stderr,
     )
-    return 1 if stats.unparsable else 0
+    return 1 if stats.skipped else 0
 
 
 def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
@@ -135,10 +147,7 @@ def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
         args.outfile, "w", encoding="utf-8"
     ) as out:
         stats = twitter_mod.ingest_capture(
-            src,
-            lambda msg: out.write(message_mod.to_json_line(msg) + "\n"),
-            keywords=keywords,
-            substring=args.substring,
+            src, _message_writer(out), keywords=keywords, substring=args.substring
         )
     print(
         f"ingest-tweets: lines={stats.lines} parsed={stats.parsed} "
@@ -146,7 +155,7 @@ def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
         f"matched={stats.matched}",
         file=sys.stderr,
     )
-    return 1 if stats.malformed else 0
+    return 1 if stats.skipped else 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
@@ -258,13 +267,18 @@ def _cmd_plot_series(args: argparse.Namespace) -> int:
 
 @dataclass
 class _StreamBundle:
-    stream_id: str
     counter: series_mod.DailyCounter
-    messages_path: Path
+    sink: IO[str]
 
 
 def _slug(stream_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", stream_id).strip("_") or "stream"
+
+
+def _require(mapping: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValueError(f"{where} lacks required key {key!r}")
 
 
 def _load_config(path: Path) -> dict:
@@ -276,8 +290,13 @@ def _load_config(path: Path) -> dict:
             raise ValueError(
                 "TOML configs need Python 3.11+; use a JSON config instead"
             ) from None
-        return tomllib.loads(text)
-    return json.loads(text)
+        config = tomllib.loads(text)
+    else:
+        config = json.loads(text)
+    _require(config, ("price_csv", "volume_csv"), "config")
+    for entry in config.get("irc_logs", []):
+        _require(entry, ("path", "channel"), "irc_logs entry")
+    return config
 
 
 def _window_filter(config: dict):
@@ -295,6 +314,19 @@ def _window_filter(config: dict):
     return inside
 
 
+def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
+    """Every line of the tweet captures in turn, escape-sanitized."""
+    for path in paths:
+        with open(path, "rb") as raw:
+            for line in raw:
+                yield sanitize_line(line.rstrip(b"\r\n"))[0].decode("utf-8", errors="replace")
+
+
+def _log_lines(path: str) -> Iterator[str]:
+    with open(path, "r", encoding="utf-8", errors="replace") as src:
+        yield from src
+
+
 def _cmd_run_all(args: argparse.Namespace) -> int:
     config = _load_config(Path(args.config))
     out_dir = Path(config.get("out_dir", "out"))
@@ -308,19 +340,31 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     format = config.get("format", "tsv")
     in_window = _window_filter(config)
 
+    # Each source is (stream_id, lines, ingest) with ingest(lines, emit) -> stats.
+    # All captures form one "twitter" source, so tweet ids are deduped run-wide.
+    sources = []
+    if config.get("tweet_captures"):
+        ingest = functools.partial(twitter_mod.ingest_capture, keywords=keywords, substring=substring)
+        sources.append(("twitter", _capture_lines(config["tweet_captures"]), ingest))
+    for entry in config.get("irc_logs", []):
+        stream_id = entry.get("stream_id") or f"irc:{entry['channel']}"
+        ingest = functools.partial(
+            irc_mod.ingest_log, channel=entry["channel"], stream_id=stream_id,
+            tz=entry.get("tz", "UTC"), strict=strict,
+        )
+        sources.append((stream_id, _log_lines(entry["path"]), ingest))
+
     gazetteer = None
     annotated_out = None
-    if config.get("gazetteer"):
-        gazetteer = annotate_mod.Gazetteer.load(config["gazetteer"])
-        annotated_out = open(out_dir / "annotated.jsonl", "w", encoding="utf-8")
     doc_seq = 0
     partial = False
+    bundles: dict[str, _StreamBundle] = {}
 
-    def handle(msg: message_mod.Message, bundle: _StreamBundle, sink: IO[str]) -> None:
+    def handle(bundle: _StreamBundle, msg: message_mod.Message) -> None:
         nonlocal doc_seq
         if not in_window(msg):
             return
-        sink.write(message_mod.to_json_line(msg) + "\n")
+        bundle.sink.write(message_mod.to_json_line(msg) + "\n")
         bundle.counter.add(msg)
         if annotated_out is not None:
             doc_seq += 1
@@ -330,77 +374,23 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             )
             annotated_out.write(adoc.to_json() + "\n")
 
-    bundles: dict[str, _StreamBundle] = {}
-    written_paths: set[Path] = set()
-
-    def bundle_for(stream_id: str) -> _StreamBundle:
-        if stream_id not in bundles:
-            bundles[stream_id] = _StreamBundle(
-                stream_id,
-                series_mod.DailyCounter(),
-                out_dir / f"messages_{_slug(stream_id)}.jsonl",
-            )
-        return bundles[stream_id]
-
-    try:
-        # Tweet captures all feed the "twitter" stream, sanitized inline.
-        captures = config.get("tweet_captures", [])
-        if captures:
-            bundle = bundle_for("twitter")
-            written_paths.add(bundle.messages_path)
-            with open(bundle.messages_path, "w", encoding="utf-8") as sink:
-                for capture in captures:
-                    with open(capture, "rb") as raw:
-                        lines = (
-                            sanitize_line(line.rstrip(b"\r\n"))[0].decode(
-                                "utf-8", errors="replace"
-                            )
-                            for line in raw
-                        )
-                        tstats = twitter_mod.ingest_capture(
-                            lines,
-                            lambda msg: handle(msg, bundle, sink),
-                            keywords=keywords,
-                            substring=substring,
-                        )
-                    partial = partial or tstats.malformed > 0
-                    print(
-                        f"run-all: capture {capture}: parsed={tstats.parsed} "
-                        f"malformed={tstats.malformed} matched={tstats.matched}",
-                        file=sys.stderr,
-                    )
-
-        for entry in config.get("irc_logs", []):
-            stream_id = entry.get("stream_id") or f"irc:{entry['channel']}"
-            bundle = bundle_for(stream_id)
-            messages, istats = irc_mod.ingest_log(
-                entry["path"],
-                entry["channel"],
-                stream_id,
-                tz=entry.get("tz", "UTC"),
-                strict=strict,
-            )
-            mode = "a" if bundle.messages_path in written_paths else "w"
-            written_paths.add(bundle.messages_path)
-            with open(bundle.messages_path, mode, encoding="utf-8") as sink:
-                for msg in messages:
-                    handle(msg, bundle, sink)
-            partial = partial or istats.unparsable > 0
-            print(
-                f"run-all: irc {entry['path']}: messages={istats.messages} "
-                f"dropped_network={istats.dropped_network} "
-                f"unparsable={istats.unparsable}",
-                file=sys.stderr,
-            )
-    finally:
-        if annotated_out is not None:
-            annotated_out.close()
+    with ExitStack() as stack:
+        if config.get("gazetteer"):
+            gazetteer = annotate_mod.Gazetteer.load(config["gazetteer"])
+            annotated_out = stack.enter_context(open(out_dir / "annotated.jsonl", "w", encoding="utf-8"))
+        for stream_id, lines, ingest in sources:
+            if stream_id not in bundles:
+                sink = open(out_dir / f"messages_{_slug(stream_id)}.jsonl", "w", encoding="utf-8")
+                bundles[stream_id] = _StreamBundle(series_mod.DailyCounter(), stack.enter_context(sink))
+            stats = ingest(lines, functools.partial(handle, bundles[stream_id]))
+            partial = partial or stats.skipped > 0
+            counters = " ".join(f"{key}={value}" for key, value in vars(stats).items())
+            print(f"run-all: {stream_id}: {counters}", file=sys.stderr)
 
     # Aggregate, flag gaps, and persist one series CSV per stream.
     all_series = []
     for stream_id in sorted(bundles):
-        bundle = bundles[stream_id]
-        flagged = series_mod.detect_gaps(bundle.counter.build(stream_id), theta, k)
+        flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), theta, k)
         all_series.append(flagged)
         with open(out_dir / f"series_{_slug(stream_id)}.csv", "w", encoding="utf-8", newline="") as out:
             series_mod.write_daily_csv(flagged, out)

@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from pathlib import Path
-from typing import IO, Iterable
+from typing import Callable, Iterable
 from zoneinfo import ZoneInfo
 
 from coinbuzz.message import MONTH_BY_ABBREV, Message
@@ -70,6 +69,11 @@ class IrcIngestStats:
     unparsable: int = 0
     blank: int = 0
 
+    @property
+    def skipped(self) -> int:
+        """Lines dropped as unreadable; nonzero makes a run partial."""
+        return self.unparsable
+
 
 def _event_timestamp(groups: tuple[str, ...], tz: ZoneInfo | timezone) -> datetime:
     _dow, mon, day, year, hh, mm, ss = groups
@@ -85,7 +89,6 @@ def parse_log_line(
     channel: str,
     line_no: int = 0,
     tz: ZoneInfo | timezone = timezone.utc,
-    network_subtypes: frozenset[str] = NETWORK_SUBTYPES,
 ) -> IrcEvent | None:
     """Parse one log line into an IrcEvent; blank lines return None.
 
@@ -112,7 +115,7 @@ def parse_log_line(
         except ValueError as exc:
             raise UnparsableLine(line_no, str(exc)) from exc
         word, rest = match.group(8), match.group(9)
-        if word in network_subtypes:
+        if word in NETWORK_SUBTYPES:
             return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
         # Unknown server chatter: keep it, authored by the announcing word.
         return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
@@ -120,20 +123,16 @@ def parse_log_line(
     raise UnparsableLine(line_no, "does not match chat or network grammar")
 
 
-def classify(event: IrcEvent, drop_subtypes: frozenset[str] = NETWORK_SUBTYPES) -> bool:
-    """True to keep the event as a message, False to drop network noise."""
-    return not (event.kind is EventKind.NETWORK and event.subtype in drop_subtypes)
-
-
 def ingest_log(
-    source: str | Path | IO[str] | Iterable[str],
+    lines: Iterable[str],
+    emit: Callable[[Message], None],
     channel: str,
     stream_id: str | None = None,
     *,
     tz: str = "UTC",
     strict: bool = False,
-) -> tuple[list[Message], IrcIngestStats]:
-    """Parse a whole channel log into Messages plus ingest counters.
+) -> IrcIngestStats:
+    """Stream a channel log's lines, emitting one Message per chat event.
 
     Lenient mode (default) skips unparsable lines and counts them; strict
     mode re-raises the first UnparsableLine. Counters always satisfy
@@ -143,40 +142,30 @@ def ingest_log(
         stream_id = f"irc:{channel}"
     zone = timezone.utc if tz == "UTC" else ZoneInfo(tz)
 
-    close_after = False
-    if isinstance(source, (str, Path)):
-        source = open(source, "r", encoding="utf-8", errors="replace")
-        close_after = True
-
     stats = IrcIngestStats()
-    messages: list[Message] = []
-    try:
-        for line_no, line in enumerate(source, start=1):
-            stats.lines_in += 1
-            try:
-                event = parse_log_line(line.rstrip("\r\n"), channel, line_no, zone)
-            except UnparsableLine:
-                if strict:
-                    raise
-                stats.unparsable += 1
-                continue
-            if event is None:
-                stats.blank += 1
-                continue
-            stats.parsed += 1
-            if not classify(event):
-                stats.dropped_network += 1
-                continue
-            stats.messages += 1
-            messages.append(
-                Message(
-                    stream_id=stream_id,
-                    timestamp=event.timestamp,
-                    author=event.nick,
-                    text=sanitize_text(event.text),
-                )
+    for line_no, line in enumerate(lines, start=1):
+        stats.lines_in += 1
+        try:
+            event = parse_log_line(line.rstrip("\r\n"), channel, line_no, zone)
+        except UnparsableLine:
+            if strict:
+                raise
+            stats.unparsable += 1
+            continue
+        if event is None:
+            stats.blank += 1
+            continue
+        stats.parsed += 1
+        if event.kind is EventKind.NETWORK:
+            stats.dropped_network += 1
+            continue
+        stats.messages += 1
+        emit(
+            Message(
+                stream_id=stream_id,
+                timestamp=event.timestamp,
+                author=event.nick,
+                text=sanitize_text(event.text),
             )
-    finally:
-        if close_after:
-            source.close()
-    return messages, stats
+        )
+    return stats

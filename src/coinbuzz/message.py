@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 # English month abbreviations as used by tweet and chat-log wire formats.
 # Kept here (not strptime) so parsing does not depend on the process locale.
@@ -62,16 +62,6 @@ def from_json_line(line: str) -> Message:
         author=record["author"],
         text=record["text"],
     )
-
-
-def write_messages(messages: Iterable[Message], out: IO[str]) -> int:
-    """Write messages as JSONL; returns the number of lines written."""
-    n = 0
-    for msg in messages:
-        out.write(to_json_line(msg))
-        out.write("\n")
-        n += 1
-    return n
 
 
 def read_messages(source: IO[str]) -> Iterator[Message]:

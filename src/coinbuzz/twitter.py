@@ -6,10 +6,13 @@ keeps a record when any keyword appears as a case-insensitive whole word in
 the text or equals one of its hashtags; word means a maximal alphanumeric run,
 so "bitcoins" does not match "bitcoin" unless substring matching is requested.
 
-Live network capture is out of scope. The collect loop runs against file
-replay or a fault-scripted simulator, and reconnect delays follow an
-exponential backoff with a cap and bounded deterministic jitter. Delays are
-recorded, never slept, so scripted runs are instant and reproducible.
+Live network capture is out of scope. One ingestion loop, `ingest_capture`,
+streams parse -> dedupe -> filter -> emit over either file replay (plain
+lines) or a fault-scripted simulator (lines interleaved with `Fault`s).
+Reconnect delays follow an exponential backoff with a cap and bounded
+deterministic jitter; they are recorded, never slept, so scripted runs are
+instant and reproducible. The set of seen tweet ids is the only state that
+grows with the input: it is exact, so no duplicate is ever let through.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def next_delay(
     return delay, BackoffState(state.consecutive_failures + 1, outcome)
 
 
-# --- collection loop and its simulated sources -----------------------------
+# --- ingestion loop and its fault-scripted source ---------------------------
 
 @dataclass(frozen=True, slots=True)
 class Fault:
@@ -264,82 +267,6 @@ def scripted_source(records: Iterable[str], script: Iterable[str]) -> Iterator[s
             yield Fault(_FAULT_TOKENS[token])
 
 
-def replay_source(records: Iterable[str]) -> Iterator[str | Fault]:
-    """Fault-free file replay: every record is an `ok`."""
-    yield from records
-
-
-@dataclass
-class CollectStats:
-    received: int = 0
-    matched: int = 0
-    reconnects: int = 0
-    total_backoff_seconds: float = 0.0
-
-
-class CollectAborted(Exception):
-    """Raised when consecutive reconnect failures reach the configured cap."""
-
-    def __init__(self, stats: CollectStats, failures: int):
-        super().__init__(f"aborted after {failures} consecutive failures")
-        self.stats = stats
-        self.failures = failures
-
-
-def collect(
-    source: Iterable[str | Fault],
-    sink: Callable[[Message], None],
-    policies: dict[FailureMode, BackoffPolicy] | None = None,
-    *,
-    keywords: Iterable[str] = DEFAULT_KEYWORDS,
-    substring: bool = False,
-    max_consecutive_failures: int = 10,
-) -> CollectStats:
-    """Drain a record stream into Messages, riding out injected faults.
-
-    Only keyword-matching records are forwarded (stream_id "twitter");
-    duplicate tweet ids are received but not forwarded. Backoff delays are
-    accumulated into the stats, not slept. Raises CollectAborted once
-    max_consecutive_failures is reached, right after the final backoff.
-    """
-    if policies is None:
-        policies = default_policies()
-    keywords = tuple(keywords)
-    stats = CollectStats()
-    state = BackoffState()
-    seen_ids: set[int] = set()
-
-    for event in source:
-        if isinstance(event, Fault):
-            delay, state = next_delay(policies[event.mode], state, event.mode)
-            stats.reconnects += 1
-            stats.total_backoff_seconds += delay
-            if state.consecutive_failures >= max_consecutive_failures:
-                raise CollectAborted(stats, state.consecutive_failures)
-            continue
-        stats.received += 1
-        state = BackoffState()
-        try:
-            record = parse_tweet(event)
-        except MalformedRecord:
-            continue
-        if record.id in seen_ids:
-            continue
-        seen_ids.add(record.id)
-        if not matches_keywords(record.text, record.hashtags, keywords, substring):
-            continue
-        stats.matched += 1
-        sink(
-            Message(
-                stream_id="twitter",
-                timestamp=record.created_at,
-                author=record.user,
-                text=sanitize_text(record.text),
-            )
-        )
-    return stats
-
-
 @dataclass
 class TweetIngestStats:
     lines: int = 0
@@ -347,20 +274,58 @@ class TweetIngestStats:
     malformed: int = 0
     duplicates: int = 0
     matched: int = 0
+    reconnects: int = 0
+    total_backoff_seconds: float = 0.0
+
+    @property
+    def skipped(self) -> int:
+        """Lines dropped as unreadable; nonzero makes a run partial."""
+        return self.malformed
+
+
+class CollectAborted(Exception):
+    """Raised when consecutive reconnect failures reach the configured cap."""
+
+    def __init__(self, stats: TweetIngestStats, failures: int):
+        super().__init__(f"aborted after {failures} consecutive failures")
+        self.stats = stats
+        self.failures = failures
 
 
 def ingest_capture(
-    lines: Iterable[str],
+    lines: Iterable[str | Fault],
     emit: Callable[[Message], None],
     *,
     keywords: Iterable[str] = DEFAULT_KEYWORDS,
     substring: bool = False,
+    policies: dict[FailureMode, BackoffPolicy] | None = None,
+    max_consecutive_failures: int = 10,
 ) -> TweetIngestStats:
-    """File-replay ingestion: parse, deduplicate by id, filter, emit."""
+    """Parse, deduplicate by id, filter and emit a capture, riding out faults.
+
+    `lines` is file replay (plain lines) or a fault-scripted source. Blank
+    lines are skipped uncounted; duplicate tweet ids are counted, not emitted.
+    Only keyword-matching records are emitted (stream_id "twitter"). Backoff
+    delays are accumulated into the stats, not slept. Raises CollectAborted
+    once max_consecutive_failures is reached, right after the final backoff.
+    """
+    if policies is None:
+        policies = default_policies()
     keywords = tuple(keywords)
     stats = TweetIngestStats()
+    state = BackoffState()
     seen_ids: set[int] = set()
+
     for line in lines:
+        if isinstance(line, Fault):
+            delay, state = next_delay(policies[line.mode], state, line.mode)
+            stats.reconnects += 1
+            stats.total_backoff_seconds += delay
+            if state.consecutive_failures >= max_consecutive_failures:
+                raise CollectAborted(stats, state.consecutive_failures)
+            continue
+        if state.consecutive_failures:
+            state = BackoffState()
         if not line.strip():
             continue
         stats.lines += 1

@@ -81,7 +81,9 @@ def test_criterion_2_irc_filter_completeness(tmp_path):
     log = tmp_path / "chan.log"
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    messages, stats = ingest_log(log, "#bitcoin")
+    messages = []
+    with open(log, encoding="utf-8") as src:
+        stats = ingest_log(src, messages.append, "#bitcoin")
     assert len(messages) == chat_count
     assert stats.dropped_network == 8
     assert stats.unparsable == 0

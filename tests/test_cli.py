@@ -197,6 +197,11 @@ def test_parse_irc_strict_is_fatal(tmp_path):
     out = tmp_path / "msgs.jsonl"
     code = main(["parse-irc", "--channel", "#x", "--in", str(log), "--out", str(out), "--strict"])
     assert code == 2
+    # Messages stream out before the bad line is reached; none may remain.
+    log.write_text(IRC_LOG + "garbage\n", encoding="utf-8")
+    code = main(["parse-irc", "--channel", "#x", "--in", str(log), "--out", str(out), "--strict"])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_ingest_tweets_filters_and_writes(tmp_path):
@@ -452,3 +457,58 @@ def test_run_all_window_filters_messages(tmp_path):
 
 def test_run_all_missing_config_is_fatal(tmp_path):
     assert main(["run-all", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def _run_all_outputs(config_path, out_dir, **changes):
+    config = json.loads(config_path.read_text())
+    config.update(changes)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["run-all", "--config", str(config_path)])
+    outputs = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    for path in out_dir.iterdir():
+        path.unlink()
+    return code, outputs
+
+
+def test_run_all_dedupes_a_capture_listed_twice(tmp_path):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    capture = json.loads(config_path.read_text())["tweet_captures"][0]
+    once = _run_all_outputs(config_path, out_dir)
+    twice = _run_all_outputs(config_path, out_dir, tweet_captures=[capture, capture])
+    assert once[0] == twice[0] == 0
+    assert once[1] == twice[1]
+
+
+def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    capture = tmp_path / "cap.jsonl"
+    lines = capture.read_text(encoding="utf-8").splitlines()
+    # Split the capture in two rotated files that overlap by three tweets.
+    first, second = tmp_path / "cap_a.jsonl", tmp_path / "cap_b.jsonl"
+    first.write_text("\n".join(lines[:15]) + "\n", encoding="utf-8")
+    second.write_text("\n".join(lines[12:]) + "\n", encoding="utf-8")
+    whole = _run_all_outputs(config_path, out_dir)
+    split = _run_all_outputs(config_path, out_dir, tweet_captures=[str(first), str(second)])
+    assert whole[0] == split[0] == 0
+    assert whole[1] == split[1]
+
+
+@pytest.mark.parametrize(
+    "drop, key",
+    [
+        (lambda c: c.pop("price_csv"), "price_csv"),
+        (lambda c: c.pop("volume_csv"), "volume_csv"),
+        (lambda c: c["irc_logs"][0].pop("path"), "path"),
+        (lambda c: c["irc_logs"][0].pop("channel"), "channel"),
+    ],
+    ids=["price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel"],
+)
+def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
+    config_path, _ = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    drop(config)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinbuzz: error: ")
+    assert repr(key) in err

@@ -4,13 +4,13 @@ import io
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coinbuzz.irc import (
     NETWORK_SUBTYPES,
     EventKind,
-    IrcEvent,
     UnparsableLine,
-    classify,
     ingest_log,
     parse_log_line,
 )
@@ -39,15 +39,17 @@ def test_parse_network_line_for_every_subtype():
         assert event.nick == ""
 
 
+def _kept(line: str) -> bool:
+    """Whether ingest_log turns the line into a message."""
+    out = []
+    ingest_log([line], out.append, "#bitcoin")
+    return bool(out)
+
+
 def test_network_subtypes_are_dropped_and_chat_kept():
     for subtype in NETWORK_SUBTYPES:
-        event = IrcEvent(
-            datetime(2015, 6, 1, tzinfo=timezone.utc), "#bitcoin",
-            EventKind.NETWORK, subtype, "", "x",
-        )
-        assert classify(event) is False
-    chat = parse_log_line(CHAT_LINE, "#bitcoin", 1)
-    assert classify(chat) is True
+        assert _kept(_network_line(subtype)) is False
+    assert _kept(CHAT_LINE) is True
 
 
 def test_unknown_network_word_is_surfaced_as_chat():
@@ -55,7 +57,7 @@ def test_unknown_network_word_is_surfaced_as_chat():
     assert event.kind is EventKind.CHAT
     assert event.nick == "Away"
     assert event.text == "details here"
-    assert classify(event) is True
+    assert _kept(_network_line("Away")) is True
 
 
 def test_garbage_line_raises():
@@ -102,7 +104,8 @@ def _fixture_log() -> str:
 
 
 def test_ingest_filters_network_messages():
-    messages, stats = ingest_log(io.StringIO(_fixture_log()), "#bitcoin")
+    messages = []
+    stats = ingest_log(io.StringIO(_fixture_log()), messages.append, "#bitcoin")
     assert len(messages) == 5
     assert stats.dropped_network == 8
     assert stats.parsed == stats.messages + stats.dropped_network == 13
@@ -112,7 +115,8 @@ def test_ingest_filters_network_messages():
 
 def test_ingest_count_conservation_and_order():
     log = _fixture_log() + "\n" + "garbage\n" + CHAT_LINE + "\n"
-    messages, stats = ingest_log(io.StringIO(log), "#bitcoin")
+    messages = []
+    stats = ingest_log(io.StringIO(log), messages.append, "#bitcoin")
     assert stats.lines_in == stats.messages + stats.dropped_network + stats.unparsable + stats.blank
     assert stats.unparsable == 1
     assert stats.blank == 1
@@ -121,19 +125,21 @@ def test_ingest_count_conservation_and_order():
 
 
 def test_ingest_empty_file():
-    messages, stats = ingest_log(io.StringIO(""), "#bitcoin")
+    messages = []
+    stats = ingest_log(io.StringIO(""), messages.append, "#bitcoin")
     assert messages == []
     assert stats.lines_in == 0
 
 
 def test_strict_mode_aborts_on_unparsable():
     with pytest.raises(UnparsableLine):
-        ingest_log(io.StringIO("nonsense\n"), "#bitcoin", strict=True)
+        ingest_log(io.StringIO("nonsense\n"), lambda m: None, "#bitcoin", strict=True)
 
 
 def test_lenient_mode_skips_and_counts():
     log = "nonsense\n" + CHAT_LINE + "\n"
-    messages, stats = ingest_log(io.StringIO(log), "#bitcoin")
+    messages = []
+    stats = ingest_log(io.StringIO(log), messages.append, "#bitcoin")
     assert stats.unparsable == 1
     assert len(messages) == 1
 
@@ -141,12 +147,45 @@ def test_lenient_mode_skips_and_counts():
 def test_custom_stream_id_and_file_input(tmp_path):
     path = tmp_path / "chan.log"
     path.write_text(CHAT_LINE + "\n", encoding="utf-8")
-    messages, _ = ingest_log(path, "#dogecoin", "irc:custom")
+    messages = []
+    with open(path, encoding="utf-8") as src:
+        ingest_log(src, messages.append, "#dogecoin", "irc:custom")
     assert messages[0].stream_id == "irc:custom"
 
 
 def test_chat_text_is_escape_sanitized():
     line = "[Mon Jun 1 2015] [00:03:12] <alice>\tprice\\u2026 up"
-    messages, _ = ingest_log(io.StringIO(line + "\n"), "#bitcoin")
+    messages = []
+    ingest_log(io.StringIO(line + "\n"), messages.append, "#bitcoin")
     assert messages[0].text == "price       up"
     assert "\\u2026" not in messages[0].text
+
+
+def test_ingest_streams_line_by_line():
+    pulled, pulled_at_emit = [], []
+
+    def lines():
+        for line in (CHAT_LINE, _network_line("Join"), CHAT_LINE):
+            pulled.append(line)
+            yield line
+
+    ingest_log(lines(), lambda m: pulled_at_emit.append(len(pulled)), "#bitcoin")
+    assert pulled_at_emit == [1, 3]
+
+
+_LOG_LINE = st.one_of(
+    st.just(CHAT_LINE),
+    st.sampled_from(sorted(NETWORK_SUBTYPES) + ["Away"]).map(_network_line),
+    st.sampled_from(["garbage", "[Wed Jun 31 2015] [00:00:00] <a>\thi"]),
+    st.sampled_from(["", "   ", "\r\n"]),
+)
+
+
+@given(st.lists(_LOG_LINE, max_size=40))
+def test_ingest_counter_identity(lines):
+    out = []
+    stats = ingest_log(lines, out.append, "#bitcoin")
+    assert len(lines) == stats.lines_in
+    assert stats.lines_in == stats.messages + stats.dropped_network + stats.unparsable + stats.blank
+    assert stats.parsed == stats.messages + stats.dropped_network
+    assert len(out) == stats.messages

@@ -15,7 +15,6 @@ from coinbuzz.twitter import (
     FailureMode,
     Fault,
     MalformedRecord,
-    collect,
     default_policies,
     ingest_capture,
     jitter_fraction,
@@ -24,7 +23,6 @@ from coinbuzz.twitter import (
     next_delay,
     parse_created_at,
     parse_tweet,
-    replay_source,
     scripted_source,
 )
 
@@ -227,8 +225,8 @@ def test_collect_counts_reconnects_from_fault_script():
     records = _records(5, matching_ids=(1, 2, 3, 4, 5))
     script = ["ok", "ok", "ok", "drop", "ok", "ok"]
     out = []
-    stats = collect(scripted_source(records, script), out.append)
-    assert stats.received == 5
+    stats = ingest_capture(scripted_source(records, script), out.append)
+    assert stats.lines == 5
     assert stats.reconnects == 1
     assert stats.matched == 5
     assert stats.total_backoff_seconds == 0.25
@@ -237,8 +235,8 @@ def test_collect_counts_reconnects_from_fault_script():
 def test_collect_forwards_only_matching_records():
     records = _records(10, matching_ids=(2, 4, 6, 8))
     out = []
-    stats = collect(replay_source(records), out.append)
-    assert stats.received == 10
+    stats = ingest_capture(records, out.append)
+    assert stats.lines == 10
     assert stats.matched == 4
     assert len(out) == 4
     # Soundness both ways: everything forwarded matches, and every parseable
@@ -254,7 +252,7 @@ def test_collect_forwards_only_matching_records():
 def test_collect_aborts_after_max_consecutive_failures():
     script = ["drop"] * 10
     with pytest.raises(CollectAborted) as err:
-        collect(scripted_source([], script), lambda m: None, max_consecutive_failures=3)
+        ingest_capture(scripted_source([], script), lambda m: None, max_consecutive_failures=3)
     assert err.value.failures == 3
     assert err.value.stats.reconnects == 3
     # Three backoffs happened before the abort: 0.25 + 0.5 + 1.0.
@@ -267,7 +265,7 @@ def test_collect_is_deterministic_for_fixed_script_and_seed():
 
     def run():
         out = []
-        stats = collect(
+        stats = ingest_capture(
             scripted_source(records, script), out.append,
             policies=default_policies(jitter_seed=11),
         )
@@ -281,15 +279,15 @@ def test_collect_is_deterministic_for_fixed_script_and_seed():
 def test_collect_deduplicates_by_id():
     line = _tweet_line(1, "Bitcoin twice")
     out = []
-    stats = collect(replay_source([line, line]), out.append)
-    assert stats.received == 2
+    stats = ingest_capture([line, line], out.append)
+    assert stats.lines == 2
     assert stats.matched == 1
 
 
 def test_collect_success_resets_backoff():
     records = _records(2, matching_ids=())
     script = ["drop", "ok", "drop", "ok", "drop"]
-    stats = collect(scripted_source(records, script), lambda m: None)
+    stats = ingest_capture(scripted_source(records, script), lambda m: None)
     # Every failure is the first of its run, so each costs the base 0.25s.
     assert stats.total_backoff_seconds == 0.75
     assert stats.reconnects == 3
@@ -337,3 +335,38 @@ def test_ingest_capture_counts_and_dedupes():
     assert stats.matched == 2
     assert [m.author for m in out] == ["user1", "user3"]
     assert all(m.stream_id == "twitter" for m in out)
+
+
+def _counting(lines, pulled: list):
+    """Yield lines, recording in `pulled` each one handed out."""
+    for line in lines:
+        pulled.append(line)
+        yield line
+
+
+def test_ingest_capture_streams_line_by_line():
+    pulled, pulled_at_emit = [], []
+    lines = [_tweet_line(1, "Bitcoin one"), _tweet_line(2, "Bitcoin two")]
+    ingest_capture(_counting(lines, pulled), lambda m: pulled_at_emit.append(len(pulled)))
+    assert pulled_at_emit == [1, 2]
+
+
+_CAPTURE_EVENT = st.one_of(
+    st.integers(1, 6).map(lambda i: _tweet_line(i, "Bitcoin up")),
+    st.integers(1, 6).map(lambda i: _tweet_line(i, "stocks only")),
+    st.sampled_from(["not json", "{}", "[1, 2]", '{"id": 1}']),
+    st.sampled_from(["", "   ", "\n"]),
+    st.sampled_from(list(FailureMode)).map(Fault),
+)
+
+
+@given(st.lists(_CAPTURE_EVENT, max_size=40))
+def test_ingest_capture_counter_identities(events):
+    out = []
+    stats = ingest_capture(events, out.append, max_consecutive_failures=len(events) + 1)
+    assert stats.lines == stats.parsed + stats.malformed
+    assert stats.matched <= stats.parsed - stats.duplicates
+    assert len(out) == stats.matched
+    assert stats.lines == sum(isinstance(e, str) and bool(e.strip()) for e in events)
+    assert stats.reconnects == sum(isinstance(e, Fault) for e in events)
+    assert len({m.author for m in out}) == len(out)
