@@ -15,6 +15,7 @@ import re
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -158,10 +159,18 @@ def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
     return 1 if stats.skipped else 0
 
 
+_ANNOTATE_STAGES = ("tokenize", "gazetteer")
+
+
+def _annotated_line(msg: message_mod.Message, line_no: int, resources: dict) -> str:
+    """The annotated document of the message on line `line_no` (from 1) of its
+    stream's messages file; its doc_id is `<stream_id>:<line_no>`."""
+    doc = annotate_mod.Document(f"{msg.stream_id}:{line_no}", msg.text)
+    return annotate_mod.run_pipeline(doc, _ANNOTATE_STAGES, resources).to_json() + "\n"
+
+
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    gazetteer = annotate_mod.Gazetteer.load(args.gazetteer)
-    resources = {"gazetteer": gazetteer}
-    stages = ["tokenize", "gazetteer"]
+    resources = {"gazetteer": annotate_mod.Gazetteer.load(args.gazetteer)}
     docs = 0
     with open(args.infile, "r", encoding="utf-8") as src, open(
         args.outfile, "w", encoding="utf-8"
@@ -169,10 +178,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         for line_no, line in enumerate(src, start=1):
             if not line.strip():
                 continue
-            msg = message_mod.from_json_line(line)
-            doc = annotate_mod.Document(f"{msg.stream_id}:{line_no}", msg.text, msg)
-            adoc = annotate_mod.run_pipeline(doc, stages, resources)
-            out.write(adoc.to_json() + "\n")
+            out.write(_annotated_line(message_mod.from_json_line(line), line_no, resources))
             docs += 1
     print(f"annotate: documents={docs}", file=sys.stderr)
     return 0
@@ -269,6 +275,7 @@ def _cmd_plot_series(args: argparse.Namespace) -> int:
 class _StreamBundle:
     counter: series_mod.DailyCounter
     sink: IO[str]
+    lines: int = 0  # messages written to sink so far
 
 
 def _slug(stream_id: str) -> str:
@@ -296,17 +303,29 @@ def _load_config(path: Path) -> dict:
     _require(config, ("price_csv", "volume_csv"), "config")
     for entry in config.get("irc_logs", []):
         _require(entry, ("path", "channel"), "irc_logs entry")
+        irc_mod.resolve_tz(entry.get("tz", "UTC"))
+    if config.get("window"):
+        _window_bounds(config["window"])
+    for plot in config.get("plots", []):
+        _require(plot, ("series", "metric"), "plots entry")
+        if plot["metric"] not in ("price", "volume"):
+            raise ValueError(f"plots entry metric must be 'price' or 'volume', got {plot['metric']!r}")
     return config
+
+
+def _window_bounds(window: dict) -> tuple[date, date]:
+    _require(window, ("start", "end"), "window")
+    try:
+        return date.fromisoformat(window["start"]), date.fromisoformat(window["end"])
+    except TypeError:
+        raise ValueError(f"window dates must be YYYY-MM-DD strings, got {window!r}") from None
 
 
 def _window_filter(config: dict):
     window = config.get("window")
     if not window:
         return lambda msg: True
-    from datetime import date
-
-    start = date.fromisoformat(window["start"])
-    end = date.fromisoformat(window["end"])
+    start, end = _window_bounds(window)
 
     def inside(msg: message_mod.Message) -> bool:
         return start <= msg.timestamp.date() <= end
@@ -354,29 +373,23 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
         sources.append((stream_id, _log_lines(entry["path"]), ingest))
 
-    gazetteer = None
+    resources = None
     annotated_out = None
-    doc_seq = 0
     partial = False
     bundles: dict[str, _StreamBundle] = {}
 
     def handle(bundle: _StreamBundle, msg: message_mod.Message) -> None:
-        nonlocal doc_seq
         if not in_window(msg):
             return
         bundle.sink.write(message_mod.to_json_line(msg) + "\n")
+        bundle.lines += 1
         bundle.counter.add(msg)
         if annotated_out is not None:
-            doc_seq += 1
-            doc = annotate_mod.Document(f"{msg.stream_id}:{doc_seq}", msg.text, msg)
-            adoc = annotate_mod.run_pipeline(
-                doc, ["tokenize", "gazetteer"], {"gazetteer": gazetteer}
-            )
-            annotated_out.write(adoc.to_json() + "\n")
+            annotated_out.write(_annotated_line(msg, bundle.lines, resources))
 
     with ExitStack() as stack:
         if config.get("gazetteer"):
-            gazetteer = annotate_mod.Gazetteer.load(config["gazetteer"])
+            resources = {"gazetteer": annotate_mod.Gazetteer.load(config["gazetteer"])}
             annotated_out = stack.enter_context(open(out_dir / "annotated.jsonl", "w", encoding="utf-8"))
         for stream_id, lines, ingest in sources:
             if stream_id not in bundles:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timezone, tzinfo
 from enum import Enum
 from typing import Callable, Iterable
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from coinbuzz.message import MONTH_BY_ABBREV, Message
 from coinbuzz.sanitize import sanitize_text
@@ -123,6 +123,21 @@ def parse_log_line(
     raise UnparsableLine(line_no, "does not match chat or network grammar")
 
 
+def resolve_tz(name: str) -> tzinfo:
+    """The zone named `name` ("UTC" or an IANA key such as "Europe/London").
+
+    Raises ValueError for a name that is not a known zone.
+    """
+    if name == "UTC":
+        return timezone.utc
+    if not isinstance(name, str):
+        raise ValueError(f"time zone must be a string, got {name!r}")
+    try:
+        return ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise ValueError(f"unknown time zone {name!r}") from None
+
+
 def ingest_log(
     lines: Iterable[str],
     emit: Callable[[Message], None],
@@ -140,7 +155,7 @@ def ingest_log(
     """
     if stream_id is None:
         stream_id = f"irc:{channel}"
-    zone = timezone.utc if tz == "UTC" else ZoneInfo(tz)
+    zone = resolve_tz(tz)
 
     stats = IrcIngestStats()
     for line_no, line in enumerate(lines, start=1):

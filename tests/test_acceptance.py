@@ -19,7 +19,7 @@ import time
 from datetime import date, timedelta
 from pathlib import Path
 
-from coinbuzz.annotate import AnnotatedDocument, Document, Gazetteer, run_pipeline, tokenize
+from coinbuzz.annotate import AnnotatedDocument, Document, Gazetteer, run_pipeline
 from coinbuzz.cli import main
 from coinbuzz.irc import NETWORK_SUBTYPES, ingest_log
 from coinbuzz.sanitize import sanitize_line
@@ -467,9 +467,8 @@ def test_criterion_9_annotation_integrity():
         text = _random_doc_text(rng)
         doc = Document(f"doc{i}", text)
 
-        tokens = tokenize(doc)
         covered = []
-        for ann in tokens:
+        for ann in run_pipeline(doc, ["tokenize"]).annotations:
             covered.extend(range(ann.start, ann.end))
         assert len(covered) == len(set(covered)), "token spans overlap"
         assert sorted(covered) == [m.start() for m in _NONSPACE_RE.finditer(text)]

@@ -22,7 +22,7 @@ from coinbuzz.annotate import (
     UnknownStage,
     gazetteer_lookup,
     run_pipeline,
-    tokenize,
+    token_spans,
 )
 
 _NONSPACE_RE = re.compile(r"\S")
@@ -35,8 +35,7 @@ def _spans(annotations):
 # --- tokenizer ---------------------------------------------------------------
 
 def test_tokenize_hashtag_and_words():
-    doc = Document("d", "#bitcoin to the moon")
-    assert _spans(tokenize(doc)) == [
+    assert list(token_spans("#bitcoin to the moon")) == [
         (HASHTAG, 0, 8),
         (TOKEN, 9, 11),
         (TOKEN, 12, 15),
@@ -45,12 +44,13 @@ def test_tokenize_hashtag_and_words():
 
 
 def test_tokenize_empty_text():
-    assert tokenize(Document("d", "")) == []
+    assert list(token_spans("")) == []
+    assert run_pipeline(Document("d", ""), ["tokenize"]).annotations == []
 
 
 def test_tokenize_mention_url_hashtag():
     text = "@alice https://x.io #btc"
-    spans = _spans(tokenize(Document("d", text)))
+    spans = list(token_spans(text))
     # Independent character-index oracle for the fixture string.
     assert spans == [
         (MENTION, text.index("@alice"), text.index("@alice") + len("@alice")),
@@ -60,28 +60,30 @@ def test_tokenize_mention_url_hashtag():
 
 
 def test_punctuation_tokenizes_per_character():
-    spans = _spans(tokenize(Document("d", "up!!")))
+    spans = list(token_spans("up!!"))
     assert spans == [(TOKEN, 0, 2), (TOKEN, 2, 3), (TOKEN, 3, 4)]
 
 
 def test_underscore_is_punctuation():
-    spans = _spans(tokenize(Document("d", "a_b")))
+    spans = list(token_spans("a_b"))
     assert spans == [(TOKEN, 0, 1), (TOKEN, 1, 2), (TOKEN, 2, 3)]
 
 
 def test_bare_hash_is_punctuation():
-    spans = _spans(tokenize(Document("d", "# x")))
+    spans = list(token_spans("# x"))
     assert spans == [(TOKEN, 0, 1), (TOKEN, 2, 3)]
 
 
 def test_url_consumes_to_whitespace():
     text = "see http://a.b/c?d=1#frag end"
-    spans = _spans(tokenize(Document("d", text)))
+    spans = list(token_spans(text))
     assert spans[1] == (URL, 4, text.index(" end"))
 
 
 def _assert_partition(text: str) -> None:
-    spans = [(a.start, a.end) for a in tokenize(Document("d", text))]
+    tokens = run_pipeline(Document("d", text), ["tokenize"]).annotations
+    assert _spans(tokens) == list(token_spans(text))
+    spans = [(a.start, a.end) for a in tokens]
     covered = []
     for start, end in spans:
         covered.extend(range(start, end))
@@ -111,33 +113,37 @@ def _gazetteer(*surfaces: str) -> Gazetteer:
     return Gazetteer.from_entries({s: ("crypto", "coin") for s in surfaces})
 
 
+def _tokens(doc: Document):
+    return run_pipeline(doc, ["tokenize"]).annotations
+
+
 def test_lookup_is_case_insensitive():
     doc = Document("d", "Bitcoin rallies")
-    lookups = gazetteer_lookup(doc, tokenize(doc), _gazetteer("bitcoin"))
+    lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin"))
     assert _spans(lookups) == [(LOOKUP, 0, 7)]
     assert lookups[0].features == {"major_type": "crypto", "minor_type": "coin"}
 
 
 def test_longest_match_wins():
     doc = Document("d", "bitcoin cash drops")
-    lookups = gazetteer_lookup(doc, tokenize(doc), _gazetteer("bitcoin", "bitcoin cash"))
+    lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin", "bitcoin cash"))
     assert _spans(lookups) == [(LOOKUP, 0, 12)]
 
 
 def test_empty_gazetteer_yields_nothing():
     doc = Document("d", "bitcoin")
-    assert gazetteer_lookup(doc, tokenize(doc), Gazetteer.from_entries({})) == []
+    assert gazetteer_lookup(doc, _tokens(doc), Gazetteer.from_entries({})) == []
 
 
 def test_matched_tokens_are_consumed():
     doc = Document("d", "bitcoin bitcoin")
-    lookups = gazetteer_lookup(doc, tokenize(doc), _gazetteer("bitcoin"))
+    lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin"))
     assert _spans(lookups) == [(LOOKUP, 0, 7), (LOOKUP, 8, 15)]
 
 
 def test_lookup_spans_hashtag_surface():
     doc = Document("d", "#bitcoin up")
-    lookups = gazetteer_lookup(doc, tokenize(doc), _gazetteer("#bitcoin"))
+    lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("#bitcoin"))
     assert _spans(lookups) == [(LOOKUP, 0, 8)]
 
 

@@ -204,6 +204,16 @@ def test_parse_irc_strict_is_fatal(tmp_path):
     assert not out.exists()
 
 
+def test_parse_irc_unknown_tz_is_fatal(tmp_path, capsys):
+    log = tmp_path / "chan.log"
+    log.write_text(IRC_LOG, encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    code = main(["parse-irc", "--channel", "#x", "--in", str(log), "--out", str(out), "--tz", "Mars/Base"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("coinbuzz: error: unknown time zone 'Mars/Base'")
+    assert not out.exists()
+
+
 def test_ingest_tweets_filters_and_writes(tmp_path):
     capture = tmp_path / "cap.jsonl"
     capture.write_text(
@@ -500,11 +510,22 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.pop("volume_csv"), "volume_csv"),
         (lambda c: c["irc_logs"][0].pop("path"), "path"),
         (lambda c: c["irc_logs"][0].pop("channel"), "channel"),
+        (lambda c: c["plots"][0].pop("series"), "series"),
+        (lambda c: c["plots"][0].pop("metric"), "metric"),
+        (lambda c: c["plots"][0].update(metric="cap"), "cap"),
+        (lambda c: c.update(window={"end": "2015-06-04"}), "start"),
+        (lambda c: c.update(window={"start": "2015-06-02"}), "end"),
+        (lambda c: c.update(window={"start": 20150602, "end": "2015-06-04"}), 20150602),
+        (lambda c: c["irc_logs"][0].update(tz="Mars/Base"), "Mars/Base"),
     ],
-    ids=["price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel"],
+    ids=[
+        "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
+        "plots.metric", "plots.metric-unknown", "window.start", "window.end",
+        "window.not-a-string", "irc_logs.tz-unknown",
+    ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
-    config_path, _ = _run_all_workspace(tmp_path)
+    config_path, out_dir = _run_all_workspace(tmp_path)
     config = json.loads(config_path.read_text())
     drop(config)
     config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -512,3 +533,39 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
     assert repr(key) in err
+    # The config is checked before anything is written.
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("window", [None, {"start": "2015-06-02", "end": "2015-06-04"}])
+def test_run_all_annotated_equals_annotate_over_each_stream(tmp_path, window):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    second_log = tmp_path / "doge.log"
+    second_log.write_text(
+        "".join(
+            f"[Mon Jun {day} 2015] [09:00:0{i}] <d{i}>\tbitcoin doge\n"
+            for day in range(1, 6)
+            for i in range(day % 3 + 1)
+        ),
+        encoding="utf-8",
+    )
+    config["irc_logs"].append({"path": str(second_log), "channel": "#dogecoin"})
+    if window:
+        config["window"] = window
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 0
+
+    # Source order: the tweet captures, then each IRC log in config order.
+    expected = b""
+    for slug in ("twitter", "irc_bitcoin", "irc_dogecoin"):
+        part = tmp_path / f"annotated_{slug}.jsonl"
+        messages = out_dir / f"messages_{slug}.jsonl"
+        args = ["annotate", "--in", str(messages), "--gazetteer", config["gazetteer"], "--out", str(part)]
+        assert main(args) == 0
+        expected += part.read_bytes()
+    annotated = (out_dir / "annotated.jsonl").read_bytes()
+    assert annotated == expected
+    doc_ids = [json.loads(line)["doc_id"] for line in annotated.decode().splitlines()]
+    assert doc_ids[0] == "twitter:1"
+    assert "irc:#bitcoin:1" in doc_ids and "irc:#dogecoin:1" in doc_ids
