@@ -282,10 +282,32 @@ def _slug(stream_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", stream_id).strip("_") or "stream"
 
 
-def _require(mapping: dict, keys: tuple[str, ...], where: str) -> None:
-    for key in keys:
+# Every key run-all reads, per config section: (required, optional).
+_CONFIG_KEYS = {
+    "config": (
+        ("price_csv", "volume_csv"),
+        ("out_dir", "tweet_captures", "irc_logs", "gazetteer", "keywords", "substring",
+         "strict", "theta", "k", "exclude_outages", "format", "window", "plots"),
+    ),
+    "irc_logs entry": (("path", "channel"), ("tz", "stream_id")),
+    "plots entry": (("series", "metric"), ()),
+    "window": (("start", "end"), ()),
+}
+
+
+def _require(mapping: dict, where: str) -> None:
+    """Reject a config section that lacks a required key or has an unknown one."""
+    required, optional = _CONFIG_KEYS[where]
+    for key in required:
         if not isinstance(mapping, dict) or key not in mapping:
             raise ValueError(f"{where} lacks required key {key!r}")
+    for key in mapping:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where} has unknown key {key!r}")
+
+
+def _irc_stream_id(entry: dict) -> str:
+    return entry.get("stream_id") or f"irc:{entry['channel']}"
 
 
 def _load_config(path: Path) -> dict:
@@ -300,21 +322,32 @@ def _load_config(path: Path) -> dict:
         config = tomllib.loads(text)
     else:
         config = json.loads(text)
-    _require(config, ("price_csv", "volume_csv"), "config")
+    _require(config, "config")
+    # The streams the config produces, by slug: each stream's files are named
+    # by its slug, so two ids may not share one.
+    streams = {"twitter": "twitter"} if config.get("tweet_captures") else {}
     for entry in config.get("irc_logs", []):
-        _require(entry, ("path", "channel"), "irc_logs entry")
+        _require(entry, "irc_logs entry")
         irc_mod.resolve_tz(entry.get("tz", "UTC"))
+        stream_id = _irc_stream_id(entry)
+        other = streams.setdefault(_slug(stream_id), stream_id)
+        if other != stream_id:
+            raise ValueError(
+                f"stream ids {other!r} and {stream_id!r} would share the files of {_slug(stream_id)!r}"
+            )
     if config.get("window"):
         _window_bounds(config["window"])
     for plot in config.get("plots", []):
-        _require(plot, ("series", "metric"), "plots entry")
+        _require(plot, "plots entry")
         if plot["metric"] not in ("price", "volume"):
             raise ValueError(f"plots entry metric must be 'price' or 'volume', got {plot['metric']!r}")
+        if plot["series"] not in streams.values():
+            raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r}")
     return config
 
 
 def _window_bounds(window: dict) -> tuple[date, date]:
-    _require(window, ("start", "end"), "window")
+    _require(window, "window")
     try:
         return date.fromisoformat(window["start"]), date.fromisoformat(window["end"])
     except TypeError:
@@ -366,7 +399,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         ingest = functools.partial(twitter_mod.ingest_capture, keywords=keywords, substring=substring)
         sources.append(("twitter", _capture_lines(config["tweet_captures"]), ingest))
     for entry in config.get("irc_logs", []):
-        stream_id = entry.get("stream_id") or f"irc:{entry['channel']}"
+        stream_id = _irc_stream_id(entry)
         ingest = functools.partial(
             irc_mod.ingest_log, channel=entry["channel"], stream_id=stream_id,
             tz=entry.get("tz", "UTC"), strict=strict,
@@ -421,9 +454,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         stream_id = plot["series"]
         metric = plot["metric"]
         market = volume if metric == "volume" else price
-        daily = by_id.get(stream_id)
-        if daily is None:
-            raise ValueError(f"plot requests unknown stream {stream_id!r}")
+        daily = by_id[stream_id]
         plot_path = out_dir / f"plot_{_slug(stream_id)}_{metric}.csv"
         try:
             with open(plot_path, "w", encoding="utf-8", newline="") as out:

@@ -32,8 +32,8 @@ NETWORK_SUBTYPES = frozenset(
 )
 
 _STAMP = r"\[(\w{3}) (\w{3}) (\d{1,2}) (\d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
-_CHAT_RE = re.compile(_STAMP + r" <([^>]+)>\t(.*)$")
-_NETWORK_RE = re.compile(_STAMP + r" \*\*\* (\w+): (.*)$")
+# Chat (groups 8-9: nick, text) is tried before network (groups 10-11: word, rest).
+_LINE_RE = re.compile(_STAMP + r" (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
 
 
 class EventKind(Enum):
@@ -75,15 +75,6 @@ class IrcIngestStats:
         return self.unparsable
 
 
-def _event_timestamp(groups: tuple[str, ...], tz: ZoneInfo | timezone) -> datetime:
-    _dow, mon, day, year, hh, mm, ss = groups
-    month = MONTH_BY_ABBREV.get(mon)
-    if month is None:
-        raise ValueError(f"unknown month abbreviation {mon!r}")
-    local = datetime(int(year), month, int(day), int(hh), int(mm), int(ss), tzinfo=tz)
-    return local.astimezone(timezone.utc)
-
-
 def parse_log_line(
     line: str,
     channel: str,
@@ -97,30 +88,26 @@ def parse_log_line(
     """
     if not channel.startswith("#"):
         raise ValueError(f"channel must begin with '#': {channel!r}")
-    if not line.strip():
-        return None
-
-    match = _CHAT_RE.match(line)
-    if match:
-        try:
-            ts = _event_timestamp(match.groups()[:7], tz)
-        except ValueError as exc:
-            raise UnparsableLine(line_no, str(exc)) from exc
-        return IrcEvent(ts, channel, EventKind.CHAT, None, match.group(8), match.group(9))
-
-    match = _NETWORK_RE.match(line)
-    if match:
-        try:
-            ts = _event_timestamp(match.groups()[:7], tz)
-        except ValueError as exc:
-            raise UnparsableLine(line_no, str(exc)) from exc
-        word, rest = match.group(8), match.group(9)
-        if word in NETWORK_SUBTYPES:
-            return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
-        # Unknown server chatter: keep it, authored by the announcing word.
-        return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
-
-    raise UnparsableLine(line_no, "does not match chat or network grammar")
+    match = _LINE_RE.match(line)
+    if match is None:
+        if not line.strip():
+            return None
+        raise UnparsableLine(line_no, "does not match chat or network grammar")
+    _dow, mon, day, year, hh, mm, ss, nick, text, word, rest = match.groups()
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
+        raise UnparsableLine(line_no, f"unknown month abbreviation {mon!r}")
+    try:
+        local = datetime(int(year), month, int(day), int(hh), int(mm), int(ss), tzinfo=tz)
+        ts = local.astimezone(timezone.utc)
+    except ValueError as exc:
+        raise UnparsableLine(line_no, str(exc)) from exc
+    if nick is not None:
+        return IrcEvent(ts, channel, EventKind.CHAT, None, nick, text)
+    if word in NETWORK_SUBTYPES:
+        return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
+    # Unknown server chatter: keep it, authored by the announcing word.
+    return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
 
 
 def resolve_tz(name: str) -> tzinfo:

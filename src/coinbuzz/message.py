@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import IO, Iterator
 
 # English month abbreviations as used by tweet and chat-log wire formats.
@@ -45,13 +46,26 @@ def parse_ts(value: str) -> datetime:
 
 
 def to_json_line(msg: Message) -> str:
-    record = {
-        "stream_id": msg.stream_id,
-        "ts": format_ts(msg.timestamp),
-        "author": msg.author,
-        "text": msg.text,
-    }
-    return json.dumps(record, ensure_ascii=False)
+    """The record as `json.dumps(record, ensure_ascii=False)` writes it.
+
+    `encode_basestring` is the string encoder that call applies. The
+    timestamp is formatted from its fields only for a UTC datetime with a
+    four-digit year; anything else goes through `format_ts`, because
+    strftime's `%Y` zero-pads years below 1000 on some platforms and not on
+    others (glibc prints year 5 as `5`).
+    """
+    ts = msg.timestamp
+    if ts.tzinfo is timezone.utc and ts.year >= 1000:
+        stamp = (
+            f"{ts.year}-{ts.month:02d}-{ts.day:02d}"
+            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
+        )
+    else:
+        stamp = format_ts(ts)
+    return (
+        f'{{"stream_id": {encode_basestring(msg.stream_id)}, "ts": "{stamp}", '
+        f'"author": {encode_basestring(msg.author)}, "text": {encode_basestring(msg.text)}}}'
+    )
 
 
 def from_json_line(line: str) -> Message:

@@ -71,6 +71,8 @@ def sanitize_line(line: bytes) -> tuple[bytes, int, int]:
 
 def sanitize_text(text: str) -> str:
     """String counterpart of sanitize_line, used to normalize message text."""
+    if "\\u" not in text:
+        return text
 
     def sub(match: re.Match[str]) -> str:
         digits = match.group(1)

@@ -17,6 +17,7 @@ grows with the input: it is exact, so no duplicate is ever let through.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -35,7 +36,7 @@ DEFAULT_KEYWORDS = ("bitcoin",)
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _CREATED_AT_RE = re.compile(
-    r"^\w{3} (\w{3}) (\d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2}) (\d{4})$"
+    r"^\w{3} (\w{3}) (\d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-]\d{4}) (\d{4})$"
 )
 
 
@@ -52,20 +53,25 @@ class TweetRecord:
     hashtags: tuple[str, ...]
 
 
+@functools.cache
+def _utc_offset(offset: str) -> timezone:
+    """The fixed zone of a `+HHMM`/`-HHMM` offset; raises ValueError for
+    24 hours or more. The cache holds at most the 2 * 10**4 such strings."""
+    delta = timedelta(hours=int(offset[1:3]), minutes=int(offset[3:5]))
+    return timezone(-delta if offset[0] == "-" else delta)
+
+
 def parse_created_at(value: str) -> datetime:
     match = _CREATED_AT_RE.match(value)
     if not match:
         raise ValueError(f"bad created_at: {value!r}")
-    mon, day, hh, mm, ss, sign, oh, om, year = match.groups()
+    mon, day, hh, mm, ss, offset, year = match.groups()
     month = MONTH_BY_ABBREV.get(mon)
     if month is None:
         raise ValueError(f"bad created_at month: {value!r}")
-    offset = timedelta(hours=int(oh), minutes=int(om))
-    if sign == "-":
-        offset = -offset
     local = datetime(
         int(year), month, int(day), int(hh), int(mm), int(ss),
-        tzinfo=timezone(offset),
+        tzinfo=_utc_offset(offset),
     )
     return local.astimezone(timezone.utc)
 
@@ -126,10 +132,11 @@ def matches_keywords(
         raise ValueError("keywords must be non-empty")
     tags = {tag.lower() for tag in hashtags}
     lowered = text.lower()
-    if substring:
-        if any(kw in lowered for kw in wanted):
+    # Every word is a substring, so no keyword can be a word of a text that
+    # does not contain it: only then is splitting into words needed.
+    if any(kw in lowered for kw in wanted):
+        if substring:
             return True
-    else:
         words = set(_WORD_RE.findall(lowered))
         if any(kw in words for kw in wanted):
             return True

@@ -517,11 +517,23 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(window={"start": "2015-06-02"}), "end"),
         (lambda c: c.update(window={"start": 20150602, "end": "2015-06-04"}), 20150602),
         (lambda c: c["irc_logs"][0].update(tz="Mars/Base"), "Mars/Base"),
+        (lambda c: c["plots"][0].update(series="irc:#typo"), "irc:#typo"),
+        # Both ids have the slug irc_a_b, so they would write one messages file.
+        (lambda c: c["irc_logs"].extend(
+            [{"path": c["irc_logs"][0]["path"], "channel": ch} for ch in ("#a-b", "#a_b")]
+        ), "irc:#a_b"),
+        (lambda c: c.update(exlude_outages=True), "exlude_outages"),
+        (lambda c: c.update(windw={"start": "2015-06-02", "end": "2015-06-04"}), "windw"),
+        (lambda c: c["irc_logs"][0].update(timezone="UTC"), "timezone"),
+        (lambda c: c["plots"][0].update(metrc="price"), "metrc"),
+        (lambda c: c.update(window={"start": "2015-06-02", "end": "2015-06-04", "tz": "UTC"}), "tz"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
         "plots.metric", "plots.metric-unknown", "window.start", "window.end",
-        "window.not-a-string", "irc_logs.tz-unknown",
+        "window.not-a-string", "irc_logs.tz-unknown", "plots.series-unknown",
+        "irc_logs.slug-collision", "unknown-key", "unknown-key.windw",
+        "irc_logs.unknown-key", "plots.unknown-key", "window.unknown-key",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):

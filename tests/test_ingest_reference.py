@@ -1,0 +1,385 @@
+"""Differential tests: the ingest hot path against verbatim copies of its first version.
+
+The references below are the original `message.to_json_line` (a dict per
+record through `json.dumps` and `strftime`), `irc.parse_log_line` (a chat
+regex, then a network regex, blank lines tested first), `twitter.
+matches_keywords` (every text split into words), `twitter.parse_created_at`
+(a new `timezone` per call) and `sanitize.sanitize_text` (always a regex
+pass). The shipped functions must give the same result, or raise the same
+exception with the same message, on every input.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from datetime import datetime, timedelta, timezone
+from typing import Iterable
+from zoneinfo import ZoneInfo
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coinbuzz.irc import NETWORK_SUBTYPES, EventKind, IrcEvent, UnparsableLine, parse_log_line
+from coinbuzz.message import MONTH_BY_ABBREV, Message, format_ts, to_json_line
+from coinbuzz.sanitize import sanitize_text
+from coinbuzz.twitter import MalformedRecord, matches_keywords, parse_created_at, parse_tweet
+
+# --- reference implementation (verbatim apart from names) ---------------------
+
+
+def _ref_to_json_line(msg: Message) -> str:
+    record = {
+        "stream_id": msg.stream_id,
+        "ts": format_ts(msg.timestamp),
+        "author": msg.author,
+        "text": msg.text,
+    }
+    return json.dumps(record, ensure_ascii=False)
+
+
+_REF_STAMP = r"\[(\w{3}) (\w{3}) (\d{1,2}) (\d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
+_REF_CHAT_RE = re.compile(_REF_STAMP + r" <([^>]+)>\t(.*)$")
+_REF_NETWORK_RE = re.compile(_REF_STAMP + r" \*\*\* (\w+): (.*)$")
+
+
+def _ref_event_timestamp(groups: tuple[str, ...], tz) -> datetime:
+    _dow, mon, day, year, hh, mm, ss = groups
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
+        raise ValueError(f"unknown month abbreviation {mon!r}")
+    local = datetime(int(year), month, int(day), int(hh), int(mm), int(ss), tzinfo=tz)
+    return local.astimezone(timezone.utc)
+
+
+def _ref_parse_log_line(line: str, channel: str, line_no: int = 0, tz=timezone.utc):
+    if not channel.startswith("#"):
+        raise ValueError(f"channel must begin with '#': {channel!r}")
+    if not line.strip():
+        return None
+
+    match = _REF_CHAT_RE.match(line)
+    if match:
+        try:
+            ts = _ref_event_timestamp(match.groups()[:7], tz)
+        except ValueError as exc:
+            raise UnparsableLine(line_no, str(exc)) from exc
+        return IrcEvent(ts, channel, EventKind.CHAT, None, match.group(8), match.group(9))
+
+    match = _REF_NETWORK_RE.match(line)
+    if match:
+        try:
+            ts = _ref_event_timestamp(match.groups()[:7], tz)
+        except ValueError as exc:
+            raise UnparsableLine(line_no, str(exc)) from exc
+        word, rest = match.group(8), match.group(9)
+        if word in NETWORK_SUBTYPES:
+            return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
+        # Unknown server chatter: keep it, authored by the announcing word.
+        return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
+
+    raise UnparsableLine(line_no, "does not match chat or network grammar")
+
+
+_REF_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def _ref_matches_keywords(
+    text: str, hashtags: Iterable[str], keywords: Iterable[str], substring: bool = False
+) -> bool:
+    wanted = [kw.lower().lstrip("#") for kw in keywords]
+    if not wanted:
+        raise ValueError("keywords must be non-empty")
+    tags = {tag.lower() for tag in hashtags}
+    lowered = text.lower()
+    if substring:
+        if any(kw in lowered for kw in wanted):
+            return True
+    else:
+        words = set(_REF_WORD_RE.findall(lowered))
+        if any(kw in words for kw in wanted):
+            return True
+    return any(kw in tags for kw in wanted)
+
+
+_REF_CREATED_AT_RE = re.compile(
+    r"^\w{3} (\w{3}) (\d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-])(\d{2})(\d{2}) (\d{4})$"
+)
+
+
+def _ref_parse_created_at(value: str) -> datetime:
+    match = _REF_CREATED_AT_RE.match(value)
+    if not match:
+        raise ValueError(f"bad created_at: {value!r}")
+    mon, day, hh, mm, ss, sign, oh, om, year = match.groups()
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
+        raise ValueError(f"bad created_at month: {value!r}")
+    offset = timedelta(hours=int(oh), minutes=int(om))
+    if sign == "-":
+        offset = -offset
+    local = datetime(
+        int(year), month, int(day), int(hh), int(mm), int(ss),
+        tzinfo=timezone(offset),
+    )
+    return local.astimezone(timezone.utc)
+
+
+_REF_ESCAPE_TEXT_RE = re.compile(r"\\u([0-9a-fA-F]{4})|\\u")
+
+
+def _ref_sanitize_text(text: str) -> str:
+    def sub(match: re.Match[str]) -> str:
+        digits = match.group(1)
+        if digits is not None and int(digits, 16) >= 0x80:
+            return "      "
+        return match.group(0)
+
+    return _REF_ESCAPE_TEXT_RE.sub(sub, text)
+
+
+# --- comparison -------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises.
+
+    Values go through repr so that a datetime's tzinfo and an event's field
+    types are compared too, not just equality of instants.
+    """
+    try:
+        return "ok", repr(fn(*args))
+    except UnparsableLine as exc:
+        return "raise", UnparsableLine, exc.line_no, exc.reason
+    except (ValueError, OverflowError) as exc:
+        return "raise", type(exc), str(exc)
+
+
+def _same(new, ref, *args):
+    assert _outcome(new, *args) == _outcome(ref, *args)
+
+
+# --- to_json_line -------------------------------------------------------------------
+
+# Lone surrogates, the line and paragraph separators (raw in JSON, escaped
+# in JavaScript), control characters, quotes and backslashes.
+SPECIAL_CHARS = "\ud800\udfff\u2028\u2029\x00\x1f\x7f\t\n\r\"\\/\u00e9\U0001f600"
+any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+special_text = st.text(st.sampled_from(SPECIAL_CHARS + "ab "), max_size=12)
+message_text = st.one_of(any_text, special_text)
+
+ZONES = (
+    timezone.utc,
+    timezone(timedelta(0), "UTC"),  # equal to UTC but not the singleton
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(-timedelta(hours=23, minutes=59)),
+    ZoneInfo("UTC"),
+    ZoneInfo("America/New_York"),
+    ZoneInfo("Asia/Tokyo"),
+)
+timestamps = st.one_of(
+    st.datetimes(timezones=st.just(timezone.utc)),
+    st.datetimes(max_value=datetime(1100, 1, 1), timezones=st.just(timezone.utc)),
+    st.datetimes(timezones=st.sampled_from(ZONES)),
+)
+
+
+@settings(max_examples=400)
+@given(message_text, timestamps, message_text, message_text)
+def test_to_json_line_matches_reference(stream_id, ts, author, text):
+    _same(to_json_line, _ref_to_json_line, Message(stream_id, ts, author, text))
+
+
+def test_to_json_line_fixed_cases():
+    utc = timezone.utc
+    for ts in (
+        datetime(2015, 6, 1, 0, 3, 12, tzinfo=utc),
+        datetime(2015, 6, 1, 0, 3, 12, 999999, tzinfo=utc),
+        datetime(1, 1, 1, tzinfo=utc),
+        datetime(5, 3, 4, 5, 6, 7, tzinfo=utc),
+        datetime(999, 12, 31, 23, 59, 59, tzinfo=utc),
+        datetime(1000, 1, 1, tzinfo=utc),
+        datetime(9999, 12, 31, 23, 59, 59, tzinfo=utc),
+        datetime(2015, 6, 1, 23, 30, tzinfo=timezone(timedelta(hours=-5))),
+        datetime(2015, 6, 1, 0, 30, tzinfo=ZoneInfo("Asia/Tokyo")),
+        datetime(1000, 1, 1, 3, tzinfo=ZoneInfo("Asia/Tokyo")),
+    ):
+        for text in ("", "plain", SPECIAL_CHARS, "\ud83d", "a\u2028b", "\x01\x1b[0m"):
+            _same(to_json_line, _ref_to_json_line, Message("irc:#\u00e9", ts, text[:3], text))
+
+
+# --- parse_log_line -------------------------------------------------------------------
+
+MONTHS = tuple(MONTH_BY_ABBREV) + ("Foo", "jun", "JUN")
+WORDS = tuple(NETWORK_SUBTYPES) + ("Away", "join", "Kick", "_", "A1", "")
+log_line = st.builds(
+    lambda dow, mon, day, year, hh, mm, ss, body, end: (
+        f"[{dow} {mon} {day} {year}] [{hh}:{mm}:{ss}] {body}{end}"
+    ),
+    st.sampled_from(("Mon", "Sun", "Xyz", "Mo", "M\u00f6n")),
+    st.sampled_from(MONTHS),
+    st.sampled_from(("1", "01", "9", "29", "30", "31", "32", "0", "00", "123")),
+    st.sampled_from(("2015", "2016", "0001", "9999", "0000", "201")),
+    st.sampled_from(("00", "09", "23", "24", "7")),
+    st.sampled_from(("00", "59", "60")),
+    st.sampled_from(("00", "59", "60", "61")),
+    st.one_of(
+        st.builds(lambda nick, text: f"<{nick}>\t{text}", special_text, message_text),
+        st.builds(lambda word, rest: f"*** {word}: {rest}", st.sampled_from(WORDS), message_text),
+        st.builds(lambda word, rest: f"*** {word} {rest}", st.sampled_from(WORDS), message_text),
+        message_text,
+    ),
+    st.sampled_from(("", "\r", "\n", " ", "\r\n", "\n\n")),
+)
+any_line = st.one_of(log_line, message_text, st.text(" \t\r\n\x0b\x0c\u00a0\u2028", max_size=4))
+LOG_ZONES = (timezone.utc, ZoneInfo("America/New_York"), ZoneInfo("Asia/Tokyo"))
+
+
+@settings(max_examples=500)
+@given(any_line, st.sampled_from(LOG_ZONES), st.integers(0, 10**6))
+def test_parse_log_line_matches_reference(line, tz, line_no):
+    _same(parse_log_line, _ref_parse_log_line, line, "#bitcoin", line_no, tz)
+
+
+def test_parse_log_line_fixed_cases():
+    stamp = "[Mon Jun 1 2015] [00:03:12]"
+    for line in (
+        f"{stamp} <alice>\tprice is moving",
+        f"{stamp} *** Join: alice",
+        f"{stamp} *** Away: back in five",
+        f"{stamp} *** Away:",
+        f"{stamp} <alice>\t*** Quit: not a network line",
+        f"{stamp} <a>b>\tnick stops at the first '>'",
+        "[Mon Foo 1 2015] [00:03:12] <alice>\tunknown month",
+        "[Mon Foo 1 2015] [00:03:12] *** Quit: unknown month",
+        "[Mon Feb 30 2015] [00:03:12] <alice>\tno such day",
+        "[Mon Jun 1 2015] [24:00:00] *** Quit: no such hour",
+        "[Mon Jun 1 0001] [00:00:00] <alice>\tbefore UTC's year 1 in Tokyo",
+        "",
+        " ",
+        "\t \u00a0",
+        "\r",
+        "\n",
+        f"{stamp} <alice>\tcarriage return\r",
+        f"{stamp} *** Quit: carriage return\r",
+        f"{stamp} <alice>\ttrailing newline\n",
+        f"{stamp} <alice>\tembedded\nnewline",
+        "not a log line",
+    ):
+        for tz in LOG_ZONES:
+            _same(parse_log_line, _ref_parse_log_line, line, "#bitcoin", 7, tz)
+    _same(parse_log_line, _ref_parse_log_line, f"{stamp} <alice>\thi", "bitcoin", 1, timezone.utc)
+    _same(parse_log_line, _ref_parse_log_line, "", "bitcoin", 1, timezone.utc)
+
+
+# --- matches_keywords -------------------------------------------------------------------
+
+KEYWORD_WORDS = (
+    "bitcoin", "Bitcoin", "BITCOIN", "bitcoins", "#bitcoin", "btc", "#BTC", "#", "##btc",
+    "coin", "\u212a", "k", "\u0130", "i\u0307", "stra\u00dfe", "STRASSE", "a_b", "_", "",
+)
+keyword_text = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(KEYWORD_WORDS), st.text(max_size=3)),
+        st.sampled_from((" ", "", "_", "-", ".", "\u00a0")),
+    ),
+    max_size=8,
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+keywords = st.lists(st.sampled_from(KEYWORD_WORDS[:-1]), max_size=4)
+hashtags = st.lists(st.sampled_from(KEYWORD_WORDS), max_size=3)
+
+
+@settings(max_examples=500)
+@given(keyword_text, hashtags, keywords, st.booleans())
+def test_matches_keywords_matches_reference(text, tags, wanted, substring):
+    _same(matches_keywords, _ref_matches_keywords, text, tags, wanted, substring)
+
+
+def test_matches_keywords_fixed_cases():
+    for text, tags, wanted in (
+        ("Bitcoin to the moon", (), ("bitcoin",)),
+        ("bitcoins everywhere", (), ("bitcoin",)),
+        ("no keyword here", (), ("#",)),
+        ("a # alone", (), ("#",)),
+        ("", (), ("#",)),
+        ("", ("",), ("#",)),
+        ("tagged only", ("BTC",), ("#btc",)),
+        ("#btc in text", (), ("#btc",)),
+        ("my_bitcoin_wallet", (), ("bitcoin",)),
+        ("\u212aelvin", (), ("kelvin",)),
+        ("\u0130stanbul", (), ("i\u0307stanbul",)),
+        ("STRASSE", (), ("stra\u00dfe",)),
+        ("text", (), ()),
+    ):
+        for substring in (False, True):
+            _same(matches_keywords, _ref_matches_keywords, text, tags, wanted, substring)
+
+
+# --- parse_created_at -------------------------------------------------------------------
+
+OFFSETS = ("+0000", "-0000", "+0530", "-0500", "+2359", "-2359", "+2400", "-2400",
+           "+9999", "+0060", "-0099", "0000", "+000")
+created_at = st.builds(
+    lambda dow, mon, day, hh, mm, ss, offset, year: (
+        f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}"
+    ),
+    st.sampled_from(("Mon", "Sun", "Xy")),
+    st.sampled_from(MONTHS),
+    st.sampled_from(("01", "1", "29", "31", "32", "00")),
+    st.sampled_from(("00", "23", "24")),
+    st.sampled_from(("00", "59", "60")),
+    st.sampled_from(("00", "59", "60")),
+    st.one_of(st.sampled_from(OFFSETS), st.from_regex(r"[+-][0-9]{4}", fullmatch=True)),
+    st.sampled_from(("2015", "0001", "9999", "0000")),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(created_at, st.text(max_size=8)))
+def test_parse_created_at_matches_reference(value):
+    # Twice: the second call may be served from state the first one left.
+    _same(parse_created_at, _ref_parse_created_at, value)
+    _same(parse_created_at, _ref_parse_created_at, value)
+
+
+def test_parse_created_at_fixed_cases():
+    for offset in OFFSETS:
+        for value in (
+            f"Mon Jun 01 23:30:00 {offset} 2015",
+            f"Mon Jan 01 00:00:00 {offset} 0001",
+            f"Fri Dec 31 23:59:59 {offset} 9999",
+            f"Mon Foo 01 00:00:00 {offset} 2015",
+            f"Mon Feb 30 00:00:00 {offset} 2015",
+        ):
+            _same(parse_created_at, _ref_parse_created_at, value)
+    assert parse_created_at("Mon Jun 01 23:30:00 -0000 2015").tzinfo is timezone.utc
+    for offset in ("+2400", "-2400"):
+        line = json.dumps(
+            {"id": 1, "created_at": f"Mon Jun 01 00:00:00 {offset} 2015",
+             "user": {"screen_name": "a"}, "text": "bitcoin"}
+        )
+        for _ in range(2):
+            with pytest.raises(MalformedRecord):
+                parse_tweet(line)
+
+
+# --- sanitize_text -------------------------------------------------------------------
+
+escape_text = st.lists(
+    st.sampled_from(("\\u", "\\u2026", "\\u0041", "\\u00e9", "\\uD83D", "\\U", "\\", "u", "0", "8",
+                     "f", "F", "g", " ", "\u00e9", "\u2026")),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(escape_text, any_text))
+def test_sanitize_text_matches_reference(text):
+    _same(sanitize_text, _ref_sanitize_text, text)
+
+
+def test_sanitize_text_fixed_cases():
+    for text in ("", "plain", "\\", "u", "\\u", "\\u00", "\\u0041", "\\u2026", "\\U2026",
+                 "a\\u00e9\\ud83d\\ude00b", "\\\\u2026", "\\u007f\\u0080", "\u2026"):
+        _same(sanitize_text, _ref_sanitize_text, text)
