@@ -113,9 +113,14 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     stats = sanitize_stream(sys.stdin.buffer, sys.stdout.buffer)
     sys.stdout.buffer.flush()
     if args.stats:
-        for key, value in vars(stats).items():
-            print(f"{key}={value}", file=sys.stderr)
+        _print_stats("sanitize", stats)
     return 0
+
+
+def _print_stats(label: str, stats: object) -> None:
+    """One `label: key=value ...` stderr line with every counter of `stats`."""
+    counters = " ".join(f"{key}={value}" for key, value in vars(stats).items())
+    print(f"{label}: {counters}", file=sys.stderr)
 
 
 def _message_writer(out: IO[str]) -> Callable[[message_mod.Message], None]:
@@ -133,29 +138,19 @@ def _cmd_parse_irc(args: argparse.Namespace) -> int:
             # Messages stream out as they parse; a failed run leaves no partial file.
             Path(args.outfile).unlink(missing_ok=True)
             raise
-    print(
-        f"parse-irc: lines={stats.lines_in} messages={stats.messages} "
-        f"dropped_network={stats.dropped_network} unparsable={stats.unparsable} "
-        f"blank={stats.blank}",
-        file=sys.stderr,
-    )
+    _print_stats("parse-irc", stats)
     return 1 if stats.skipped else 0
 
 
 def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
-    keywords = [kw for kw in args.keywords.split(",") if kw.strip()]
+    keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
     with open(args.infile, "r", encoding="utf-8", errors="replace") as src, open(
         args.outfile, "w", encoding="utf-8"
     ) as out:
         stats = twitter_mod.ingest_capture(
             src, _message_writer(out), keywords=keywords, substring=args.substring
         )
-    print(
-        f"ingest-tweets: lines={stats.lines} parsed={stats.parsed} "
-        f"malformed={stats.malformed} duplicates={stats.duplicates} "
-        f"matched={stats.matched}",
-        file=sys.stderr,
-    )
+    _print_stats("ingest-tweets", stats)
     return 1 if stats.skipped else 0
 
 
@@ -282,32 +277,61 @@ def _slug(stream_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "_", stream_id).strip("_") or "stream"
 
 
-# Every key run-all reads, per config section: (required, optional).
-_CONFIG_KEYS = {
-    "config": (
-        ("price_csv", "volume_csv"),
-        ("out_dir", "tweet_captures", "irc_logs", "gazetteer", "keywords", "substring",
-         "strict", "theta", "k", "exclude_outages", "format", "window", "plots"),
-    ),
-    "irc_logs entry": (("path", "channel"), ("tz", "stream_id")),
-    "plots entry": (("series", "metric"), ()),
-    "window": (("start", "end"), ()),
+# Every key run-all reads, per config section: key -> (type, default). A
+# default of ... marks a required key; a one-item list is a list of that type,
+# a tuple the allowed strings and a section name a nested table.
+_CONFIG_KEYS: dict[str, dict[str, tuple]] = {
+    "config": {
+        "price_csv": (str, ...), "volume_csv": (str, ...), "gazetteer": (str, None),
+        "tweet_captures": ([str], ()), "irc_logs": (["irc_logs entry"], ()),
+        "keywords": ([str], twitter_mod.DEFAULT_KEYWORDS), "substring": (bool, False),
+        "strict": (bool, False), "window": ("window", {"start": date.min, "end": date.max}),
+        "theta": (float, 0.1), "k": (int, 7), "exclude_outages": (bool, False),
+        "out_dir": (str, "out"), "format": (("tsv", "markdown"), "tsv"), "plots": (["plots entry"], ()),
+    },
+    "irc_logs entry": {"path": (str, ...), "channel": (str, ...),
+                       "tz": (str, "UTC"), "stream_id": (str, None)},
+    "plots entry": {"series": (str, ...), "metric": (("price", "volume"), ...)},
+    "window": {"start": (date, ...), "end": (date, ...)},
 }
 
 
-def _require(mapping: dict, where: str) -> None:
-    """Reject a config section that lacks a required key or has an unknown one."""
-    required, optional = _CONFIG_KEYS[where]
-    for key in required:
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ValueError(f"{where} lacks required key {key!r}")
-    for key in mapping:
-        if key not in required and key not in optional:
-            raise ValueError(f"{where} has unknown key {key!r}")
+def _read_section(table: object, section: str) -> dict:
+    """`table` checked against `_CONFIG_KEYS[section]`, typed, with defaults filled in."""
+    keys = _CONFIG_KEYS[section]
+    if not isinstance(table, dict):
+        raise ValueError(f"{section} must be a table, got {table!r}")
+    for key in table:
+        if key not in keys:
+            raise ValueError(f"{section} has unknown key {key!r}")
+    typed = {}
+    for key, (kind, default) in keys.items():
+        if key in table:
+            typed[key] = _read_value(table[key], kind, f"{section} key {key!r}")
+        elif default is ...:
+            raise ValueError(f"{section} lacks required key {key!r}")
+        else:
+            typed[key] = default
+    return typed
 
 
-def _irc_stream_id(entry: dict) -> str:
-    return entry.get("stream_id") or f"irc:{entry['channel']}"
+def _read_value(value: object, kind: object, where: str) -> object:
+    if isinstance(kind, str):
+        return _read_section(value, kind)
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_read_value(item, kind[0], where) for item in value]
+    # type(), not isinstance(): a bool is no int here.
+    if isinstance(kind, tuple) and value in kind or type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is date and isinstance(value, str):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    wanted = "list" if isinstance(kind, list) else getattr(kind, "__name__", f"one of {kind}")
+    raise ValueError(f"{where} must be {wanted}, got {value!r}")
 
 
 def _load_config(path: Path) -> dict:
@@ -316,54 +340,35 @@ def _load_config(path: Path) -> dict:
         try:
             import tomllib
         except ImportError:
-            raise ValueError(
-                "TOML configs need Python 3.11+; use a JSON config instead"
-            ) from None
-        config = tomllib.loads(text)
+            raise ValueError("TOML configs need Python 3.11+; use a JSON config instead") from None
+        config = _read_section(tomllib.loads(text), "config")
     else:
-        config = json.loads(text)
-    _require(config, "config")
+        config = _read_section(json.loads(text), "config")
+    # What the stages would reject only after output is written.
+    keywords = config["keywords"]
+    if not keywords or any(not kw or kw != kw.strip() for kw in keywords):
+        raise ValueError(f"config key 'keywords' must be non-empty unpadded words, got {keywords!r}")
+    if not 0 < config["theta"] < 1:
+        raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
+    if config["k"] < 1:
+        raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r}")
     # The streams the config produces, by slug: each stream's files are named
     # by its slug, so two ids may not share one.
-    streams = {"twitter": "twitter"} if config.get("tweet_captures") else {}
-    for entry in config.get("irc_logs", []):
-        _require(entry, "irc_logs entry")
-        irc_mod.resolve_tz(entry.get("tz", "UTC"))
-        stream_id = _irc_stream_id(entry)
+    streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
+    for entry in config["irc_logs"]:
+        if not entry["channel"].startswith("#"):
+            raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r}")
+        irc_mod.resolve_tz(entry["tz"])
+        stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
         other = streams.setdefault(_slug(stream_id), stream_id)
         if other != stream_id:
             raise ValueError(
                 f"stream ids {other!r} and {stream_id!r} would share the files of {_slug(stream_id)!r}"
             )
-    if config.get("window"):
-        _window_bounds(config["window"])
-    for plot in config.get("plots", []):
-        _require(plot, "plots entry")
-        if plot["metric"] not in ("price", "volume"):
-            raise ValueError(f"plots entry metric must be 'price' or 'volume', got {plot['metric']!r}")
+    for plot in config["plots"]:
         if plot["series"] not in streams.values():
             raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r}")
     return config
-
-
-def _window_bounds(window: dict) -> tuple[date, date]:
-    _require(window, "window")
-    try:
-        return date.fromisoformat(window["start"]), date.fromisoformat(window["end"])
-    except TypeError:
-        raise ValueError(f"window dates must be YYYY-MM-DD strings, got {window!r}") from None
-
-
-def _window_filter(config: dict):
-    window = config.get("window")
-    if not window:
-        return lambda msg: True
-    start, end = _window_bounds(window)
-
-    def inside(msg: message_mod.Message) -> bool:
-        return start <= msg.timestamp.date() <= end
-
-    return inside
 
 
 def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
@@ -381,30 +386,24 @@ def _log_lines(path: str) -> Iterator[str]:
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
     config = _load_config(Path(args.config))
-    out_dir = Path(config.get("out_dir", "out"))
+    out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    keywords = config.get("keywords", list(twitter_mod.DEFAULT_KEYWORDS))
-    substring = bool(config.get("substring", False))
-    strict = bool(config.get("strict", False))
-    theta = float(config.get("theta", 0.1))
-    k = int(config.get("k", 7))
-    exclude_outages = bool(config.get("exclude_outages", False))
-    format = config.get("format", "tsv")
-    in_window = _window_filter(config)
+    start, end = config["window"]["start"], config["window"]["end"]
 
     # Each source is (stream_id, lines, ingest) with ingest(lines, emit) -> stats.
     # All captures form one "twitter" source, so tweet ids are deduped run-wide.
     sources = []
-    if config.get("tweet_captures"):
-        ingest = functools.partial(twitter_mod.ingest_capture, keywords=keywords, substring=substring)
-        sources.append(("twitter", _capture_lines(config["tweet_captures"]), ingest))
-    for entry in config.get("irc_logs", []):
-        stream_id = _irc_stream_id(entry)
+    if config["tweet_captures"]:
         ingest = functools.partial(
-            irc_mod.ingest_log, channel=entry["channel"], stream_id=stream_id,
-            tz=entry.get("tz", "UTC"), strict=strict,
+            twitter_mod.ingest_capture, keywords=config["keywords"], substring=config["substring"]
         )
-        sources.append((stream_id, _log_lines(entry["path"]), ingest))
+        sources.append(("twitter", _capture_lines(config["tweet_captures"]), ingest))
+    for entry in config["irc_logs"]:
+        ingest = functools.partial(
+            irc_mod.ingest_log, channel=entry["channel"], stream_id=entry["stream_id"],
+            tz=entry["tz"], strict=config["strict"],
+        )
+        sources.append((entry["stream_id"], _log_lines(entry["path"]), ingest))
 
     resources = None
     annotated_out = None
@@ -412,7 +411,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     bundles: dict[str, _StreamBundle] = {}
 
     def handle(bundle: _StreamBundle, msg: message_mod.Message) -> None:
-        if not in_window(msg):
+        if not start <= msg.timestamp.date() <= end:
             return
         bundle.sink.write(message_mod.to_json_line(msg) + "\n")
         bundle.lines += 1
@@ -421,7 +420,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             annotated_out.write(_annotated_line(msg, bundle.lines, resources))
 
     with ExitStack() as stack:
-        if config.get("gazetteer"):
+        if config["gazetteer"]:
             resources = {"gazetteer": annotate_mod.Gazetteer.load(config["gazetteer"])}
             annotated_out = stack.enter_context(open(out_dir / "annotated.jsonl", "w", encoding="utf-8"))
         for stream_id, lines, ingest in sources:
@@ -430,27 +429,26 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 bundles[stream_id] = _StreamBundle(series_mod.DailyCounter(), stack.enter_context(sink))
             stats = ingest(lines, functools.partial(handle, bundles[stream_id]))
             partial = partial or stats.skipped > 0
-            counters = " ".join(f"{key}={value}" for key, value in vars(stats).items())
-            print(f"run-all: {stream_id}: {counters}", file=sys.stderr)
+            _print_stats(f"run-all: {stream_id}", stats)
 
     # Aggregate, flag gaps, and persist one series CSV per stream.
     all_series = []
     for stream_id in sorted(bundles):
-        flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), theta, k)
+        flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), config["theta"], config["k"])
         all_series.append(flagged)
         with open(out_dir / f"series_{_slug(stream_id)}.csv", "w", encoding="utf-8", newline="") as out:
             series_mod.write_daily_csv(flagged, out)
 
     price = series_mod.load_market_csv(config["price_csv"], series_mod.MarketMetric.PRICE_USD)
     volume = series_mod.load_market_csv(config["volume_csv"], series_mod.MarketMetric.VOLUME_USD)
-    report = stats_mod.correlation_report(all_series, price, volume, exclude_outages)
+    report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
     (out_dir / "report.json").write_text(stats_mod.report_to_json(report) + "\n", encoding="utf-8")
-    suffix = "md" if format == "markdown" else "tsv"
-    (out_dir / f"report.{suffix}").write_text(render_table(report, format), encoding="utf-8")
+    suffix = "md" if config["format"] == "markdown" else "tsv"
+    (out_dir / f"report.{suffix}").write_text(render_table(report, config["format"]), encoding="utf-8")
     partial = partial or any(row.has_error for row in report.rows)
 
     by_id = {s.stream_id: s for s in all_series}
-    for plot in config.get("plots", []):
+    for plot in config["plots"]:
         stream_id = plot["series"]
         metric = plot["metric"]
         market = volume if metric == "volume" else price
@@ -471,6 +469,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    keys = _CONFIG_KEYS["config"]
     parser = _Parser(prog="coinbuzz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -483,15 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument("--strict", action="store_true", help="abort on the first unparsable line")
-    p.add_argument("--tz", default="UTC", help="timezone the log was written in (default: UTC)")
+    p.add_argument(
+        "--tz", default=_CONFIG_KEYS["irc_logs entry"]["tz"][1],
+        help="timezone the log was written in (default: %(default)s)",
+    )
     p.set_defaults(func=_cmd_parse_irc)
 
     p = sub.add_parser("ingest-tweets", help="filter a tweet capture into messages JSONL")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument(
-        "--keywords", default="bitcoin",
-        help="comma-separated keyword list (default: bitcoin)",
+        "--keywords", default=",".join(keys["keywords"][1]),
+        help="comma-separated keyword list (default: %(default)s)",
     )
     p.add_argument("--substring", action="store_true", help="match keywords as substrings")
     p.set_defaults(func=_cmd_ingest_tweets)
@@ -512,12 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     p.add_argument(
-        "--theta", type=float, default=0.1,
-        help="outage threshold fraction (default: 0.1)",
+        "--theta", type=float, default=keys["theta"][1],
+        help="outage threshold fraction (default: %(default)s)",
     )
     p.add_argument(
-        "--k", type=int, default=7,
-        help="rolling median window in days (default: 7)",
+        "--k", type=int, default=keys["k"][1],
+        help="rolling median window in days (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_gaps)
 
@@ -531,14 +533,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render a report JSON as a table")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("tsv", "markdown"), default="tsv")
+    p.add_argument("--format", choices=keys["format"][0], default=keys["format"][1])
     p.add_argument("--out", dest="outfile", default="", help="output path (default stdout)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("plot-series", help="join a daily series with a market series into plot CSV")
     p.add_argument("--series", required=True, help="daily series CSV")
     p.add_argument("--market", required=True, help="market CSV")
-    p.add_argument("--metric", choices=("price", "volume"), default="volume")
+    p.add_argument("--metric", choices=_CONFIG_KEYS["plots entry"]["metric"][0], default="volume")
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_plot_series)
 

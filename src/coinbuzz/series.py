@@ -96,16 +96,21 @@ class DailyCounter:
         self._counts[day] = self._counts.get(day, 0) + 1
 
     def build(self, stream_id: str) -> DailySeries:
-        if not self._counts:
-            return DailySeries(stream_id)
-        first, last = min(self._counts), max(self._counts)
-        counts: dict[date, int] = {}
-        day = first
+        return _filled(stream_id, self._counts, {})
+
+
+def _filled(stream_id: str, counts: dict[date, int], flags: dict[date, Flag]) -> DailySeries:
+    """The series over every day from the first to the last of `counts`; a day
+    absent from `counts` counts zero, one absent from `flags` is OK."""
+    filled_counts: dict[date, int] = {}
+    filled_flags: dict[date, Flag] = {}
+    if counts:
+        day, last = min(counts), max(counts)
         while day <= last:
-            counts[day] = self._counts.get(day, 0)
+            filled_counts[day] = counts.get(day, 0)
+            filled_flags[day] = flags.get(day, Flag.OK)
             day += timedelta(days=1)
-        flags = {day: Flag.OK for day in counts}
-        return DailySeries(stream_id, counts, flags)
+    return DailySeries(stream_id, filled_counts, filled_flags)
 
 
 def bucket_daily(messages: Iterable[Message], stream_id: str) -> DailySeries:
@@ -239,15 +244,6 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
     finally:
         if close_after:
             source.close()
-    if not counts:
-        return DailySeries(stream_id)
     # Normalize foreign CSVs: interior dates absent from the file become
     # explicit zero-count days, same as the aggregation path produces.
-    filled_counts: dict[date, int] = {}
-    filled_flags: dict[date, Flag] = {}
-    day, last = min(counts), max(counts)
-    while day <= last:
-        filled_counts[day] = counts.get(day, 0)
-        filled_flags[day] = flags.get(day, Flag.OK)
-        day += timedelta(days=1)
-    return DailySeries(stream_id, filled_counts, filled_flags)
+    return _filled(stream_id, counts, flags)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from datetime import date, timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_sanitize_roundtrip_via_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == b'{"text":"up      now"}\n{"text":"plain"}\n'
     stderr = proc.stderr.decode()
-    assert "lines_in=2" in stderr
+    assert stderr.startswith("sanitize: lines_in=2 ")
     assert "replacements=1" in stderr
 
 
@@ -182,6 +183,8 @@ def test_parse_irc_writes_messages(tmp_path, capsys):
     assert [r["author"] for r in records] == ["alice", "bob"]
     assert records[0]["ts"] == "2015-06-01T00:03:12Z"
     assert records[0]["stream_id"] == "irc:#bitcoin"
+    err = capsys.readouterr().err
+    assert err == "parse-irc: lines_in=3 parsed=3 messages=2 dropped_network=1 unparsable=0 blank=0\n"
 
 
 def test_parse_irc_partial_exit_on_unparsable(tmp_path):
@@ -214,7 +217,7 @@ def test_parse_irc_unknown_tz_is_fatal(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_ingest_tweets_filters_and_writes(tmp_path):
+def test_ingest_tweets_filters_and_writes(tmp_path, capsys):
     capture = tmp_path / "cap.jsonl"
     capture.write_text(
         "\n".join(
@@ -231,6 +234,10 @@ def test_ingest_tweets_filters_and_writes(tmp_path):
     assert main(["ingest-tweets", "--in", str(capture), "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["author"] for r in records] == ["u1", "u3"]
+    assert capsys.readouterr().err == (
+        "ingest-tweets: lines=3 parsed=3 malformed=0 duplicates=0 matched=2 "
+        "reconnects=0 total_backoff_seconds=0.0\n"
+    )
 
 
 def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
@@ -244,6 +251,10 @@ def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
     assert main(
         ["ingest-tweets", "--in", str(capture), "--out", str(out), "--keywords", "doge,bitcoins"]
     ) == 0
+    assert len(out.read_text().splitlines()) == 1
+    # Each comma-separated keyword is stripped: " btc" is the keyword "btc".
+    capture.write_text(_tweet_line(2, "btc only") + "\n", encoding="utf-8")
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(out), "--keywords", "bitcoin, btc"]) == 0
     assert len(out.read_text().splitlines()) == 1
 
 
@@ -527,6 +538,27 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c["irc_logs"][0].update(timezone="UTC"), "timezone"),
         (lambda c: c["plots"][0].update(metrc="price"), "metrc"),
         (lambda c: c.update(window={"start": "2015-06-02", "end": "2015-06-04", "tz": "UTC"}), "tz"),
+        (lambda c: c.update(window={"start": "2015-06-31", "end": "2015-06-04"}), "start"),
+        # Values of the wrong type.
+        (lambda c: c.update(theta=None), "theta"),
+        (lambda c: c.update(out_dir=5), "out_dir"),
+        (lambda c: c.update(price_csv=1), "price_csv"),
+        (lambda c: c["irc_logs"][0].update(channel=5), "channel"),
+        (lambda c: c.update(gazetteer=3), "gazetteer"),
+        (lambda c: c.update(tweet_captures="cap.jsonl"), "tweet_captures"),
+        (lambda c: c.update(k=7.9), "k"),
+        (lambda c: c.update(k="7"), "k"),
+        (lambda c: c.update(k=True), "k"),
+        (lambda c: c.update(strict="false"), "strict"),
+        (lambda c: c.update(keywords="bitcoin"), "keywords"),
+        # Values a later stage would reject only after output is written.
+        (lambda c: c.update(theta=2), "theta"),
+        (lambda c: c.update(k=0), "k"),
+        (lambda c: c.update(format="html"), "format"),
+        (lambda c: c.update(keywords=[]), "keywords"),
+        (lambda c: c.update(keywords=["bitcoin", ""]), "keywords"),
+        (lambda c: c.update(keywords=["bitcoin", " btc"]), "keywords"),
+        (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -534,6 +566,10 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "window.not-a-string", "irc_logs.tz-unknown", "plots.series-unknown",
         "irc_logs.slug-collision", "unknown-key", "unknown-key.windw",
         "irc_logs.unknown-key", "plots.unknown-key", "window.unknown-key",
+        "window.not-a-date", "theta.null", "out_dir.int", "price_csv.int", "irc_logs.channel-int",
+        "gazetteer.int", "tweet_captures.string", "k.float", "k.string", "k.bool", "strict.string",
+        "keywords.string", "theta.range", "k.range", "format.unknown", "keywords.empty",
+        "keywords.blank", "keywords.padded", "irc_logs.channel-no-hash",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -581,3 +617,105 @@ def test_run_all_annotated_equals_annotate_over_each_stream(tmp_path, window):
     doc_ids = [json.loads(line)["doc_id"] for line in annotated.decode().splitlines()]
     assert doc_ids[0] == "twitter:1"
     assert "irc:#bitcoin:1" in doc_ids and "irc:#dogecoin:1" in doc_ids
+
+
+def test_run_all_toml_config_equals_its_json_twin(tmp_path, capsys):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    config.update(
+        keywords=["bitcoin", "talk"], theta=0.5, k=2, exclude_outages=True,
+        window={"start": "2015-06-02", "end": "2015-06-05"},
+    )
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    q = json.dumps  # a JSON string, or list of strings, is TOML as well
+    toml_path = tmp_path / "config.toml"
+    toml_path.write_text(
+        f"""\
+out_dir = {q(str(tmp_path / "out_toml"))}
+tweet_captures = {q(config["tweet_captures"])}
+price_csv = {q(config["price_csv"])}
+volume_csv = {q(config["volume_csv"])}
+gazetteer = {q(config["gazetteer"])}
+keywords = ["bitcoin", "talk"]
+theta = 0.5
+k = 2
+exclude_outages = true
+format = "tsv"
+window = {{ start = 2015-06-02, end = "2015-06-05" }}
+
+[[irc_logs]]
+path = {q(config["irc_logs"][0]["path"])}
+channel = "#bitcoin"
+
+[[plots]]
+series = "twitter"
+metric = "volume"
+""",
+        encoding="utf-8",
+    )
+    code = main(["run-all", "--config", str(toml_path)])
+    if sys.version_info < (3, 11):
+        assert code == 2
+        assert "need Python 3.11+" in capsys.readouterr().err
+        assert not (tmp_path / "out_toml").exists()
+        return
+    assert code == 0
+    assert main(["run-all", "--config", str(config_path)]) == 0
+    toml_outputs = {p.name: p.read_bytes() for p in sorted((tmp_path / "out_toml").iterdir())}
+    json_outputs = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    assert toml_outputs == json_outputs
+
+
+def test_run_all_toml_without_tomllib_is_fatal(tmp_path, capsys, monkeypatch):
+    toml_path = tmp_path / "config.toml"
+    toml_path.write_text(f'out_dir = {json.dumps(str(tmp_path / "out"))}\n', encoding="utf-8")
+    monkeypatch.setitem(sys.modules, "tomllib", None)  # as on Python 3.10
+    assert main(["run-all", "--config", str(toml_path)]) == 2
+    assert capsys.readouterr().err.startswith("coinbuzz: error: TOML configs need Python 3.11+")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    assert main(["run-all", "--config", str(config_path)]) == 0
+
+    chain = tmp_path / "chain"
+    chain.mkdir()
+
+    def c(name: str) -> str:
+        return str(chain / name)
+
+    with open(config["tweet_captures"][0], "rb") as raw, open(c("clean.jsonl"), "wb") as clean:
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=raw))
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=clean))
+        assert main(["sanitize"]) == 0
+    monkeypatch.undo()
+    steps = [
+        ["ingest-tweets", "--in", c("clean.jsonl"), "--out", c("messages_twitter.jsonl")],
+        ["parse-irc", "--channel", "#bitcoin", "--in", config["irc_logs"][0]["path"],
+         "--out", c("messages_irc_bitcoin.jsonl")],
+    ]
+    for slug in ("twitter", "irc_bitcoin"):
+        steps.append(["aggregate", "--in", c(f"messages_{slug}.jsonl"), "--out", c(f"daily_{slug}.csv")])
+        steps.append(["gaps", "--in", c(f"daily_{slug}.csv"), "--out", c(f"series_{slug}.csv")])
+    steps += [
+        ["correlate", "--series", f"irc:#bitcoin={c('series_irc_bitcoin.csv')}",
+         "--series", f"twitter={c('series_twitter.csv')}", "--price", config["price_csv"],
+         "--volume", config["volume_csv"], "--out", c("report.json")],
+        ["report", "--in", c("report.json"), "--out", c("report.tsv")],
+        ["plot-series", "--series", c("series_twitter.csv"), "--market", config["volume_csv"],
+         "--metric", "volume", "--out", c("plot_twitter_volume.csv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+
+    # Everything run-all writes but the annotations, which
+    # test_run_all_annotated_equals_annotate_over_each_stream covers.
+    names = sorted(p.name for p in out_dir.iterdir() if p.name != "annotated.jsonl")
+    assert names == [
+        "messages_irc_bitcoin.jsonl", "messages_twitter.jsonl", "plot_twitter_volume.csv",
+        "report.json", "report.tsv", "series_irc_bitcoin.csv", "series_twitter.csv",
+    ]
+    for name in names:
+        assert (out_dir / name).read_bytes() == (chain / name).read_bytes(), name
