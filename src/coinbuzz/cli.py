@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 partial success (skipped lines or per-row report
 errors in lenient mode), 2 fatal error, 64 usage error. All stages stream
 line by line; the run's set of seen tweet ids is the only state that grows
 with the corpus.
+
+Every output file appears whole or not at all: it is written as
+`<path>.partial`, which exists only while the file is being written, and
+renamed onto `<path>` when its command succeeds. After exit 2 no output of
+the command is left; run-all leaves no file of that run.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import json
 import re
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -123,30 +128,36 @@ def _print_stats(label: str, stats: object) -> None:
     print(f"{label}: {counters}", file=sys.stderr)
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator[IO[str]]:
+    """A utf-8 text file, without newline translation, that appears at `path`
+    whole or not at all: the block writes `<path>.partial`, which is renamed
+    onto `path` when the block completes and removed when an exception leaves it.
+    """
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as out:
+            yield out
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _message_writer(out: IO[str]) -> Callable[[message_mod.Message], None]:
     return lambda msg: out.write(message_mod.to_json_line(msg) + "\n")
 
 
 def _cmd_parse_irc(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8", errors="replace") as src:
-        try:
-            with open(args.outfile, "w", encoding="utf-8") as out:
-                stats = irc_mod.ingest_log(
-                    src, _message_writer(out), args.channel, strict=args.strict, tz=args.tz
-                )
-        except BaseException:
-            # Messages stream out as they parse; a failed run leaves no partial file.
-            Path(args.outfile).unlink(missing_ok=True)
-            raise
+    with open(args.infile, "r", encoding="utf-8", errors="replace") as src, _output(args.outfile) as out:
+        stats = irc_mod.ingest_log(src, _message_writer(out), args.channel, strict=args.strict, tz=args.tz)
     _print_stats("parse-irc", stats)
     return 1 if stats.skipped else 0
 
 
 def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
-    with open(args.infile, "r", encoding="utf-8", errors="replace") as src, open(
-        args.outfile, "w", encoding="utf-8"
-    ) as out:
+    with open(args.infile, "r", encoding="utf-8", errors="replace") as src, _output(args.outfile) as out:
         stats = twitter_mod.ingest_capture(
             src, _message_writer(out), keywords=keywords, substring=args.substring
         )
@@ -167,13 +178,9 @@ def _annotated_line(msg: message_mod.Message, line_no: int, resources: dict) -> 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     resources = {"gazetteer": annotate_mod.Gazetteer.load(args.gazetteer)}
     docs = 0
-    with open(args.infile, "r", encoding="utf-8") as src, open(
-        args.outfile, "w", encoding="utf-8"
-    ) as out:
-        for line_no, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
-            out.write(_annotated_line(message_mod.from_json_line(line), line_no, resources))
+    with open(args.infile, "r", encoding="utf-8") as src, _output(args.outfile) as out:
+        for line_no, msg in message_mod.read_messages(src):
+            out.write(_annotated_line(msg, line_no, resources))
             docs += 1
     print(f"annotate: documents={docs}", file=sys.stderr)
     return 0
@@ -183,7 +190,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     counter = series_mod.DailyCounter()
     seen_streams: set[str] = set()
     with open(args.infile, "r", encoding="utf-8") as src:
-        for msg in message_mod.read_messages(src):
+        for _, msg in message_mod.read_messages(src):
             if args.stream_id and msg.stream_id != args.stream_id:
                 continue
             seen_streams.add(msg.stream_id)
@@ -198,7 +205,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"input mixes streams {sorted(seen_streams)}; pick one with --stream-id"
         )
-    with open(args.outfile, "w", encoding="utf-8", newline="") as out:
+    with _output(args.outfile) as out:
         days = series_mod.write_daily_csv(counter.build(stream_id), out)
     print(f"aggregate: stream={stream_id or '(empty)'} days={days}", file=sys.stderr)
     return 0
@@ -207,7 +214,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 def _cmd_gaps(args: argparse.Namespace) -> int:
     daily = series_mod.read_daily_csv(args.infile)
     flagged = series_mod.detect_gaps(daily, theta=args.theta, k=args.k)
-    with open(args.outfile, "w", encoding="utf-8", newline="") as out:
+    with _output(args.outfile) as out:
         series_mod.write_daily_csv(flagged, out)
     outages = len(flagged.outage_dates())
     print(f"gaps: days={len(flagged.counts)} outages={outages}", file=sys.stderr)
@@ -231,34 +238,23 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     report = stats_mod.correlation_report(
         daily, price, volume, exclude_outages=args.exclude_outages
     )
-    payload = stats_mod.report_to_json(report)
-    if args.outfile:
-        Path(args.outfile).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
+    with _output(args.outfile) if args.outfile else nullcontext(sys.stdout) as out:
+        out.write(stats_mod.report_to_json(report) + "\n")
     return 1 if any(row.has_error for row in report.rows) else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.infile, "r", encoding="utf-8") as src:
         report = stats_mod.report_from_json(src)
-    text = render_table(report, args.format)
-    if args.outfile:
-        Path(args.outfile).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(args.outfile) if args.outfile else nullcontext(sys.stdout) as out:
+        out.write(render_table(report, args.format))
     return 0
 
 
 def _cmd_plot_series(args: argparse.Namespace) -> int:
     daily = series_mod.read_daily_csv(args.series)
-    metric = (
-        series_mod.MarketMetric.VOLUME_USD
-        if args.metric == "volume"
-        else series_mod.MarketMetric.PRICE_USD
-    )
-    market = series_mod.load_market_csv(args.market, metric)
-    with open(args.outfile, "w", encoding="utf-8", newline="") as out:
+    market = series_mod.load_market_csv(args.market, series_mod.MarketMetric(args.metric))
+    with _output(args.outfile) as out:
         rows = emit_plot_series(daily, market, out)
     print(f"plot-series: rows={rows}", file=sys.stderr)
     return 0
@@ -352,6 +348,8 @@ def _load_config(path: Path) -> dict:
         raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
     if config["k"] < 1:
         raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r}")
+    if config["window"]["start"] > config["window"]["end"]:
+        raise ValueError(f"config key 'window' has its start after its end: {config['window']}")
     # The streams the config produces, by slug: each stream's files are named
     # by its slug, so two ids may not share one.
     streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
@@ -419,48 +417,50 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         if annotated_out is not None:
             annotated_out.write(_annotated_line(msg, bundle.lines, resources))
 
+    # Every file of the run is entered on `stack`, so all of them are renamed
+    # into place when the run ends with exit 0 or 1 and none after exit 2.
     with ExitStack() as stack:
         if config["gazetteer"]:
             resources = {"gazetteer": annotate_mod.Gazetteer.load(config["gazetteer"])}
-            annotated_out = stack.enter_context(open(out_dir / "annotated.jsonl", "w", encoding="utf-8"))
+            annotated_out = stack.enter_context(_output(out_dir / "annotated.jsonl"))
         for stream_id, lines, ingest in sources:
             if stream_id not in bundles:
-                sink = open(out_dir / f"messages_{_slug(stream_id)}.jsonl", "w", encoding="utf-8")
-                bundles[stream_id] = _StreamBundle(series_mod.DailyCounter(), stack.enter_context(sink))
+                sink = stack.enter_context(_output(out_dir / f"messages_{_slug(stream_id)}.jsonl"))
+                bundles[stream_id] = _StreamBundle(series_mod.DailyCounter(), sink)
             stats = ingest(lines, functools.partial(handle, bundles[stream_id]))
             partial = partial or stats.skipped > 0
             _print_stats(f"run-all: {stream_id}", stats)
 
-    # Aggregate, flag gaps, and persist one series CSV per stream.
-    all_series = []
-    for stream_id in sorted(bundles):
-        flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), config["theta"], config["k"])
-        all_series.append(flagged)
-        with open(out_dir / f"series_{_slug(stream_id)}.csv", "w", encoding="utf-8", newline="") as out:
-            series_mod.write_daily_csv(flagged, out)
+        # Aggregate, flag gaps, and persist one series CSV per stream.
+        all_series = []
+        for stream_id in sorted(bundles):
+            flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), config["theta"], config["k"])
+            all_series.append(flagged)
+            series_out = stack.enter_context(_output(out_dir / f"series_{_slug(stream_id)}.csv"))
+            series_mod.write_daily_csv(flagged, series_out)
 
-    price = series_mod.load_market_csv(config["price_csv"], series_mod.MarketMetric.PRICE_USD)
-    volume = series_mod.load_market_csv(config["volume_csv"], series_mod.MarketMetric.VOLUME_USD)
-    report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
-    (out_dir / "report.json").write_text(stats_mod.report_to_json(report) + "\n", encoding="utf-8")
-    suffix = "md" if config["format"] == "markdown" else "tsv"
-    (out_dir / f"report.{suffix}").write_text(render_table(report, config["format"]), encoding="utf-8")
-    partial = partial or any(row.has_error for row in report.rows)
+        price = series_mod.load_market_csv(config["price_csv"], series_mod.MarketMetric.PRICE_USD)
+        volume = series_mod.load_market_csv(config["volume_csv"], series_mod.MarketMetric.VOLUME_USD)
+        report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
+        stack.enter_context(_output(out_dir / "report.json")).write(stats_mod.report_to_json(report) + "\n")
+        suffix = "md" if config["format"] == "markdown" else "tsv"
+        stack.enter_context(_output(out_dir / f"report.{suffix}")).write(render_table(report, config["format"]))
+        partial = partial or any(row.has_error for row in report.rows)
 
-    by_id = {s.stream_id: s for s in all_series}
-    for plot in config["plots"]:
-        stream_id = plot["series"]
-        metric = plot["metric"]
-        market = volume if metric == "volume" else price
-        daily = by_id[stream_id]
-        plot_path = out_dir / f"plot_{_slug(stream_id)}_{metric}.csv"
-        try:
-            with open(plot_path, "w", encoding="utf-8", newline="") as out:
-                emit_plot_series(daily, market, out)
-        except EmptyOverlap as exc:
-            plot_path.unlink(missing_ok=True)
-            print(f"run-all: plot {stream_id}/{metric}: {exc}", file=sys.stderr)
-            partial = True
+        by_id = {s.stream_id: s for s in all_series}
+        for plot in config["plots"]:
+            stream_id = plot["series"]
+            metric = plot["metric"]
+            market = volume if metric == "volume" else price
+            plot_path = out_dir / f"plot_{_slug(stream_id)}_{metric}.csv"
+            try:
+                # A plot without overlap is dropped alone; the others commit with the run.
+                with ExitStack() as plot_stack:
+                    emit_plot_series(by_id[stream_id], market, plot_stack.enter_context(_output(plot_path)))
+                    stack.enter_context(plot_stack.pop_all())
+            except EmptyOverlap as exc:
+                print(f"run-all: plot {stream_id}/{metric}: {exc}", file=sys.stderr)
+                partial = True
 
     print(f"run-all: wrote {out_dir}/report.{suffix}", file=sys.stderr)
     return 1 if partial else 0

@@ -69,7 +69,17 @@ def to_json_line(msg: Message) -> str:
 
 
 def from_json_line(line: str) -> Message:
+    """The message on one JSONL line.
+
+    ValueError unless the line is a JSON object with a string value for each
+    of `stream_id`, `ts`, `author` and `text`.
+    """
     record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"a message must be a JSON object, got {record!r:.40}")
+    for key in ("stream_id", "ts", "author", "text"):
+        if not isinstance(record.get(key), str):
+            raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
     return Message(
         stream_id=record["stream_id"],
         timestamp=parse_ts(record["ts"]),
@@ -78,8 +88,14 @@ def from_json_line(line: str) -> Message:
     )
 
 
-def read_messages(source: IO[str]) -> Iterator[Message]:
-    for line in source:
+def read_messages(source: IO[str]) -> Iterator[tuple[int, Message]]:
+    """(line number from 1, message) for each non-blank line of `source`; a
+    line that holds no message raises ValueError naming its number."""
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if line:
-            yield from_json_line(line)
+            try:
+                msg = from_json_line(line)
+            except (ValueError, OverflowError) as exc:  # a `ts` out of datetime's range overflows
+                raise ValueError(f"messages line {line_no}: {exc}") from None
+            yield line_no, msg

@@ -173,6 +173,12 @@ def report_to_json(report: CorrelationReport) -> str:
 
 
 def report_from_json(source: str | IO[str]) -> CorrelationReport:
+    """The report `report_to_json` wrote; ValueError for JSON of another shape."""
     payload = json.loads(source if isinstance(source, str) else source.read())
-    rows = [ReportRow(**item) for item in payload["rows"]]
-    return CorrelationReport(rows)
+    rows = payload.get("rows") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError(f"a report must be a JSON object with a 'rows' list, got {payload!r:.40}")
+    try:
+        return CorrelationReport([ReportRow(**item) for item in rows])
+    except TypeError as exc:  # an item that is no object, or has other keys
+        raise ValueError(f"a report row must be an object with the keys of ReportRow: {exc}") from None

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from datetime import date, timedelta
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -298,6 +299,10 @@ def test_aggregate_and_gaps_round_trip(tmp_path):
     flagged_csv = tmp_path / "flagged.csv"
     assert main(["gaps", "--in", str(series_csv), "--out", str(flagged_csv), "--theta", "0.1", "--k", "7"]) == 0
     assert "2015-06-04,0,outage" in flagged_csv.read_text()
+    # In place, as README shows it: the input is read whole before the output replaces it.
+    assert main(["gaps", "--in", str(series_csv), "--out", str(series_csv)]) == 0
+    assert series_csv.read_bytes() == flagged_csv.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flagged.csv", "msgs.jsonl", "series.csv"]
 
 
 def test_aggregate_rejects_mixed_streams_without_selector(tmp_path):
@@ -319,7 +324,7 @@ def _write_market(path, values, start=START):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def test_correlate_and_report(tmp_path):
+def test_correlate_and_report(tmp_path, capsys):
     series_csv = tmp_path / "series.csv"
     with open(series_csv, "w", encoding="utf-8", newline="") as fh:
         from coinbuzz.series import write_daily_csv
@@ -349,6 +354,14 @@ def test_correlate_and_report(tmp_path):
     table = tmp_path / "report.tsv"
     assert main(["report", "--in", str(report_json), "--out", str(table)]) == 0
     assert "mystream\t100\t1.0000\t" in table.read_text()
+
+    # Without --out, the same text goes to stdout.
+    capsys.readouterr()
+    assert main(["correlate", "--series", f"mystream={series_csv}", "--price", str(price_csv),
+                 "--volume", str(volume_csv)]) == 0
+    assert capsys.readouterr().out == report_json.read_text()
+    assert main(["report", "--in", str(report_json)]) == 0
+    assert capsys.readouterr().out == table.read_text()
 
     md = tmp_path / "report.md"
     assert main(["report", "--in", str(report_json), "--format", "markdown", "--out", str(md)]) == 0
@@ -389,6 +402,95 @@ def test_missing_input_is_fatal(tmp_path):
     out = tmp_path / "x.jsonl"
     code = main(["parse-irc", "--channel", "#x", "--in", str(tmp_path / "absent.log"), "--out", str(out)])
     assert code == 2
+
+
+# --- every output appears whole or not at all -------------------------------
+
+MESSAGE = '{"stream_id":"s","ts":"2015-06-01T10:00:00Z","author":"a","text":"bitcoin"}\n'
+NO_AUTHOR = '{"stream_id":"s","ts":"2015-06-01T10:00:00Z","text":"bitcoin"}\n'
+SERIES_CSV = "".join(["date,count,flag\n"] + [f"2015-06-0{d},{d},ok\n" for d in range(1, 6)])
+# Shares two days with SERIES_CSV, one short of what a correlation or a plot needs.
+MARKET_CSV = "date,value\n2015-06-04,1.0\n2015-06-05,2.0\n2015-06-06,3.0\n"
+GAZETTEER = "bitcoin\tcrypto\tcoin\n"
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, error",
+    [
+        pytest.param(
+            ["parse-irc", "--channel", "#x", "--strict", "--in", "chan.log"],
+            {"chan.log": IRC_LOG + "garbage\n"}, "line 4", id="parse-irc.strict",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", ",", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "Bitcoin rally") + "\n"}, "keywords", id="ingest-tweets.no-keyword",
+        ),
+        pytest.param(
+            ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
+            {"msgs.jsonl": MESSAGE + NO_AUTHOR, "gaz.tsv": GAZETTEER},
+            "messages line 2: a message needs a string 'author'", id="annotate.no-author",
+        ),
+        pytest.param(
+            ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
+            {"msgs.jsonl": MESSAGE + "\n[1,2]\n", "gaz.tsv": GAZETTEER},
+            "messages line 3: a message must be a JSON object", id="annotate.not-an-object",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": NO_AUTHOR},
+            "messages line 1: a message needs a string 'author'", id="aggregate.no-author",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": "[1,2]\n"},
+            "messages line 1: a message must be a JSON object", id="aggregate.not-an-object",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE.replace('"a"', "5")},
+            "messages line 1: a message needs a string 'author', got 5", id="aggregate.author-int",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"],
+            {"msgs.jsonl": MESSAGE.replace("2015-06-01T10:00:00Z", "0001-01-01T00:00:00+01:00")},
+            "messages line 1: ", id="aggregate.ts-out-of-range",
+        ),
+        pytest.param(
+            ["gaps", "--in", "daily.csv"], {"daily.csv": SERIES_CSV + "2015-06-06,x,ok\n"},
+            "row 7", id="gaps.malformed-row",
+        ),
+        pytest.param(
+            ["correlate", "--series", "s=series.csv", "--price", "price.csv", "--volume", "volume.csv"],
+            {"series.csv": SERIES_CSV, "price.csv": "date,value\n2015-06-01,abc\n", "volume.csv": MARKET_CSV},
+            "row 2", id="correlate.malformed-price",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": '{"rows": 5}'},
+            "a report must be a JSON object with a 'rows' list", id="report.rows-not-a-list",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": "[]"},
+            "a report must be a JSON object with a 'rows' list", id="report.not-an-object",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": '{"rows": [{"stream_id": "s"}]}'},
+            "a report row must be an object", id="report.row-keys",
+        ),
+        pytest.param(
+            ["plot-series", "--series", "series.csv", "--market", "volume.csv"],
+            {"series.csv": SERIES_CSV, "volume.csv": MARKET_CSV},
+            "only 2 shared dates", id="plot-series.too-little-overlap",
+        ),
+    ],
+)
+def test_failed_subcommand_leaves_no_output(tmp_path, capsys, monkeypatch, argv, inputs, error):
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(argv + ["--out", "out.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinbuzz: error: ")
+    assert error in err
+    assert not Path("out.txt").exists()
+    assert not Path("out.txt.partial").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 # --- run-all -----------------------------------------------------------------
@@ -559,6 +661,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(keywords=["bitcoin", ""]), "keywords"),
         (lambda c: c.update(keywords=["bitcoin", " btc"]), "keywords"),
         (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
+        (lambda c: c.update(window={"start": "2015-06-05", "end": "2015-06-01"}), "window"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -569,7 +672,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "window.not-a-date", "theta.null", "out_dir.int", "price_csv.int", "irc_logs.channel-int",
         "gazetteer.int", "tweet_captures.string", "k.float", "k.string", "k.bool", "strict.string",
         "keywords.string", "theta.range", "k.range", "format.unknown", "keywords.empty",
-        "keywords.blank", "keywords.padded", "irc_logs.channel-no-hash",
+        "keywords.blank", "keywords.padded", "irc_logs.channel-no-hash", "window.reversed",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -583,6 +686,56 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     assert repr(key) in err
     # The config is checked before anything is written.
     assert not out_dir.exists()
+
+
+def _malformed_price(config):
+    Path(config["price_csv"]).write_text("date,value\n2015-06-01,abc\n", encoding="utf-8")
+
+
+def _strict_abort(config):
+    # The tweets and the log's first lines are written before the bad line.
+    log = Path(config["irc_logs"][0]["path"])
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text("".join(lines[:5] + ["garbage\n"] + lines[5:]), encoding="utf-8")
+    config["strict"] = True
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+@pytest.mark.parametrize("fault", [_malformed_price, _strict_abort], ids=["price_csv", "strict"])
+def test_run_all_fatal_leaves_no_file_of_its_run(tmp_path, capsys, fault, rerun):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    before = {}
+    if rerun:
+        assert main(["run-all", "--config", str(config_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    config = json.loads(config_path.read_text())
+    # Had it gone through, the rerun would have rewritten every file with other bytes.
+    config["window"] = {"start": "2015-06-02", "end": "2015-06-04"}
+    fault(config)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    assert "coinbuzz: error: " in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_run_all_drops_a_plot_without_overlap_alone(tmp_path, capsys):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    short_log = tmp_path / "doge.log"
+    short_log.write_text(
+        "".join(f"[Mon Jun {day} 2015] [09:00:00] <d>\tbitcoin doge\n" for day in (4, 5)), encoding="utf-8"
+    )
+    config["irc_logs"].append({"path": str(short_log), "channel": "#dogecoin"})
+    config["plots"].append({"series": "irc:#dogecoin", "metric": "price"})
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 1
+    assert "run-all: plot irc:#dogecoin/price: only 2 shared dates" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "annotated.jsonl", "messages_irc_bitcoin.jsonl", "messages_irc_dogecoin.jsonl",
+        "messages_twitter.jsonl", "plot_twitter_volume.csv", "report.json", "report.tsv",
+        "series_irc_bitcoin.csv", "series_irc_dogecoin.csv", "series_twitter.csv",
+    ]
 
 
 @pytest.mark.parametrize("window", [None, {"start": "2015-06-02", "end": "2015-06-04"}])
