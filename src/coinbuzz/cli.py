@@ -22,7 +22,7 @@ from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from coinbuzz import annotate as annotate_mod
 from coinbuzz import irc as irc_mod
@@ -31,7 +31,6 @@ from coinbuzz import series as series_mod
 from coinbuzz import stats as stats_mod
 from coinbuzz import twitter as twitter_mod
 from coinbuzz.sanitize import sanitize_line, sanitize_stream
-from coinbuzz.series import DuplicateDate, EmptyOverlap, MalformedRow, NegativeValue
 
 TABLE_HEADERS = (
     "Data Source",
@@ -42,16 +41,8 @@ TABLE_HEADERS = (
     "policy",
 )
 
-_FATAL = (
-    OSError,
-    ValueError,
-    irc_mod.UnparsableLine,
-    MalformedRow,
-    DuplicateDate,
-    NegativeValue,
-    EmptyOverlap,
-    json.JSONDecodeError,
-)
+# Every input fault (a bad line, row, date or report) is a ValueError.
+_FATAL = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,12 +90,11 @@ def render_table(report: stats_mod.CorrelationReport, format: str = "tsv") -> st
 
 def emit_plot_series(
     daily: series_mod.DailySeries,
-    market: series_mod.MarketSeries,
+    market: Mapping[date, float],
     out: IO[str],
 ) -> int:
     """Write `date,count,flag,metric_value` over the joined date range."""
-    counts = {d: float(c) for d, c in daily.counts.items()}
-    x, y, days = series_mod.align(counts, market.values)
+    x, y, days = series_mod.align(daily.counts, market)
     out.write("date,count,flag,metric_value\n")
     for day, count, value in zip(days, x, y):
         flag = daily.flags.get(day, series_mod.Flag.OK).value
@@ -233,8 +223,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     for series_arg in args.series:
         stream_id, path = _parse_series_arg(series_arg)
         daily.append(series_mod.read_daily_csv(path, stream_id))
-    price = series_mod.load_market_csv(args.price, series_mod.MarketMetric.PRICE_USD)
-    volume = series_mod.load_market_csv(args.volume, series_mod.MarketMetric.VOLUME_USD)
+    price = series_mod.load_market_csv(args.price)
+    volume = series_mod.load_market_csv(args.volume)
     report = stats_mod.correlation_report(
         daily, price, volume, exclude_outages=args.exclude_outages
     )
@@ -253,7 +243,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_plot_series(args: argparse.Namespace) -> int:
     daily = series_mod.read_daily_csv(args.series)
-    market = series_mod.load_market_csv(args.market, series_mod.MarketMetric(args.metric))
+    market = series_mod.load_market_csv(args.market)
     with _output(args.outfile) as out:
         rows = emit_plot_series(daily, market, out)
     print(f"plot-series: rows={rows}", file=sys.stderr)
@@ -439,8 +429,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             series_out = stack.enter_context(_output(out_dir / f"series_{_slug(stream_id)}.csv"))
             series_mod.write_daily_csv(flagged, series_out)
 
-        price = series_mod.load_market_csv(config["price_csv"], series_mod.MarketMetric.PRICE_USD)
-        volume = series_mod.load_market_csv(config["volume_csv"], series_mod.MarketMetric.VOLUME_USD)
+        price = series_mod.load_market_csv(config["price_csv"])
+        volume = series_mod.load_market_csv(config["volume_csv"])
         report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
         stack.enter_context(_output(out_dir / "report.json")).write(stats_mod.report_to_json(report) + "\n")
         suffix = "md" if config["format"] == "markdown" else "tsv"
@@ -458,7 +448,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
                 with ExitStack() as plot_stack:
                     emit_plot_series(by_id[stream_id], market, plot_stack.enter_context(_output(plot_path)))
                     stack.enter_context(plot_stack.pop_all())
-            except EmptyOverlap as exc:
+            except series_mod.EmptyOverlap as exc:
                 print(f"run-all: plot {stream_id}/{metric}: {exc}", file=sys.stderr)
                 partial = True
 
@@ -540,7 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot-series", help="join a daily series with a market series into plot CSV")
     p.add_argument("--series", required=True, help="daily series CSV")
     p.add_argument("--market", required=True, help="market CSV")
-    p.add_argument("--metric", choices=_CONFIG_KEYS["plots entry"]["metric"][0], default="volume")
+    p.add_argument(
+        "--metric", choices=_CONFIG_KEYS["plots entry"]["metric"][0], default="volume",
+        help="the metric --market holds; it only names it (default: %(default)s)",
+    )
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_plot_series)
 

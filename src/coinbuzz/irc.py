@@ -41,7 +41,7 @@ class EventKind(Enum):
     NETWORK = "network"
 
 
-class UnparsableLine(Exception):
+class UnparsableLine(ValueError):
     """A log line that matches neither the chat nor the network grammar."""
 
     def __init__(self, line_no: int, reason: str):

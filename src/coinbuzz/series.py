@@ -1,4 +1,4 @@
-"""Daily message-count series, outage flagging, and market-metric loading.
+"""Daily message-count series, outage flagging, and the two dated CSVs.
 
 Days are UTC calendar days; both market data and normalized message
 timestamps are UTC-native, so no bucketing timezone is configurable. Interior
@@ -9,6 +9,10 @@ stay visible, while leading/trailing dates outside the observed span are not
 The outage detector compares each day against a rolling median of recent
 healthy days. Median, not mean: a single spam spike must not mask a real
 outage the next day.
+
+A market CSV (`date,value`) and a daily series CSV (`date,count,flag`) share
+one reader: the exact header, one row per ISO date, blank rows skipped, values
+non-negative. A market series is a plain date -> value map.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
-from typing import IO, Collection, Iterable, Mapping
+from typing import IO, Collection, Iterable, Iterator, Mapping
 
 from coinbuzz.message import Message
 
@@ -31,30 +35,25 @@ class Flag(Enum):
     OUTAGE = "outage"
 
 
-class MarketMetric(Enum):
-    PRICE_USD = "price"
-    VOLUME_USD = "volume"
-
-
-class MalformedRow(Exception):
+class MalformedRow(ValueError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"row {line_no}: {reason}")
         self.line_no = line_no
 
 
-class DuplicateDate(Exception):
+class DuplicateDate(ValueError):
     def __init__(self, day: date):
         super().__init__(f"duplicate date {day.isoformat()}")
         self.day = day
 
 
-class NegativeValue(Exception):
+class NegativeValue(ValueError):
     def __init__(self, day: date, value: float):
         super().__init__(f"negative value {value} on {day.isoformat()}")
         self.day = day
 
 
-class EmptyOverlap(Exception):
+class EmptyOverlap(ValueError):
     """Fewer than three shared dates; correlation would be meaningless."""
 
     def __init__(self, overlap: int):
@@ -75,14 +74,6 @@ class DailySeries:
 
     def outage_dates(self) -> set[date]:
         return {d for d, flag in self.flags.items() if flag is Flag.OUTAGE}
-
-
-@dataclass
-class MarketSeries:
-    """One market metric as a date -> non-negative value map, dates ascending."""
-
-    metric: MarketMetric
-    values: dict[date, float] = field(default_factory=dict)
 
 
 class DailyCounter:
@@ -148,42 +139,58 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
     return DailySeries(series.stream_id, dict(series.counts), flags)
 
 
-def load_market_csv(source: str | Path | IO[str], metric: MarketMetric) -> MarketSeries:
-    """Load a `date,value` CSV; rejects duplicates and negative values."""
-    close_after = False
-    if isinstance(source, (str, Path)):
+def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, date, list[str]]]:
+    """(line number, date, value cells) for each non-blank row of a dated CSV.
+
+    `source` is a path or an open stream. Raises MalformedRow for a header
+    other than `header`, a row of another field count or a bad ISO date, and
+    DuplicateDate for a date seen before; the caller parses the value cells.
+    """
+    close_after = isinstance(source, (str, Path))
+    if close_after:
         source = open(source, "r", encoding="utf-8", newline="")
-        close_after = True
-    values: dict[date, float] = {}
     try:
         reader = csv.reader(source)
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != ["date", "value"]:
-            raise MalformedRow(1, f"expected header 'date,value', got {header!r}")
+        got = next(reader, None)
+        if got is None or [cell.strip() for cell in got] != list(header):
+            raise MalformedRow(1, f"expected header {','.join(header)!r}, got {got!r}")
+        seen: set[date] = set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
-                raise MalformedRow(line_no, f"expected 2 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
             try:
                 day = date.fromisoformat(row[0].strip())
             except ValueError:
                 raise MalformedRow(line_no, f"bad date {row[0]!r}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise MalformedRow(line_no, f"bad value {row[1]!r}") from None
-            if not math.isfinite(value):
-                raise MalformedRow(line_no, f"non-finite value {row[1]!r}")
-            if value < 0:
-                raise NegativeValue(day, value)
-            if day in values:
+            if day in seen:
                 raise DuplicateDate(day)
-            values[day] = value
+            seen.add(day)
+            yield line_no, day, row[1:]
     finally:
         if close_after:
             source.close()
-    return MarketSeries(metric, dict(sorted(values.items())))
+
+
+def _non_negative(day: date, value: float) -> float:
+    if value < 0:
+        raise NegativeValue(day, value)
+    return value
+
+
+def load_market_csv(source: str | Path | IO[str]) -> dict[date, float]:
+    """A `date,value` CSV as a date -> finite non-negative value map, dates ascending."""
+    values: dict[date, float] = {}
+    for line_no, day, (cell,) in _dated_rows(source, ("date", "value")):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise MalformedRow(line_no, f"bad value {cell!r}") from None
+        if not math.isfinite(value):
+            raise MalformedRow(line_no, f"non-finite value {cell!r}")
+        values[day] = _non_negative(day, value)
+    return dict(sorted(values.items()))
 
 
 def align(
@@ -215,35 +222,15 @@ def write_daily_csv(series: DailySeries, out: IO[str]) -> int:
 
 
 def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySeries:
-    close_after = False
-    if isinstance(source, (str, Path)):
-        source = open(source, "r", encoding="utf-8", newline="")
-        close_after = True
+    """A `date,count,flag` CSV as a series; counts are non-negative integers."""
     counts: dict[date, int] = {}
     flags: dict[date, Flag] = {}
-    try:
-        reader = csv.reader(source)
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != ["date", "count", "flag"]:
-            raise MalformedRow(1, f"expected header 'date,count,flag', got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRow(line_no, f"expected 3 fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0].strip())
-                count = int(row[1])
-                flag = Flag(row[2].strip())
-            except ValueError:
-                raise MalformedRow(line_no, f"bad row {row!r}") from None
-            if day in counts:
-                raise DuplicateDate(day)
-            counts[day] = count
-            flags[day] = flag
-    finally:
-        if close_after:
-            source.close()
+    for line_no, day, (count, flag) in _dated_rows(source, ("date", "count", "flag")):
+        try:
+            value, flags[day] = int(count), Flag(flag.strip())
+        except ValueError:
+            raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r}") from None
+        counts[day] = _non_negative(day, value)
     # Normalize foreign CSVs: interior dates absent from the file become
     # explicit zero-count days, same as the aggregation path produces.
     return _filled(stream_id, counts, flags)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import asdict, dataclass, fields
+from datetime import date
+from typing import IO, Collection, Mapping, Sequence
 
-from coinbuzz.series import DailySeries, EmptyOverlap, MarketSeries, align
+from coinbuzz.series import DailySeries, EmptyOverlap, align
 
 POLICY_ALL_DAYS = "all-days"
 POLICY_EXCLUDE_OUTAGES = "exclude-outages"
@@ -88,17 +89,24 @@ class CorrelationReport:
     rows: list[ReportRow]
 
 
-def _correlate(x: list[float], y: list[float]) -> tuple[float | None, str | None]:
+def _correlate(
+    counts: Mapping[date, int], market: Mapping[date, float], exclude: Collection[date]
+) -> tuple[float | None, str | None, int]:
+    """(r, None, n_days), or (None, the error's name, n_days) when r is undefined."""
     try:
-        return pearson(x, y), None
+        x, y, days = align(counts, market, exclude)
+    except EmptyOverlap as exc:
+        return None, "EmptyOverlap", exc.overlap
+    try:
+        return pearson(x, y), None, len(days)
     except (ConstantSeries, TooFewPoints) as exc:
-        return None, type(exc).__name__
+        return None, type(exc).__name__, len(days)
 
 
 def correlation_report(
     daily: Sequence[DailySeries],
-    price: MarketSeries,
-    volume: MarketSeries,
+    price: Mapping[date, float],
+    volume: Mapping[date, float],
     exclude_outages: bool = False,
 ) -> CorrelationReport:
     """One row per stream: total messages plus r against volume and price.
@@ -109,43 +117,15 @@ def correlation_report(
     are recorded in the row, never raised.
     """
     policy = POLICY_EXCLUDE_OUTAGES if exclude_outages else POLICY_ALL_DAYS
-    market_days = set(price.values) & set(volume.values)
-    shared_volume = {d: v for d, v in volume.values.items() if d in market_days}
-    shared_price = {d: v for d, v in price.values.items() if d in market_days}
-
+    one_sided = price.keys() ^ volume.keys()  # days that only one market series has
     rows = []
     for series in daily:
-        exclude = series.outage_dates() if exclude_outages else set()
-        counts = {d: float(c) for d, c in series.counts.items()}
-        try:
-            x, yv, days = align(counts, shared_volume, exclude)
-            _, yp, _ = align(counts, shared_price, exclude)
-        except EmptyOverlap as exc:
-            rows.append(
-                ReportRow(
-                    stream_id=series.stream_id,
-                    total_messages=series.total(),
-                    r_volume=None,
-                    r_volume_error="EmptyOverlap",
-                    r_price=None,
-                    r_price_error="EmptyOverlap",
-                    n_days=exc.overlap,
-                    policy=policy,
-                )
-            )
-            continue
-        r_volume, volume_error = _correlate(x, yv)
-        r_price, price_error = _correlate(x, yp)
+        exclude = one_sided | series.outage_dates() if exclude_outages else one_sided
+        r_volume, volume_error, n_days = _correlate(series.counts, volume, exclude)
+        r_price, price_error, _ = _correlate(series.counts, price, exclude)
         rows.append(
             ReportRow(
-                stream_id=series.stream_id,
-                total_messages=series.total(),
-                r_volume=r_volume,
-                r_volume_error=volume_error,
-                r_price=r_price,
-                r_price_error=price_error,
-                n_days=len(days),
-                policy=policy,
+                series.stream_id, series.total(), r_volume, volume_error, r_price, price_error, n_days, policy
             )
         )
     return CorrelationReport(rows)
@@ -154,22 +134,16 @@ def correlation_report(
 # --- JSON persistence for report handoff between CLI steps ------------------
 
 def report_to_json(report: CorrelationReport) -> str:
-    payload = {
-        "rows": [
-            {
-                "stream_id": row.stream_id,
-                "total_messages": row.total_messages,
-                "r_volume": row.r_volume,
-                "r_volume_error": row.r_volume_error,
-                "r_price": row.r_price,
-                "r_price_error": row.r_price_error,
-                "n_days": row.n_days,
-                "policy": row.policy,
-            }
-            for row in report.rows
-        ]
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2)
+    return json.dumps(asdict(report), ensure_ascii=False, indent=2)
+
+
+# The JSON value types each ReportRow annotation admits, by type(): a bool is no int.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "float | None": (int, float, type(None)),
+    "str | None": (str, type(None)),
+}
 
 
 def report_from_json(source: str | IO[str]) -> CorrelationReport:
@@ -179,6 +153,12 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
     if not isinstance(rows, list):
         raise ValueError(f"a report must be a JSON object with a 'rows' list, got {payload!r:.40}")
     try:
-        return CorrelationReport([ReportRow(**item) for item in rows])
+        report = CorrelationReport([ReportRow(**item) for item in rows])
     except TypeError as exc:  # an item that is no object, or has other keys
         raise ValueError(f"a report row must be an object with the keys of ReportRow: {exc}") from None
+    for n, row in enumerate(report.rows, start=1):
+        for f in fields(row):
+            value = getattr(row, f.name)
+            if type(value) not in _JSON_TYPES[f.type]:
+                raise ValueError(f"report row {n}: {f.name!r} must be {f.type}, got {value!r:.40}")
+    return report

@@ -17,8 +17,6 @@ from coinbuzz.series import (
     DailySeries,
     EmptyOverlap,
     Flag,
-    MarketMetric,
-    MarketSeries,
     align,
 )
 from coinbuzz.stats import CorrelationReport, ReportRow
@@ -94,11 +92,8 @@ def _daily(counts: list[int], outages: set[int] = frozenset()) -> DailySeries:
     return DailySeries("s", days, flags)
 
 
-def _market(values: list[float]) -> MarketSeries:
-    return MarketSeries(
-        MarketMetric.VOLUME_USD,
-        {START + timedelta(days=i): v for i, v in enumerate(values)},
-    )
+def _market(values: list[float]) -> dict[date, float]:
+    return {START + timedelta(days=i): v for i, v in enumerate(values)}
 
 
 def test_emit_plot_series_five_day_fixture():
@@ -113,7 +108,7 @@ def test_emit_plot_series_five_day_fixture():
 
 
 def test_emit_plot_series_disjoint_ranges():
-    market = MarketSeries(MarketMetric.VOLUME_USD, {date(2020, 1, 1): 1.0})
+    market = {date(2020, 1, 1): 1.0}
     with pytest.raises(EmptyOverlap):
         emit_plot_series(_daily([1, 2, 3]), market, io.StringIO())
 
@@ -128,16 +123,15 @@ def test_emit_plot_series_row_count_matches_align():
             START + timedelta(days=offset + i): float(rng.randint(1, 9))
             for i in range(rng.randint(0, 15))
         }
-        market = MarketSeries(MarketMetric.VOLUME_USD, values)
         counts = {d: float(c) for d, c in daily.counts.items()}
         out = io.StringIO()
         try:
             expected = len(align(counts, values)[2])
         except EmptyOverlap:
             with pytest.raises(EmptyOverlap):
-                emit_plot_series(daily, market, out)
+                emit_plot_series(daily, values, out)
             continue
-        assert emit_plot_series(daily, market, out) == expected
+        assert emit_plot_series(daily, values, out) == expected
 
 
 # --- subcommands -------------------------------------------------------------
@@ -412,6 +406,10 @@ SERIES_CSV = "".join(["date,count,flag\n"] + [f"2015-06-0{d},{d},ok\n" for d in 
 # Shares two days with SERIES_CSV, one short of what a correlation or a plot needs.
 MARKET_CSV = "date,value\n2015-06-04,1.0\n2015-06-05,2.0\n2015-06-06,3.0\n"
 GAZETTEER = "bitcoin\tcrypto\tcoin\n"
+REPORT_ROW = {
+    "stream_id": "s", "total_messages": 5, "r_volume": 0.5, "r_volume_error": None,
+    "r_price": None, "r_price_error": "ConstantSeries", "n_days": 5, "policy": "all-days",
+}
 
 
 @pytest.mark.parametrize(
@@ -457,6 +455,10 @@ GAZETTEER = "bitcoin\tcrypto\tcoin\n"
             "row 7", id="gaps.malformed-row",
         ),
         pytest.param(
+            ["gaps", "--in", "daily.csv"], {"daily.csv": SERIES_CSV + "2015-06-06,-5,ok\n"},
+            "negative value -5 on 2015-06-06", id="gaps.negative-count",
+        ),
+        pytest.param(
             ["correlate", "--series", "s=series.csv", "--price", "price.csv", "--volume", "volume.csv"],
             {"series.csv": SERIES_CSV, "price.csv": "date,value\n2015-06-01,abc\n", "volume.csv": MARKET_CSV},
             "row 2", id="correlate.malformed-price",
@@ -472,6 +474,15 @@ GAZETTEER = "bitcoin\tcrypto\tcoin\n"
         pytest.param(
             ["report", "--in", "report.json"], {"report.json": '{"rows": [{"stream_id": "s"}]}'},
             "a report row must be an object", id="report.row-keys",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_volume": [1]}]})},
+            "report row 1: 'r_volume' must be float | None, got [1]", id="report.r-not-a-number",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [REPORT_ROW, {**REPORT_ROW, "total_messages": "x"}]})},
+            "report row 2: 'total_messages' must be int, got 'x'", id="report.total-not-an-int",
         ),
         pytest.param(
             ["plot-series", "--series", "series.csv", "--market", "volume.csv"],
@@ -828,9 +839,24 @@ def test_run_all_toml_without_tomllib_is_fatal(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({}, id="defaults"),
+        pytest.param(
+            {
+                "exclude_outages": True,
+                "format": "markdown",
+                "plots": [{"series": "twitter", "metric": "volume"}, {"series": "irc:#bitcoin", "metric": "price"}],
+            },
+            id="exclude-outages-markdown-price-plot",
+        ),
+    ],
+)
+def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides):
     config_path, out_dir = _run_all_workspace(tmp_path)
-    config = json.loads(config_path.read_text())
+    config = {**json.loads(config_path.read_text()), **overrides}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["run-all", "--config", str(config_path)]) == 0
 
     chain = tmp_path / "chain"
@@ -844,31 +870,38 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=clean))
         assert main(["sanitize"]) == 0
     monkeypatch.undo()
+    slugs = {"twitter": "twitter", "irc:#bitcoin": "irc_bitcoin"}
+    report_name = "report.md" if config["format"] == "markdown" else "report.tsv"
     steps = [
         ["ingest-tweets", "--in", c("clean.jsonl"), "--out", c("messages_twitter.jsonl")],
         ["parse-irc", "--channel", "#bitcoin", "--in", config["irc_logs"][0]["path"],
          "--out", c("messages_irc_bitcoin.jsonl")],
     ]
-    for slug in ("twitter", "irc_bitcoin"):
+    for slug in slugs.values():
         steps.append(["aggregate", "--in", c(f"messages_{slug}.jsonl"), "--out", c(f"daily_{slug}.csv")])
         steps.append(["gaps", "--in", c(f"daily_{slug}.csv"), "--out", c(f"series_{slug}.csv")])
     steps += [
         ["correlate", "--series", f"irc:#bitcoin={c('series_irc_bitcoin.csv')}",
          "--series", f"twitter={c('series_twitter.csv')}", "--price", config["price_csv"],
-         "--volume", config["volume_csv"], "--out", c("report.json")],
-        ["report", "--in", c("report.json"), "--out", c("report.tsv")],
-        ["plot-series", "--series", c("series_twitter.csv"), "--market", config["volume_csv"],
-         "--metric", "volume", "--out", c("plot_twitter_volume.csv")],
+         "--volume", config["volume_csv"], "--out", c("report.json")]
+        + (["--exclude-outages"] if config.get("exclude_outages") else []),
+        ["report", "--in", c("report.json"), "--format", config["format"], "--out", c(report_name)],
     ]
+    plot_names = []
+    for plot in config["plots"]:
+        slug, metric = slugs[plot["series"]], plot["metric"]
+        plot_names.append(f"plot_{slug}_{metric}.csv")
+        steps.append(["plot-series", "--series", c(f"series_{slug}.csv"), "--market", config[f"{metric}_csv"],
+                      "--metric", metric, "--out", c(plot_names[-1])])
     for argv in steps:
         assert main(argv) == 0, argv
 
     # Everything run-all writes but the annotations, which
     # test_run_all_annotated_equals_annotate_over_each_stream covers.
     names = sorted(p.name for p in out_dir.iterdir() if p.name != "annotated.jsonl")
-    assert names == [
-        "messages_irc_bitcoin.jsonl", "messages_twitter.jsonl", "plot_twitter_volume.csv",
-        "report.json", "report.tsv", "series_irc_bitcoin.csv", "series_twitter.csv",
-    ]
+    assert names == sorted([
+        "messages_irc_bitcoin.jsonl", "messages_twitter.jsonl", *plot_names,
+        "report.json", report_name, "series_irc_bitcoin.csv", "series_twitter.csv",
+    ])
     for name in names:
         assert (out_dir / name).read_bytes() == (chain / name).read_bytes(), name

@@ -14,7 +14,6 @@ from coinbuzz.series import (
     EmptyOverlap,
     Flag,
     MalformedRow,
-    MarketMetric,
     NegativeValue,
     align,
     bucket_daily,
@@ -149,38 +148,55 @@ def test_detect_gaps_parameter_validation():
 
 def test_load_market_csv_two_rows():
     src = io.StringIO("date,value\n2015-06-02,240.5\n2015-06-01,230.0\n")
-    series = load_market_csv(src, MarketMetric.PRICE_USD)
-    assert list(series.values) == [date(2015, 6, 1), date(2015, 6, 2)]
-    assert series.values[date(2015, 6, 2)] == 240.5
-    assert series.metric is MarketMetric.PRICE_USD
+    series = load_market_csv(src)
+    assert list(series) == [date(2015, 6, 1), date(2015, 6, 2)]
+    assert series[date(2015, 6, 2)] == 240.5
 
 
 def test_load_market_csv_rejects_duplicate_date():
     src = io.StringIO("date,value\n2015-06-01,1\n2015-06-01,2\n")
     with pytest.raises(DuplicateDate):
-        load_market_csv(src, MarketMetric.VOLUME_USD)
+        load_market_csv(src)
 
 
 def test_load_market_csv_rejects_negative_value():
     src = io.StringIO("date,value\n2015-06-01,-3\n")
     with pytest.raises(NegativeValue):
-        load_market_csv(src, MarketMetric.VOLUME_USD)
+        load_market_csv(src)
+
+
+# Both dated-CSV readers share one reader of rows; each case is given to the
+# reader whose header it carries. A market case's id is its payload.
+MARKET_FAULTS = [
+    ("wrong,header\n2015-06-01,1\n", MalformedRow),
+    ("date,value\nnot-a-date,1\n", MalformedRow),
+    ("date,value\n2015-06-01,abc\n", MalformedRow),
+    ("date,value\n2015-06-01,nan\n", MalformedRow),
+    ("date,value\n2015-06-01,1,extra\n", MalformedRow),
+    ("", MalformedRow),
+    ("date,value\n2015-06-01,1\n\n2015-06-01,2\n", DuplicateDate),
+    ("date,value\n2015-06-01,1\n2015-06-02,-0.5\n", NegativeValue),
+]
+DAILY_FAULTS = [
+    ("wrong,header,row\n2015-06-01,1,ok\n", MalformedRow),
+    ("date,count,flag\nnot-a-date,1,ok\n", MalformedRow),
+    ("date,count,flag\n2015-06-01,1.5,ok\n", MalformedRow),
+    ("date,count,flag\n2015-06-01,1,maybe\n", MalformedRow),
+    ("date,count,flag\n2015-06-01,1,ok,extra\n", MalformedRow),
+    ("", MalformedRow),
+    ("date,count,flag\n2015-06-01,1,ok\n\n2015-06-01,2,ok\n", DuplicateDate),
+    ("date,count,flag\n2015-06-01,1,ok\n2015-06-02,-5,ok\n", NegativeValue),
+]
 
 
 @pytest.mark.parametrize(
-    "payload",
-    [
-        "wrong,header\n2015-06-01,1\n",
-        "date,value\nnot-a-date,1\n",
-        "date,value\n2015-06-01,abc\n",
-        "date,value\n2015-06-01,nan\n",
-        "date,value\n2015-06-01,1,extra\n",
-        "",
-    ],
+    "read, payload, error",
+    [pytest.param(load_market_csv, payload, error, id=payload) for payload, error in MARKET_FAULTS]
+    + [pytest.param(read_daily_csv, payload, error, id=f"daily:{payload}") for payload, error in DAILY_FAULTS],
 )
-def test_load_market_csv_rejects_malformed_rows(payload):
-    with pytest.raises(MalformedRow):
-        load_market_csv(io.StringIO(payload), MarketMetric.PRICE_USD)
+def test_load_market_csv_rejects_malformed_rows(read, payload, error):
+    with pytest.raises(error):
+        read(io.StringIO(payload))
 
 
 # --- align -------------------------------------------------------------------

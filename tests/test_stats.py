@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coinbuzz.series import DailySeries, Flag, MarketMetric, MarketSeries
+from coinbuzz.series import DailySeries, Flag
 from coinbuzz.stats import (
     POLICY_ALL_DAYS,
     POLICY_EXCLUDE_OUTAGES,
@@ -147,14 +147,14 @@ def _daily(stream_id: str, counts: list[int], outages: set[int] = frozenset()) -
     return DailySeries(stream_id, days, flags)
 
 
-def _market(metric: MarketMetric, values: list[float]) -> MarketSeries:
-    return MarketSeries(metric, {START + timedelta(days=i): v for i, v in enumerate(values)})
+def _market(values: list[float]) -> dict[date, float]:
+    return {START + timedelta(days=i): v for i, v in enumerate(values)}
 
 
 def test_identity_stream_correlates_perfectly_with_volume():
     counts = [10, 40, 20, 50, 30]
-    volume = _market(MarketMetric.VOLUME_USD, [float(c) for c in counts])
-    price = _market(MarketMetric.PRICE_USD, [230.0, 231.0, 229.0, 228.0, 232.0])
+    volume = _market([float(c) for c in counts])
+    price = _market([230.0, 231.0, 229.0, 228.0, 232.0])
     report = correlation_report([_daily("s", counts)], price, volume)
     row = report.rows[0]
     assert row.r_volume == 1.0
@@ -165,8 +165,8 @@ def test_identity_stream_correlates_perfectly_with_volume():
 
 
 def test_constant_counts_are_reported_undefined():
-    price = _market(MarketMetric.PRICE_USD, [1.0, 2.0, 3.0])
-    volume = _market(MarketMetric.VOLUME_USD, [4.0, 5.0, 6.0])
+    price = _market([1.0, 2.0, 3.0])
+    volume = _market([4.0, 5.0, 6.0])
     report = correlation_report([_daily("s", [7, 7, 7])], price, volume)
     row = report.rows[0]
     assert row.r_volume is None
@@ -177,8 +177,8 @@ def test_constant_counts_are_reported_undefined():
 
 
 def test_empty_overlap_is_recorded_per_row():
-    price = _market(MarketMetric.PRICE_USD, [1.0, 2.0, 3.0])
-    volume = _market(MarketMetric.VOLUME_USD, [4.0, 5.0, 6.0])
+    price = _market([1.0, 2.0, 3.0])
+    volume = _market([4.0, 5.0, 6.0])
     far_away = DailySeries("far", {date(2020, 1, 1): 5})
     report = correlation_report([far_away, _daily("near", [1, 2, 4])], price, volume)
     assert report.rows[0].r_volume_error == "EmptyOverlap"
@@ -190,8 +190,8 @@ def test_exclude_outages_policy_drops_flagged_days():
     # Day 3 is corrupted: counts say 0 while volume is ordinary.
     counts = [10, 40, 20, 0, 50, 30]
     volume_values = [10.0, 40.0, 20.0, 25.0, 50.0, 30.0]
-    volume = _market(MarketMetric.VOLUME_USD, volume_values)
-    price = _market(MarketMetric.PRICE_USD, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    volume = _market(volume_values)
+    price = _market([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     daily = _daily("s", counts, outages={3})
 
     strict = correlation_report([daily], price, volume, exclude_outages=True)
@@ -205,9 +205,9 @@ def test_exclude_outages_policy_drops_flagged_days():
 
 def test_correlations_use_dates_shared_by_both_market_series():
     counts = [10, 40, 20, 50]
-    volume = _market(MarketMetric.VOLUME_USD, [10.0, 40.0, 20.0, 50.0])
+    volume = _market([10.0, 40.0, 20.0, 50.0])
     # Price is missing the last day, so every correlation uses 3 days.
-    price = _market(MarketMetric.PRICE_USD, [5.0, 6.0, 7.0])
+    price = _market([5.0, 6.0, 7.0])
     report = correlation_report([_daily("s", counts)], price, volume)
     row = report.rows[0]
     assert row.n_days == 3
