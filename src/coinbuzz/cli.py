@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 partial success (skipped lines or per-row report
 errors in lenient mode), 2 fatal error, 64 usage error. All stages stream
 line by line; the run's set of seen tweet ids is the only state that grows
-with the corpus.
+with the corpus. A tweet capture line ends at "\\n" alone, as sanitize frames
+it, in ingest-tweets and run-all, which scrubs each line as sanitize would; an
+IRC log line ends at "\\n", "\\r\\n" or "\\r".
 
 Every output file appears whole or not at all: it is written as
 `<path>.partial`, which exists only while the file is being written, and
@@ -30,7 +32,7 @@ from coinbuzz import message as message_mod
 from coinbuzz import series as series_mod
 from coinbuzz import stats as stats_mod
 from coinbuzz import twitter as twitter_mod
-from coinbuzz.sanitize import sanitize_line, sanitize_stream
+from coinbuzz.sanitize import sanitize_stream, sanitize_text
 
 TABLE_HEADERS = (
     "Data Source",
@@ -134,25 +136,36 @@ def _output(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def _message_writer(out: IO[str]) -> Callable[[message_mod.Message], None]:
-    return lambda msg: out.write(message_mod.to_json_line(msg) + "\n")
+def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
+    """Every line of the tweet captures in turn; a line ends at "\\n" only, as `sanitize` frames it."""
+    for path in paths:
+        with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as src:
+            yield from src
+
+
+def _log_lines(path: str) -> Iterator[str]:
+    with open(path, "r", encoding="utf-8", errors="replace") as src:
+        yield from src
+
+
+def _ingest_file(label: str, lines: Iterable[str], outfile: str, ingest: Callable) -> int:
+    """Write each message `ingest(lines, emit)` emits to `outfile` as a JSON line and
+    print its counters; 1 if it skipped a line. `lines` opens its file when ingest pulls a line."""
+    with _output(outfile) as out:
+        stats = ingest(lines, lambda msg: out.write(message_mod.to_json_line(msg) + "\n"))
+    _print_stats(label, stats)
+    return 1 if stats.skipped else 0
 
 
 def _cmd_parse_irc(args: argparse.Namespace) -> int:
-    with open(args.infile, "r", encoding="utf-8", errors="replace") as src, _output(args.outfile) as out:
-        stats = irc_mod.ingest_log(src, _message_writer(out), args.channel, strict=args.strict, tz=args.tz)
-    _print_stats("parse-irc", stats)
-    return 1 if stats.skipped else 0
+    ingest = functools.partial(irc_mod.ingest_log, channel=args.channel, strict=args.strict, tz=args.tz)
+    return _ingest_file("parse-irc", _log_lines(args.infile), args.outfile, ingest)
 
 
 def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
-    with open(args.infile, "r", encoding="utf-8", errors="replace") as src, _output(args.outfile) as out:
-        stats = twitter_mod.ingest_capture(
-            src, _message_writer(out), keywords=keywords, substring=args.substring
-        )
-    _print_stats("ingest-tweets", stats)
-    return 1 if stats.skipped else 0
+    ingest = functools.partial(twitter_mod.ingest_capture, keywords=keywords, substring=args.substring)
+    return _ingest_file("ingest-tweets", _capture_lines([args.infile]), args.outfile, ingest)
 
 
 _ANNOTATE_STAGES = ("tokenize", "gazetteer")
@@ -359,19 +372,6 @@ def _load_config(path: Path) -> dict:
     return config
 
 
-def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
-    """Every line of the tweet captures in turn, escape-sanitized."""
-    for path in paths:
-        with open(path, "rb") as raw:
-            for line in raw:
-                yield sanitize_line(line.rstrip(b"\r\n"))[0].decode("utf-8", errors="replace")
-
-
-def _log_lines(path: str) -> Iterator[str]:
-    with open(path, "r", encoding="utf-8", errors="replace") as src:
-        yield from src
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
     config = _load_config(Path(args.config))
     out_dir = Path(config["out_dir"])
@@ -385,7 +385,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         ingest = functools.partial(
             twitter_mod.ingest_capture, keywords=config["keywords"], substring=config["substring"]
         )
-        sources.append(("twitter", _capture_lines(config["tweet_captures"]), ingest))
+        sources.append(("twitter", map(sanitize_text, _capture_lines(config["tweet_captures"])), ingest))
     for entry in config["irc_logs"]:
         ingest = functools.partial(
             irc_mod.ingest_log, channel=entry["channel"], stream_id=entry["stream_id"],

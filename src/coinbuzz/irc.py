@@ -86,8 +86,7 @@ def parse_log_line(
     Timestamps are interpreted in `tz` (log files rarely say) and normalized
     to UTC. Raises UnparsableLine for anything outside the grammar.
     """
-    if not channel.startswith("#"):
-        raise ValueError(f"channel must begin with '#': {channel!r}")
+    _check_channel(channel)
     match = _LINE_RE.match(line)
     if match is None:
         if not line.strip():
@@ -108,6 +107,11 @@ def parse_log_line(
         return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
     # Unknown server chatter: keep it, authored by the announcing word.
     return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
+
+
+def _check_channel(channel: str) -> None:
+    if not channel.startswith("#"):
+        raise ValueError(f"channel must begin with '#': {channel!r}")
 
 
 def resolve_tz(name: str) -> tzinfo:
@@ -140,6 +144,7 @@ def ingest_log(
     mode re-raises the first UnparsableLine. Counters always satisfy
     lines_in == messages + dropped_network + unparsable + blank.
     """
+    _check_channel(channel)  # before the first line, so an empty log is checked too
     if stream_id is None:
         stream_id = f"irc:{channel}"
     zone = resolve_tz(tz)

@@ -11,6 +11,9 @@ and are only counted.
 The scan is stateless: a surrogate pair is just two independent escapes and
 becomes twelve spaces. Lines shard cleanly across workers as long as the
 caller restores output order; stats merge by summing counters.
+
+`sanitize_text` applies `sanitize_line`, the one scrub rule, to a string's
+UTF-8 bytes: escapes are ASCII, so decoding and scrubbing commute.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ from typing import IO, Iterable
 
 # Valid escape (4 hex digits) first, bare malformed prefix second. The scan
 # consumes whatever it matched, so an ASCII escape is never re-entered.
-_ESCAPE_BYTES_RE = re.compile(rb"\\u([0-9a-fA-F]{4})|\\u")
-_ESCAPE_TEXT_RE = re.compile(r"\\u([0-9a-fA-F]{4})|\\u")
+_ESCAPE_RE = re.compile(rb"\\u([0-9a-fA-F]{4})|\\u")
 
-_SIX_SPACES_BYTES = b"      "
-_SIX_SPACES_TEXT = "      "
+_SIX_SPACES = b"      "
 
 
 @dataclass
@@ -63,24 +64,17 @@ def sanitize_line(line: bytes) -> tuple[bytes, int, int]:
             return match.group(0)
         if int(digits, 16) >= 0x80:
             replacements += 1
-            return _SIX_SPACES_BYTES
+            return _SIX_SPACES
         return match.group(0)
 
-    return _ESCAPE_BYTES_RE.sub(sub, line), replacements, malformed
+    return _ESCAPE_RE.sub(sub, line), replacements, malformed
 
 
 def sanitize_text(text: str) -> str:
-    """String counterpart of sanitize_line, used to normalize message text."""
+    """sanitize_line over the UTF-8 bytes of `text`; lone surrogates pass through."""
     if "\\u" not in text:
         return text
-
-    def sub(match: re.Match[str]) -> str:
-        digits = match.group(1)
-        if digits is not None and int(digits, 16) >= 0x80:
-            return _SIX_SPACES_TEXT
-        return match.group(0)
-
-    return _ESCAPE_TEXT_RE.sub(sub, text)
+    return sanitize_line(text.encode("utf-8", "surrogatepass"))[0].decode("utf-8", "surrogatepass")
 
 
 def sanitize_stream(

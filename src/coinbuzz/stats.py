@@ -144,10 +144,13 @@ _JSON_TYPES = {
     "float | None": (int, float, type(None)),
     "str | None": (str, type(None)),
 }
+# The errors `_correlate` can name in a row.
+_ERROR_NAMES = tuple(e.__name__ for e in (EmptyOverlap, ConstantSeries, TooFewPoints))
 
 
 def report_from_json(source: str | IO[str]) -> CorrelationReport:
-    """The report `report_to_json` wrote; ValueError for JSON of another shape."""
+    """The report `report_to_json` wrote; ValueError for JSON of another shape
+    or for a row that `correlation_report` could not have made."""
     payload = json.loads(source if isinstance(source, str) else source.read())
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
@@ -161,4 +164,18 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
             value = getattr(row, f.name)
             if type(value) not in _JSON_TYPES[f.type]:
                 raise ValueError(f"report row {n}: {f.name!r} must be {f.type}, got {value!r:.40}")
+        for name in ("r_volume", "r_price"):
+            r, error = getattr(row, name), getattr(row, f"{name}_error")
+            if (r is None) == (error is None):
+                raise ValueError(f"report row {n}: exactly one of {name!r} and '{name}_error' must be null")
+            if r is not None and not -1 <= r <= 1:  # also NaN
+                raise ValueError(f"report row {n}: {name!r} must be in [-1, 1], got {r!r}")
+            if error is not None and error not in _ERROR_NAMES:
+                raise ValueError(f"report row {n}: '{name}_error' must be one of {_ERROR_NAMES}, got {error!r:.40}")
+        for name in ("total_messages", "n_days"):
+            if getattr(row, name) < 0:
+                raise ValueError(f"report row {n}: {name!r} must not be negative, got {getattr(row, name)}")
+        if row.policy not in (POLICY_ALL_DAYS, POLICY_EXCLUDE_OUTAGES):
+            policies = f"{POLICY_ALL_DAYS!r} or {POLICY_EXCLUDE_OUTAGES!r}"
+            raise ValueError(f"report row {n}: 'policy' must be {policies}, got {row.policy!r:.40}")
     return report

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -485,6 +486,52 @@ REPORT_ROW = {
             "report row 2: 'total_messages' must be int, got 'x'", id="report.total-not-an-int",
         ),
         pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_volume": math.nan}]})},
+            "report row 1: 'r_volume' must be in [-1, 1], got nan", id="report.r-nan",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [REPORT_ROW, {**REPORT_ROW, "r_volume": -1.5}]})},
+            "report row 2: 'r_volume' must be in [-1, 1], got -1.5", id="report.r-below-range",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_price": 7.5, "r_price_error": None}]})},
+            "report row 1: 'r_price' must be in [-1, 1], got 7.5", id="report.r-above-range",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_price": 0.5}]})},
+            "report row 1: exactly one of 'r_price' and 'r_price_error' must be null", id="report.r-and-error",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_volume": None}]})},
+            "report row 1: exactly one of 'r_volume' and 'r_volume_error' must be null", id="report.neither-r-nor-error",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_price_error": "Whatever"}]})},
+            "report row 1: 'r_price_error' must be one of", id="report.unknown-error-name",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "total_messages": -4}]})},
+            "report row 1: 'total_messages' must not be negative, got -4", id="report.negative-total",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, "n_days": -3}]})},
+            "report row 1: 'n_days' must not be negative, got -3", id="report.negative-n-days",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, "policy": "none"}]})},
+            "report row 1: 'policy' must be 'all-days' or 'exclude-outages', got 'none'", id="report.unknown-policy",
+        ),
+        pytest.param(
+            ["parse-irc", "--channel", "nohash", "--in", "chan.log"], {"chan.log": ""},
+            "channel must begin with '#'", id="parse-irc.channel-empty-log",
+        ),
+        pytest.param(
             ["plot-series", "--series", "series.csv", "--market", "volume.csv"],
             {"series.csv": SERIES_CSV, "volume.csv": MARKET_CSV},
             "only 2 shared dates", id="plot-series.too-little-overlap",
@@ -839,25 +886,42 @@ def test_run_all_toml_without_tomllib_is_fatal(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def _awkward_capture(path: Path) -> None:
+    """Rewrite the capture at `path` with CRLF endings, its first two records
+    joined by a bare CR, a blank and a malformed line, and a tweet whose text
+    holds `\\u005cu00e9`: the byte scrub keeps that ASCII escape, and JSON
+    decodes it to the literal text `\\u00e9`, which is scrubbed once more."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0:2] = [lines[0] + "\r" + lines[1]]
+    escaped = _tweet_line(100, "bitcoin \\u00e9 rally", day=3).replace("\\\\u00e9", "\\u005cu00e9")
+    assert "\\u005cu00e9" in escaped
+    lines += ["", "{not json", escaped]
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, edit_capture",
     [
-        pytest.param({}, id="defaults"),
+        pytest.param({}, None, id="defaults"),
         pytest.param(
             {
                 "exclude_outages": True,
                 "format": "markdown",
                 "plots": [{"series": "twitter", "metric": "volume"}, {"series": "irc:#bitcoin", "metric": "price"}],
             },
+            None,
             id="exclude-outages-markdown-price-plot",
         ),
+        pytest.param({}, _awkward_capture, id="crlf-bare-cr-blank-malformed-escaped-escape"),
     ],
 )
-def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides):
+def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, edit_capture):
     config_path, out_dir = _run_all_workspace(tmp_path)
     config = {**json.loads(config_path.read_text()), **overrides}
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["run-all", "--config", str(config_path)]) == 0
+    if edit_capture is not None:
+        edit_capture(Path(config["tweet_captures"][0]))
+    run_all_code = main(["run-all", "--config", str(config_path)])
 
     chain = tmp_path / "chain"
     chain.mkdir()
@@ -893,8 +957,9 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides):
         plot_names.append(f"plot_{slug}_{metric}.csv")
         steps.append(["plot-series", "--series", c(f"series_{slug}.csv"), "--market", config[f"{metric}_csv"],
                       "--metric", metric, "--out", c(plot_names[-1])])
-    for argv in steps:
-        assert main(argv) == 0, argv
+    chain_codes = [main(argv) for argv in steps]
+    # Both sides are partial exactly when some stage is: here, on a malformed capture line.
+    assert run_all_code == max(chain_codes) == (0 if edit_capture is None else 1), chain_codes
 
     # Everything run-all writes but the annotations, which
     # test_run_all_annotated_equals_annotate_over_each_stream covers.
@@ -905,3 +970,5 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides):
     ])
     for name in names:
         assert (out_dir / name).read_bytes() == (chain / name).read_bytes(), name
+    if edit_capture is not None:  # the `\\u00e9` that JSON decoded is scrubbed as well
+        assert "bitcoin" + " " * 8 + "rally" in (out_dir / "messages_twitter.jsonl").read_text(encoding="utf-8")

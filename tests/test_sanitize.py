@@ -202,3 +202,17 @@ def test_inputs_without_escape_prefix_are_bit_exact(data):
     assert out == data
     assert replaced == 0
     assert malformed == 0
+
+
+# Lines built from escapes, partial escapes, UTF-8 fragments and raw bytes, so
+# that scrubbing and undecodable bytes meet often; "\n" ends a line, so none.
+_LINE_PARTS = st.one_of(
+    st.binary(max_size=8),
+    st.sampled_from([b"\\u", b"\\u00e9", b"\\u0041", b"\\u20", b"\\uD83D", b"\\", b"u", b"\xc3", b"\xa9", b"\xe2\x80"]),
+)
+
+
+@given(st.lists(_LINE_PARTS, max_size=12).map(lambda parts: b"".join(parts).replace(b"\n", b"")))
+def test_sanitize_text_of_decoded_line_equals_decoded_sanitize_line(data):
+    # run-all scrubs capture lines after decoding them; `sanitize` scrubs bytes.
+    assert sanitize_text(data.decode("utf-8", "replace")) == sanitize_line(data)[0].decode("utf-8", "replace")
