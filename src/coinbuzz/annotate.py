@@ -5,15 +5,12 @@ maps instead of rewriting the text, so overlapping layers coexist and the
 result can be traversed like a graph of spans. Offsets are Unicode scalar
 indices (plain str indices), which survive re-serialization across encodings.
 
-Stages are registered by name and declare the annotation types they need and
-produce; run_pipeline checks the ordering once per stage list and owns
-annotation id assignment, handing out dense integers in stage order so
-identical inputs always yield identical ids. Part-of-speech tagging and
-transducer grammars are future stages behind the same interface; nothing
-downstream consumes them today.
+run_pipeline is the one annotator: it tokenizes a document, then adds a
+gazetteer's lookups when one is given, handing out dense ids, tokens first, so
+identical inputs always yield identical ids.
 
-This is the per-document hot path of the pipeline, so the built-in stages
-append spans in bulk instead of one checked `add()` at a time, and to_json
+This is the per-document hot path of the pipeline, so run_pipeline appends
+spans in bulk instead of one checked `add()` at a time, and to_json
 formats each span directly rather than building a dict for json.dumps; the
 output is byte-identical to json.dumps of the record.
 """
@@ -24,16 +21,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 TOKEN = "Token"
 HASHTAG = "Hashtag"
 MENTION = "Mention"
 URL = "URL"
 LOOKUP = "Lookup"
-ENTITY = "Entity"
 
 TOKEN_TYPES = (TOKEN, HASHTAG, MENTION, URL)
 
@@ -52,9 +47,6 @@ _SCAN_RE = re.compile(
 # Annotation type by group number (match.lastindex), in the groups' order above.
 _INDEX_TYPE = (None, URL, HASHTAG, MENTION, TOKEN, TOKEN)
 
-_TOKEN_TYPE_SET = frozenset(TOKEN_TYPES)
-_SPAN_ORDER = attrgetter("start", "end")
-
 # to_json output equals json.dumps(record, ensure_ascii=False,
 # separators=(",", ":")). Strings go through encode_basestring, the function
 # that encoder applies to every str; feature maps whose keys or values are
@@ -69,7 +61,7 @@ class _TypeJson(dict):
         return _ENCODER.encode(type)
 
 
-_TYPE_JSON = _TypeJson((t, encode_basestring(t)) for t in (*TOKEN_TYPES, LOOKUP, ENTITY))
+_TYPE_JSON = _TypeJson((t, encode_basestring(t)) for t in (*TOKEN_TYPES, LOOKUP))
 
 
 def _features_json(features: Mapping[str, object]) -> str:
@@ -79,14 +71,6 @@ def _features_json(features: Mapping[str, object]) -> str:
         ])
     except TypeError:  # a key or value that is not a str
         return _ENCODER.encode(features)
-
-
-class UnknownStage(Exception):
-    """Pipeline references a stage name that is not registered."""
-
-
-class StageDependencyViolation(Exception):
-    """A stage's required annotation types are not produced earlier."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,92 +266,21 @@ def gazetteer_lookup(doc: Document, tokens: Sequence[Annotation], gazetteer: Gaz
     return lookups
 
 
-# --- stage registry ---------------------------------------------------------
-
-_StageRun = Callable[[AnnotatedDocument, Mapping[str, object]], None]
-
-
-@dataclass(frozen=True)
-class Stage:
-    name: str
-    requires: frozenset[str]
-    produces: frozenset[str]
-    run: _StageRun
-
-
-def _run_tokenize(adoc: AnnotatedDocument, resources: Mapping[str, object]) -> None:
-    # Regex spans lie inside the text by construction, so add()'s check is skipped.
-    annotations = adoc.annotations
+def run_pipeline(doc: Document, gazetteer: Gazetteer | None = None) -> AnnotatedDocument:
+    """The document's tokens, then the gazetteer's lookups when one is given;
+    ids are dense in that order, so fixed inputs always yield the same ids."""
+    # Regex spans lie inside the text by construction, so add()'s check is
+    # skipped; they are disjoint and in text order, as gazetteer_lookup wants.
     index_type = _INDEX_TYPE
+    adoc = AnnotatedDocument(doc)
+    annotations = adoc.annotations
     annotations.extend([
         Annotation(ann_id, index_type[match.lastindex], match.start(), match.end(), {})
-        for ann_id, match in enumerate(_SCAN_RE.finditer(adoc.doc.text), len(annotations))
+        for ann_id, match in enumerate(_SCAN_RE.finditer(doc.text))
     ])
-
-
-def _run_gazetteer(adoc: AnnotatedDocument, resources: Mapping[str, object]) -> None:
-    gazetteer = resources.get("gazetteer")
-    if not isinstance(gazetteer, Gazetteer):
-        raise ValueError("gazetteer stage needs a 'gazetteer' resource")
-    annotations = adoc.annotations
-    tokens = [ann for ann in annotations if ann.type in _TOKEN_TYPE_SET]
-    tokens.sort(key=_SPAN_ORDER)  # stable: equal spans stay in id order
-    lookups = gazetteer_lookup(adoc.doc, tokens, gazetteer)
-    for ann_id, ann in enumerate(lookups, len(annotations)):
-        ann.ann_id = ann_id
-    annotations.extend(lookups)
-
-
-_STAGES: dict[str, Stage] = {}
-# Stage lists that passed validate_pipeline, with their run functions. Derived
-# from _STAGES, so register_stage clears it.
-_PLANS: dict[tuple[str, ...], tuple[_StageRun, ...]] = {}
-
-
-def register_stage(
-    name: str,
-    requires: Iterable[str],
-    produces: Iterable[str],
-    run: _StageRun,
-) -> None:
-    _STAGES[name] = Stage(name, frozenset(requires), frozenset(produces), run)
-    _PLANS.clear()
-
-
-register_stage("tokenize", (), TOKEN_TYPES, _run_tokenize)
-register_stage("gazetteer", (TOKEN,), (LOOKUP,), _run_gazetteer)
-
-
-def validate_pipeline(stages: Sequence[str]) -> None:
-    available: set[str] = set()
-    for name in stages:
-        stage = _STAGES.get(name)
-        if stage is None:
-            raise UnknownStage(name)
-        missing = stage.requires - available
-        if missing:
-            raise StageDependencyViolation(
-                f"stage {name!r} needs {sorted(missing)} produced earlier"
-            )
-        available |= stage.produces
-
-
-def run_pipeline(
-    doc: Document,
-    stages: Sequence[str],
-    resources: Mapping[str, object] | None = None,
-) -> AnnotatedDocument:
-    """Apply stages in order over the document; deterministic for fixed inputs.
-
-    Each distinct stage list is validated on first use, not per document.
-    """
-    names = tuple(stages)
-    plan = _PLANS.get(names)
-    if plan is None:
-        validate_pipeline(names)
-        plan = _PLANS[names] = tuple(_STAGES[name].run for name in names)
-    adoc = AnnotatedDocument(doc)
-    resources = resources or {}
-    for run in plan:
-        run(adoc, resources)
+    if gazetteer is not None:
+        lookups = gazetteer_lookup(doc, annotations, gazetteer)
+        for ann_id, ann in enumerate(lookups, len(annotations)):
+            ann.ann_id = ann_id
+        annotations.extend(lookups)
     return adoc

@@ -168,22 +168,19 @@ def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
     return _ingest_file("ingest-tweets", _capture_lines([args.infile]), args.outfile, ingest)
 
 
-_ANNOTATE_STAGES = ("tokenize", "gazetteer")
-
-
-def _annotated_line(msg: message_mod.Message, line_no: int, resources: dict) -> str:
+def _annotated_line(msg: message_mod.Message, line_no: int, gazetteer: annotate_mod.Gazetteer) -> str:
     """The annotated document of the message on line `line_no` (from 1) of its
     stream's messages file; its doc_id is `<stream_id>:<line_no>`."""
     doc = annotate_mod.Document(f"{msg.stream_id}:{line_no}", msg.text)
-    return annotate_mod.run_pipeline(doc, _ANNOTATE_STAGES, resources).to_json() + "\n"
+    return annotate_mod.run_pipeline(doc, gazetteer).to_json() + "\n"
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    resources = {"gazetteer": annotate_mod.Gazetteer.load(args.gazetteer)}
+    gazetteer = annotate_mod.Gazetteer.load(args.gazetteer)
     docs = 0
     with open(args.infile, "r", encoding="utf-8") as src, _output(args.outfile) as out:
         for line_no, msg in message_mod.read_messages(src):
-            out.write(_annotated_line(msg, line_no, resources))
+            out.write(_annotated_line(msg, line_no, gazetteer))
             docs += 1
     print(f"annotate: documents={docs}", file=sys.stderr)
     return 0
@@ -335,18 +332,18 @@ def _read_value(value: object, kind: object, where: str) -> object:
 
 def _load_config(path: Path) -> dict:
     text = path.read_text(encoding="utf-8")
+    loads = json.loads
     if path.suffix.lower() == ".toml":
         try:
-            import tomllib
+            from tomllib import loads
         except ImportError:
             raise ValueError("TOML configs need Python 3.11+; use a JSON config instead") from None
-        config = _read_section(tomllib.loads(text), "config")
-    else:
-        config = _read_section(json.loads(text), "config")
+    try:
+        config = _read_section(loads(text), "config")
+    except RecursionError:
+        raise ValueError(f"config {path} must not nest past the recursion limit") from None
     # What the stages would reject only after output is written.
-    keywords = config["keywords"]
-    if not keywords or any(not kw or kw != kw.strip() for kw in keywords):
-        raise ValueError(f"config key 'keywords' must be non-empty unpadded words, got {keywords!r}")
+    twitter_mod.check_keywords(config["keywords"])
     if not 0 < config["theta"] < 1:
         raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
     if config["k"] < 1:
@@ -393,7 +390,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
         sources.append((entry["stream_id"], _log_lines(entry["path"]), ingest))
 
-    resources = None
+    gazetteer = None
     annotated_out = None
     partial = False
     bundles: dict[str, _StreamBundle] = {}
@@ -405,13 +402,13 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         bundle.lines += 1
         bundle.counter.add(msg)
         if annotated_out is not None:
-            annotated_out.write(_annotated_line(msg, bundle.lines, resources))
+            annotated_out.write(_annotated_line(msg, bundle.lines, gazetteer))
 
     # Every file of the run is entered on `stack`, so all of them are renamed
     # into place when the run ends with exit 0 or 1 and none after exit 2.
     with ExitStack() as stack:
         if config["gazetteer"]:
-            resources = {"gazetteer": annotate_mod.Gazetteer.load(config["gazetteer"])}
+            gazetteer = annotate_mod.Gazetteer.load(config["gazetteer"])
             annotated_out = stack.enter_context(_output(out_dir / "annotated.jsonl"))
         for stream_id, lines, ingest in sources:
             if stream_id not in bundles:

@@ -96,6 +96,7 @@ def read_messages(source: IO[str]) -> Iterator[tuple[int, Message]]:
         if line:
             try:
                 msg = from_json_line(line)
-            except (ValueError, OverflowError) as exc:  # a `ts` out of datetime's range overflows
+            # A `ts` out of datetime's range overflows; JSON nested past the recursion limit recurses.
+            except (ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"messages line {line_no}: {exc}") from None
             yield line_no, msg

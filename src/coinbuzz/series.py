@@ -213,9 +213,12 @@ def align(
 
 # --- plot-ready CSV (date,count,flag) ---------------------------------------
 
+_DAILY_HEADER = ("date", "count", "flag")
+
+
 def write_daily_csv(series: DailySeries, out: IO[str]) -> int:
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["date", "count", "flag"])
+    writer.writerow(_DAILY_HEADER)
     for day in sorted(series.counts):
         writer.writerow([day.isoformat(), series.counts[day], series.flags.get(day, Flag.OK).value])
     return len(series.counts)
@@ -225,7 +228,7 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
     """A `date,count,flag` CSV as a series; counts are non-negative integers."""
     counts: dict[date, int] = {}
     flags: dict[date, Flag] = {}
-    for line_no, day, (count, flag) in _dated_rows(source, ("date", "count", "flag")):
+    for line_no, day, (count, flag) in _dated_rows(source, _DAILY_HEADER):
         try:
             value, flags[day] = int(count), Flag(flag.strip())
         except ValueError:

@@ -151,7 +151,10 @@ _ERROR_NAMES = tuple(e.__name__ for e in (EmptyOverlap, ConstantSeries, TooFewPo
 def report_from_json(source: str | IO[str]) -> CorrelationReport:
     """The report `report_to_json` wrote; ValueError for JSON of another shape
     or for a row that `correlation_report` could not have made."""
-    payload = json.loads(source if isinstance(source, str) else source.read())
+    try:
+        payload = json.loads(source if isinstance(source, str) else source.read())
+    except RecursionError:
+        raise ValueError("a report must not nest past the recursion limit") from None
     rows = payload.get("rows") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise ValueError(f"a report must be a JSON object with a 'rows' list, got {payload!r:.40}")

@@ -80,7 +80,8 @@ def parse_tweet(line: str) -> TweetRecord:
     """Extract a TweetRecord from one sanitized JSON capture line."""
     try:
         record = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # RecursionError: JSON nested past the recursion limit.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise MalformedRecord("record is not a JSON object")
@@ -118,6 +119,15 @@ def parse_tweet(line: str) -> TweetRecord:
                 hashtags.append(item["text"].lower())
 
     return TweetRecord(tweet_id, created_at, screen_name, text, tuple(hashtags))
+
+
+def check_keywords(keywords: Iterable[str]) -> tuple[str, ...]:
+    """The keywords as a tuple; ValueError unless there is at least one and
+    none is empty, padded or only '#'."""
+    keywords = tuple(keywords)
+    if not keywords or any(not kw.lstrip("#") or kw != kw.strip() for kw in keywords):
+        raise ValueError(f"'keywords' must be one or more unpadded words, none only '#', got {list(keywords)!r}")
+    return keywords
 
 
 def matches_keywords(
@@ -312,13 +322,14 @@ def ingest_capture(
 
     `lines` is file replay (plain lines) or a fault-scripted source. Blank
     lines are skipped uncounted; duplicate tweet ids are counted, not emitted.
-    Only keyword-matching records are emitted (stream_id "twitter"). Backoff
+    Only keyword-matching records are emitted (stream_id "twitter"); the
+    keywords are checked by `check_keywords` before the first line. Backoff
     delays are accumulated into the stats, not slept. Raises CollectAborted
     once max_consecutive_failures is reached, right after the final backoff.
     """
+    keywords = check_keywords(keywords)
     if policies is None:
         policies = default_policies()
-    keywords = tuple(keywords)
     stats = TweetIngestStats()
     state = BackoffState()
     seen_ids: set[int] = set()

@@ -345,8 +345,7 @@ _DRIVER = textwrap.dedent(
     from coinbuzz.twitter import MalformedRecord, matches_keywords, parse_tweet
 
     path = sys.argv[1]
-    resources = {"gazetteer": Gazetteer.from_entries({"bitcoin": ("crypto", "coin")})}
-    stages = ["tokenize", "gazetteer"]
+    gazetteer = Gazetteer.from_entries({"bitcoin": ("crypto", "coin")})
     counter = DailyCounter()
     n_bytes = 0
     matched = 0
@@ -362,7 +361,7 @@ _DRIVER = textwrap.dedent(
             if not matches_keywords(record.text, record.hashtags):
                 continue
             matched += 1
-            adoc = run_pipeline(Document(str(record.id), record.text), stages, resources)
+            adoc = run_pipeline(Document(str(record.id), record.text), gazetteer)
             annotations += len(adoc.annotations)
             counter.add(Message("twitter", record.created_at, record.user, record.text))
     series = counter.build("twitter")
@@ -462,18 +461,17 @@ def _random_doc_text(rng: random.Random) -> str:
 def test_criterion_9_annotation_integrity():
     rng = random.Random(4321)
     gaz = Gazetteer.from_entries({"bitcoin": ("c", "coin"), "to the moon": ("m", "phrase")})
-    resources = {"gazetteer": gaz}
     for i in range(1000):
         text = _random_doc_text(rng)
         doc = Document(f"doc{i}", text)
 
         covered = []
-        for ann in run_pipeline(doc, ["tokenize"]).annotations:
+        for ann in run_pipeline(doc).annotations:
             covered.extend(range(ann.start, ann.end))
         assert len(covered) == len(set(covered)), "token spans overlap"
         assert sorted(covered) == [m.start() for m in _NONSPACE_RE.finditer(text)]
 
-        adoc = run_pipeline(doc, ["tokenize", "gazetteer"], resources)
+        adoc = run_pipeline(doc, gaz)
         for _ in range(3):
             a = rng.randint(0, len(text)) if text else 0
             b = rng.randint(a, len(text)) if text else 0

@@ -18,8 +18,6 @@ from coinbuzz.annotate import (
     AnnotatedDocument,
     Document,
     Gazetteer,
-    StageDependencyViolation,
-    UnknownStage,
     gazetteer_lookup,
     run_pipeline,
     token_spans,
@@ -45,7 +43,7 @@ def test_tokenize_hashtag_and_words():
 
 def test_tokenize_empty_text():
     assert list(token_spans("")) == []
-    assert run_pipeline(Document("d", ""), ["tokenize"]).annotations == []
+    assert run_pipeline(Document("d", "")).annotations == []
 
 
 def test_tokenize_mention_url_hashtag():
@@ -81,7 +79,7 @@ def test_url_consumes_to_whitespace():
 
 
 def _assert_partition(text: str) -> None:
-    tokens = run_pipeline(Document("d", text), ["tokenize"]).annotations
+    tokens = run_pipeline(Document("d", text)).annotations
     assert _spans(tokens) == list(token_spans(text))
     spans = [(a.start, a.end) for a in tokens]
     covered = []
@@ -114,7 +112,7 @@ def _gazetteer(*surfaces: str) -> Gazetteer:
 
 
 def _tokens(doc: Document):
-    return run_pipeline(doc, ["tokenize"]).annotations
+    return run_pipeline(doc).annotations
 
 
 def test_lookup_is_case_insensitive():
@@ -176,9 +174,7 @@ FIXTURE_GAZ = {"bitcoin cash": ("crypto", "coin"), "btc": ("crypto", "ticker")}
 def test_run_pipeline_matches_hand_count():
     # Hand count: tokens Bitcoin,cash,up,! = 4, @al, URL, #btc = 3, lookup 1.
     doc = Document("d", FIXTURE_TEXT)
-    adoc = run_pipeline(
-        doc, ["tokenize", "gazetteer"], {"gazetteer": Gazetteer.from_entries(FIXTURE_GAZ)}
-    )
+    adoc = run_pipeline(doc, Gazetteer.from_entries(FIXTURE_GAZ))
     assert len(adoc.annotations_in((TOKEN,))) == 4
     assert len(adoc.annotations_in((MENTION,))) == 1
     assert len(adoc.annotations_in((URL,))) == 1
@@ -187,49 +183,11 @@ def test_run_pipeline_matches_hand_count():
     assert len(adoc.annotations) == 8
 
 
-def test_empty_pipeline_yields_no_annotations():
-    adoc = run_pipeline(Document("d", "anything"), [], {})
-    assert adoc.annotations == []
-
-
-def test_gazetteer_without_tokenize_is_a_dependency_violation():
-    with pytest.raises(StageDependencyViolation):
-        run_pipeline(Document("d", "x"), ["gazetteer"], {"gazetteer": _gazetteer("x")})
-
-
-def test_unknown_stage():
-    with pytest.raises(UnknownStage):
-        run_pipeline(Document("d", "x"), ["tokenize", "pos"], {})
-
-
-def test_custom_stage_plugs_into_the_registry():
-    from coinbuzz.annotate import ENTITY, register_stage
-
-    def promote_lookups(adoc, resources):
-        for ann in adoc.annotations_in((LOOKUP,)):
-            adoc.add(ENTITY, ann.start, ann.end, dict(ann.features))
-
-    register_stage("promote-lookups", (LOOKUP,), (ENTITY,), promote_lookups)
-    try:
-        adoc = run_pipeline(
-            Document("d", "bitcoin up"),
-            ["tokenize", "gazetteer", "promote-lookups"],
-            {"gazetteer": _gazetteer("bitcoin")},
-        )
-        assert _spans(adoc.annotations_in((ENTITY,))) == [(ENTITY, 0, 7)]
-        with pytest.raises(StageDependencyViolation):
-            run_pipeline(Document("d", "x"), ["tokenize", "promote-lookups"], {})
-    finally:
-        from coinbuzz.annotate import _STAGES
-
-        del _STAGES["promote-lookups"]
-
-
 def test_pipeline_is_deterministic_including_ids():
     doc = Document("d", FIXTURE_TEXT)
-    resources = {"gazetteer": Gazetteer.from_entries(FIXTURE_GAZ)}
-    first = run_pipeline(doc, ["tokenize", "gazetteer"], resources)
-    second = run_pipeline(doc, ["tokenize", "gazetteer"], resources)
+    gazetteer = Gazetteer.from_entries(FIXTURE_GAZ)
+    first = run_pipeline(doc, gazetteer)
+    second = run_pipeline(doc, gazetteer)
     assert [dataclasses.astuple(a) for a in first.annotations] == [
         dataclasses.astuple(a) for a in second.annotations
     ]
@@ -237,9 +195,7 @@ def test_pipeline_is_deterministic_including_ids():
 
 def test_annotation_ids_are_dense_in_stage_order():
     doc = Document("d", FIXTURE_TEXT)
-    adoc = run_pipeline(
-        doc, ["tokenize", "gazetteer"], {"gazetteer": Gazetteer.from_entries(FIXTURE_GAZ)}
-    )
+    adoc = run_pipeline(doc, Gazetteer.from_entries(FIXTURE_GAZ))
     assert [a.ann_id for a in adoc.annotations] == list(range(len(adoc.annotations)))
     assert adoc.annotations[-1].type == LOOKUP
 
@@ -248,9 +204,7 @@ def test_annotation_ids_are_dense_in_stage_order():
 
 def _sample_adoc() -> AnnotatedDocument:
     doc = Document("d", FIXTURE_TEXT)
-    return run_pipeline(
-        doc, ["tokenize", "gazetteer"], {"gazetteer": Gazetteer.from_entries(FIXTURE_GAZ)}
-    )
+    return run_pipeline(doc, Gazetteer.from_entries(FIXTURE_GAZ))
 
 
 def test_whole_document_query_returns_everything():
@@ -302,7 +256,7 @@ def test_query_matches_brute_force_on_random_documents():
     words = ["bitcoin", "to", "the", "moon", "#btc", "@al", "http://x.io", "!", "—", "café"]
     for _ in range(200):
         text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 12)))
-        adoc = run_pipeline(Document("d", text), ["tokenize", "gazetteer"], {"gazetteer": gaz})
+        adoc = run_pipeline(Document("d", text), gaz)
         for _ in range(5):
             types = rng.choice([None, (TOKEN,), (LOOKUP, HASHTAG), TOKEN_TYPES])
             if text and rng.random() < 0.8:

@@ -111,10 +111,9 @@ def _ref_to_json(adoc: AnnotatedDocument) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
-def _reference(doc: Document, gazetteer: Gazetteer | None, tokenize_passes: int = 1) -> str:
+def _reference(doc: Document, gazetteer: Gazetteer | None) -> str:
     adoc = AnnotatedDocument(doc)
-    for _ in range(tokenize_passes):
-        _ref_run_tokenize(adoc, {})
+    _ref_run_tokenize(adoc, {})
     if gazetteer is not None:
         _ref_run_gazetteer(adoc, {"gazetteer": gazetteer})
     return _ref_to_json(adoc)
@@ -159,12 +158,8 @@ def _gazetteers(max_words: int) -> st.SearchStrategy[Gazetteer]:
 
 def _check(doc_id: str, text: str, gazetteer: Gazetteer) -> None:
     doc = Document(doc_id, text)
-    assert run_pipeline(doc, ["tokenize"]).to_json() == _reference(doc, None)
-    got = run_pipeline(doc, ["tokenize", "gazetteer"], {"gazetteer": gazetteer}).to_json()
-    assert got == _reference(doc, gazetteer)
-    # Tokenizing twice leaves token spans out of text order in the list.
-    got = run_pipeline(doc, ["tokenize", "tokenize", "gazetteer"], {"gazetteer": gazetteer}).to_json()
-    assert got == _reference(doc, gazetteer, tokenize_passes=2)
+    assert run_pipeline(doc).to_json() == _reference(doc, None)
+    assert run_pipeline(doc, gazetteer).to_json() == _reference(doc, gazetteer)
 
 
 @settings(max_examples=300)
@@ -224,7 +219,7 @@ def test_matches_reference_when_lowercasing_retokenizes():
     )
     assert gazetteer.max_tokens == 5
     text = "\u212aab://x to the moon and back"
-    adoc = run_pipeline(Document("d", text), ["tokenize", "gazetteer"], {"gazetteer": gazetteer})
+    adoc = run_pipeline(Document("d", text), gazetteer)
     lookups = [(ann.start, ann.end) for ann in adoc.annotations if ann.type == LOOKUP]
     assert lookups == [(0, 7), (8, len(text))]
     _check("d", text, gazetteer)

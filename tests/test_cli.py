@@ -236,6 +236,16 @@ def test_ingest_tweets_filters_and_writes(tmp_path, capsys):
     )
 
 
+def test_ingest_tweets_counts_a_line_nested_past_the_recursion_limit_as_malformed(tmp_path, capsys):
+    capture = tmp_path / "cap.jsonl"
+    lines = [_tweet_line(1, "Bitcoin rally"), DEEP, _tweet_line(2, "BITCOIN again")]
+    capture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(out)]) == 1
+    assert [json.loads(line)["author"] for line in out.read_text().splitlines()] == ["u1", "u2"]
+    assert "lines=3 parsed=2 malformed=1 " in capsys.readouterr().err
+
+
 def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
     capture = tmp_path / "cap.jsonl"
     capture.write_text(_tweet_line(1, "bitcoins plural") + "\n", encoding="utf-8")
@@ -407,6 +417,8 @@ SERIES_CSV = "".join(["date,count,flag\n"] + [f"2015-06-0{d},{d},ok\n" for d in 
 # Shares two days with SERIES_CSV, one short of what a correlation or a plot needs.
 MARKET_CSV = "date,value\n2015-06-04,1.0\n2015-06-05,2.0\n2015-06-06,3.0\n"
 GAZETTEER = "bitcoin\tcrypto\tcoin\n"
+# JSON nested far past any recursion limit.
+DEEP = "[" * 100_000
 REPORT_ROW = {
     "stream_id": "s", "total_messages": 5, "r_volume": 0.5, "r_volume_error": None,
     "r_price": None, "r_price_error": "ConstantSeries", "n_days": 5, "policy": "all-days",
@@ -425,6 +437,14 @@ REPORT_ROW = {
             {"cap.jsonl": _tweet_line(1, "Bitcoin rally") + "\n"}, "keywords", id="ingest-tweets.no-keyword",
         ),
         pytest.param(
+            ["ingest-tweets", "--keywords", ",", "--in", "cap.jsonl"], {"cap.jsonl": ""},
+            "'keywords'", id="ingest-tweets.no-keyword-empty-capture",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", "#", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "bitcoin # rally") + "\n"}, "'keywords'", id="ingest-tweets.hash-only-keyword",
+        ),
+        pytest.param(
             ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
             {"msgs.jsonl": MESSAGE + NO_AUTHOR, "gaz.tsv": GAZETTEER},
             "messages line 2: a message needs a string 'author'", id="annotate.no-author",
@@ -435,12 +455,21 @@ REPORT_ROW = {
             "messages line 3: a message must be a JSON object", id="annotate.not-an-object",
         ),
         pytest.param(
+            ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
+            {"msgs.jsonl": MESSAGE + DEEP + "\n", "gaz.tsv": GAZETTEER},
+            "messages line 2: maximum recursion depth exceeded", id="annotate.nested-too-deep",
+        ),
+        pytest.param(
             ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": NO_AUTHOR},
             "messages line 1: a message needs a string 'author'", id="aggregate.no-author",
         ),
         pytest.param(
             ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": "[1,2]\n"},
             "messages line 1: a message must be a JSON object", id="aggregate.not-an-object",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE + DEEP + "\n"},
+            "messages line 2: maximum recursion depth exceeded", id="aggregate.nested-too-deep",
         ),
         pytest.param(
             ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE.replace('"a"', "5")},
@@ -471,6 +500,10 @@ REPORT_ROW = {
         pytest.param(
             ["report", "--in", "report.json"], {"report.json": "[]"},
             "a report must be a JSON object with a 'rows' list", id="report.not-an-object",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": DEEP},
+            "a report must not nest past the recursion limit", id="report.nested-too-deep",
         ),
         pytest.param(
             ["report", "--in", "report.json"], {"report.json": '{"rows": [{"stream_id": "s"}]}'},
@@ -718,6 +751,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(keywords=[]), "keywords"),
         (lambda c: c.update(keywords=["bitcoin", ""]), "keywords"),
         (lambda c: c.update(keywords=["bitcoin", " btc"]), "keywords"),
+        (lambda c: c.update(keywords=["#"]), "keywords"),
         (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
         (lambda c: c.update(window={"start": "2015-06-05", "end": "2015-06-01"}), "window"),
     ],
@@ -730,7 +764,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "window.not-a-date", "theta.null", "out_dir.int", "price_csv.int", "irc_logs.channel-int",
         "gazetteer.int", "tweet_captures.string", "k.float", "k.string", "k.bool", "strict.string",
         "keywords.string", "theta.range", "k.range", "format.unknown", "keywords.empty",
-        "keywords.blank", "keywords.padded", "irc_logs.channel-no-hash", "window.reversed",
+        "keywords.blank", "keywords.padded", "keywords.hash-only", "irc_logs.channel-no-hash", "window.reversed",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -744,6 +778,36 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     assert repr(key) in err
     # The config is checked before anything is written.
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("config.json", '{{"out_dir": {out_dir}, "keywords": {deep}}}'), ("config.toml", "out_dir = {out_dir}\nkeywords = {deep}\n")],
+    ids=["json", "toml"],
+)
+def test_run_all_config_nested_past_the_recursion_limit_is_fatal(tmp_path, capsys, name, text):
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / name
+    config_path.write_text(text.format(out_dir=json.dumps(str(out_dir)), deep=DEEP), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coinbuzz: error: ")
+    if name == "config.json" or sys.version_info >= (3, 11):
+        assert "must not nest past the recursion limit" in err
+    assert not out_dir.exists()
+
+
+def test_run_all_counts_a_capture_line_nested_past_the_recursion_limit_as_malformed(tmp_path, capsys):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    clean = _run_all_outputs(config_path, out_dir)
+    capture = Path(json.loads(config_path.read_text())["tweet_captures"][0])
+    lines = capture.read_text(encoding="utf-8").splitlines(keepends=True)
+    capture.write_text("".join(lines[:4] + [DEEP + "\n"] + lines[4:]), encoding="utf-8")
+    capsys.readouterr()
+    code, outputs = _run_all_outputs(config_path, out_dir)
+    assert (clean[0], code) == (0, 1)
+    assert "run-all: twitter: lines=31 parsed=30 malformed=1 " in capsys.readouterr().err
+    assert outputs == clean[1]
 
 
 def _malformed_price(config):
@@ -886,11 +950,12 @@ def test_run_all_toml_without_tomllib_is_fatal(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def _awkward_capture(path: Path) -> None:
-    """Rewrite the capture at `path` with CRLF endings, its first two records
-    joined by a bare CR, a blank and a malformed line, and a tweet whose text
-    holds `\\u005cu00e9`: the byte scrub keeps that ASCII escape, and JSON
-    decodes it to the literal text `\\u00e9`, which is scrubbed once more."""
+def _awkward_capture(config: dict) -> None:
+    """Rewrite the capture with CRLF endings, its first two records joined by
+    a bare CR, a blank and a malformed line, and a tweet whose text holds
+    `\\u005cu00e9`: the byte scrub keeps that ASCII escape, and JSON decodes
+    it to the literal text `\\u00e9`, which is scrubbed once more."""
+    path = Path(config["tweet_captures"][0])
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[0:2] = [lines[0] + "\r" + lines[1]]
     escaped = _tweet_line(100, "bitcoin \\u00e9 rally", day=3).replace("\\\\u00e9", "\\u005cu00e9")
@@ -899,8 +964,22 @@ def _awkward_capture(path: Path) -> None:
     path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
 
 
+def _outage_and_market_gap(config: dict) -> None:
+    """Drop the IRC chat of 2015-06-03, an interior day, which makes it an
+    outage, and the price of 2015-06-02, a day the volume CSV still has."""
+    log = Path(config["irc_logs"][0]["path"])
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("[Mon Jun 3 2015] [10:")]
+    assert len(kept) == len(lines) - 6
+    log.write_text("".join(kept), encoding="utf-8")
+    price = Path(config["price_csv"])
+    rows = price.read_text(encoding="utf-8")
+    assert "2015-06-02,231.5\n" in rows
+    price.write_text(rows.replace("2015-06-02,231.5\n", ""), encoding="utf-8")
+
+
 @pytest.mark.parametrize(
-    "overrides, edit_capture",
+    "overrides, edit",
     [
         pytest.param({}, None, id="defaults"),
         pytest.param(
@@ -913,14 +992,19 @@ def _awkward_capture(path: Path) -> None:
             id="exclude-outages-markdown-price-plot",
         ),
         pytest.param({}, _awkward_capture, id="crlf-bare-cr-blank-malformed-escaped-escape"),
+        pytest.param(
+            {"exclude_outages": True, "plots": [{"series": "irc:#bitcoin", "metric": "price"}]},
+            _outage_and_market_gap,
+            id="exclude-outages-outage-day-market-gap",
+        ),
     ],
 )
-def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, edit_capture):
+def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, edit):
     config_path, out_dir = _run_all_workspace(tmp_path)
     config = {**json.loads(config_path.read_text()), **overrides}
     config_path.write_text(json.dumps(config), encoding="utf-8")
-    if edit_capture is not None:
-        edit_capture(Path(config["tweet_captures"][0]))
+    if edit is not None:
+        edit(config)
     run_all_code = main(["run-all", "--config", str(config_path)])
 
     chain = tmp_path / "chain"
@@ -959,7 +1043,7 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
                       "--metric", metric, "--out", c(plot_names[-1])])
     chain_codes = [main(argv) for argv in steps]
     # Both sides are partial exactly when some stage is: here, on a malformed capture line.
-    assert run_all_code == max(chain_codes) == (0 if edit_capture is None else 1), chain_codes
+    assert run_all_code == max(chain_codes) == (1 if edit is _awkward_capture else 0), chain_codes
 
     # Everything run-all writes but the annotations, which
     # test_run_all_annotated_equals_annotate_over_each_stream covers.
@@ -970,5 +1054,8 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     ])
     for name in names:
         assert (out_dir / name).read_bytes() == (chain / name).read_bytes(), name
-    if edit_capture is not None:  # the `\\u00e9` that JSON decoded is scrubbed as well
+    if edit is _awkward_capture:  # the `\\u00e9` that JSON decoded is scrubbed as well
         assert "bitcoin" + " " * 8 + "rally" in (out_dir / "messages_twitter.jsonl").read_text(encoding="utf-8")
+    if edit is _outage_and_market_gap:
+        assert "2015-06-03,0,outage\n" in (out_dir / "series_irc_bitcoin.csv").read_text(encoding="utf-8")
+        assert [row["n_days"] for row in json.loads((out_dir / "report.json").read_text())["rows"]] == [3, 4]
