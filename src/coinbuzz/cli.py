@@ -327,7 +327,7 @@ def _read_value(value: object, kind: object, where: str) -> object:
         except ValueError:
             pass
     wanted = "list" if isinstance(kind, list) else getattr(kind, "__name__", f"one of {kind}")
-    raise ValueError(f"{where} must be {wanted}, got {value!r}")
+    raise ValueError(f"{where} must be {wanted}, got {value!r:.40}")
 
 
 def _load_config(path: Path) -> dict:
@@ -343,7 +343,7 @@ def _load_config(path: Path) -> dict:
     except RecursionError:
         raise ValueError(f"config {path} must not nest past the recursion limit") from None
     # What the stages would reject only after output is written.
-    twitter_mod.check_keywords(config["keywords"])
+    twitter_mod.check_keywords(config["keywords"], config["substring"])
     if not 0 < config["theta"] < 1:
         raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
     if config["k"] < 1:

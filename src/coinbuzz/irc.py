@@ -140,8 +140,9 @@ def ingest_log(
 ) -> IrcIngestStats:
     """Stream a channel log's lines, emitting one Message per chat event.
 
+    A line whose time is outside datetime's range in UTC is unparsable too.
     Lenient mode (default) skips unparsable lines and counts them; strict
-    mode re-raises the first UnparsableLine. Counters always satisfy
+    mode raises UnparsableLine for the first. Counters always satisfy
     lines_in == messages + dropped_network + unparsable + blank.
     """
     _check_channel(channel)  # before the first line, so an empty log is checked too
@@ -154,8 +155,11 @@ def ingest_log(
         stats.lines_in += 1
         try:
             event = parse_log_line(line.rstrip("\r\n"), channel, line_no, zone)
-        except UnparsableLine:
+        # OverflowError: a local time outside datetime's range once converted to UTC.
+        except (UnparsableLine, OverflowError) as exc:
             if strict:
+                if isinstance(exc, OverflowError):
+                    raise UnparsableLine(line_no, str(exc)) from exc
                 raise
             stats.unparsable += 1
             continue

@@ -21,8 +21,6 @@ MONTH_BY_ABBREV = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 
-TS_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
 
 @dataclass(frozen=True, slots=True)
 class Message:
@@ -35,7 +33,13 @@ class Message:
 
 
 def format_ts(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(TS_FORMAT)
+    """`ts` in UTC as `YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four
+    digits (strftime's `%Y` does not pad it on every platform)."""
+    ts = ts.astimezone(timezone.utc)
+    return (
+        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
+    )
 
 
 def parse_ts(value: str) -> datetime:
@@ -46,24 +50,10 @@ def parse_ts(value: str) -> datetime:
 
 
 def to_json_line(msg: Message) -> str:
-    """The record as `json.dumps(record, ensure_ascii=False)` writes it.
-
-    `encode_basestring` is the string encoder that call applies. The
-    timestamp is formatted from its fields only for a UTC datetime with a
-    four-digit year; anything else goes through `format_ts`, because
-    strftime's `%Y` zero-pads years below 1000 on some platforms and not on
-    others (glibc prints year 5 as `5`).
-    """
-    ts = msg.timestamp
-    if ts.tzinfo is timezone.utc and ts.year >= 1000:
-        stamp = (
-            f"{ts.year}-{ts.month:02d}-{ts.day:02d}"
-            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
-        )
-    else:
-        stamp = format_ts(ts)
+    """The record as `json.dumps(record, ensure_ascii=False)` writes it;
+    `encode_basestring` is the string encoder that call applies."""
     return (
-        f'{{"stream_id": {encode_basestring(msg.stream_id)}, "ts": "{stamp}", '
+        f'{{"stream_id": {encode_basestring(msg.stream_id)}, "ts": "{format_ts(msg.timestamp)}", '
         f'"author": {encode_basestring(msg.author)}, "text": {encode_basestring(msg.text)}}}'
     )
 

@@ -7,12 +7,13 @@ the text or equals one of its hashtags; word means a maximal alphanumeric run,
 so "bitcoins" does not match "bitcoin" unless substring matching is requested.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
-streams parse -> dedupe -> filter -> emit over either file replay (plain
-lines) or a fault-scripted simulator (lines interleaved with `Fault`s).
-Reconnect delays follow an exponential backoff with a cap and bounded
-deterministic jitter; they are recorded, never slept, so scripted runs are
-instant and reproducible. The set of seen tweet ids is the only state that
-grows with the input: it is exact, so no duplicate is ever let through.
+streams parse -> dedupe -> filter -> emit over the lines of a capture. The set
+of seen tweet ids is the only state that grows with the input: it is exact,
+so no duplicate is ever let through.
+
+The backoff schedule models the reconnect delays of a live source: an
+exponential backoff per failure mode, with a cap and bounded deterministic
+jitter.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from coinbuzz.message import MONTH_BY_ABBREV, Message
 from coinbuzz.sanitize import sanitize_text
@@ -99,7 +99,8 @@ def parse_tweet(line: str) -> TweetRecord:
         raise MalformedRecord("missing created_at")
     try:
         created_at = parse_created_at(created_raw)
-    except ValueError as exc:
+    # OverflowError: a time outside datetime's range once converted to UTC.
+    except (ValueError, OverflowError) as exc:
         raise MalformedRecord(str(exc)) from None
 
     user = record.get("user")
@@ -121,12 +122,16 @@ def parse_tweet(line: str) -> TweetRecord:
     return TweetRecord(tweet_id, created_at, screen_name, text, tuple(hashtags))
 
 
-def check_keywords(keywords: Iterable[str]) -> tuple[str, ...]:
+def check_keywords(keywords: Iterable[str], substring: bool = False) -> tuple[str, ...]:
     """The keywords as a tuple; ValueError unless there is at least one and
-    none is empty, padded or only '#'."""
+    none is empty or padded once its leading '#' is dropped, as matching
+    drops it. Without `substring` none may hold whitespace, which no word holds."""
     keywords = tuple(keywords)
-    if not keywords or any(not kw.lstrip("#") or kw != kw.strip() for kw in keywords):
-        raise ValueError(f"'keywords' must be one or more unpadded words, none only '#', got {list(keywords)!r}")
+    cores = [kw.lstrip("#") for kw in keywords]
+    if not cores or any(not core or core != core.strip() for core in cores):
+        raise ValueError(f"'keywords' must be one or more unpadded words after any leading '#', got {list(keywords)!r}")
+    if not substring and any(len(core.split()) > 1 for core in cores):
+        raise ValueError(f"'keywords' must hold no whitespace unless matched as substrings, got {list(keywords)!r}")
     return keywords
 
 
@@ -233,56 +238,7 @@ def next_delay(
     return delay, BackoffState(state.consecutive_failures + 1, outcome)
 
 
-# --- ingestion loop and its fault-scripted source ---------------------------
-
-@dataclass(frozen=True, slots=True)
-class Fault:
-    """A connection-loss signal injected into a record stream."""
-
-    mode: FailureMode
-
-
-_FAULT_TOKENS = {
-    "drop": FailureMode.NETWORK_ERROR,
-    "http": FailureMode.HTTP_ERROR,
-    "rate": FailureMode.RATE_LIMITED,
-}
-
-
-def load_fault_script(source: str | Path | Iterable[str]) -> list[str]:
-    """Read a fault script: one token per line, `ok`, `drop`, `http`, `rate`."""
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = list(source)
-    tokens = []
-    for line_no, line in enumerate(lines, start=1):
-        token = line.strip()
-        if not token:
-            continue
-        if token != "ok" and token not in _FAULT_TOKENS:
-            raise ValueError(f"fault script line {line_no}: unknown token {token!r}")
-        tokens.append(token)
-    return tokens
-
-
-def scripted_source(records: Iterable[str], script: Iterable[str]) -> Iterator[str | Fault]:
-    """Replay records under a fault script.
-
-    Each `ok` token emits the next record; the other tokens emit a Fault of
-    the corresponding mode. Iteration ends when the script ends or the
-    records run out on an `ok`.
-    """
-    pending = iter(records)
-    for token in script:
-        if token == "ok":
-            try:
-                yield next(pending)
-            except StopIteration:
-                return
-        else:
-            yield Fault(_FAULT_TOKENS[token])
-
+# --- ingestion loop ---------------------------------------------------------
 
 @dataclass
 class TweetIngestStats:
@@ -291,8 +247,6 @@ class TweetIngestStats:
     malformed: int = 0
     duplicates: int = 0
     matched: int = 0
-    reconnects: int = 0
-    total_backoff_seconds: float = 0.0
 
     @property
     def skipped(self) -> int:
@@ -300,50 +254,24 @@ class TweetIngestStats:
         return self.malformed
 
 
-class CollectAborted(Exception):
-    """Raised when consecutive reconnect failures reach the configured cap."""
-
-    def __init__(self, stats: TweetIngestStats, failures: int):
-        super().__init__(f"aborted after {failures} consecutive failures")
-        self.stats = stats
-        self.failures = failures
-
-
 def ingest_capture(
-    lines: Iterable[str | Fault],
+    lines: Iterable[str],
     emit: Callable[[Message], None],
     *,
     keywords: Iterable[str] = DEFAULT_KEYWORDS,
     substring: bool = False,
-    policies: dict[FailureMode, BackoffPolicy] | None = None,
-    max_consecutive_failures: int = 10,
 ) -> TweetIngestStats:
-    """Parse, deduplicate by id, filter and emit a capture, riding out faults.
+    """Parse, deduplicate by id, filter and emit the lines of a capture.
 
-    `lines` is file replay (plain lines) or a fault-scripted source. Blank
-    lines are skipped uncounted; duplicate tweet ids are counted, not emitted.
-    Only keyword-matching records are emitted (stream_id "twitter"); the
-    keywords are checked by `check_keywords` before the first line. Backoff
-    delays are accumulated into the stats, not slept. Raises CollectAborted
-    once max_consecutive_failures is reached, right after the final backoff.
+    Blank lines are skipped uncounted; duplicate tweet ids are counted, not
+    emitted. Only keyword-matching records are emitted (stream_id "twitter");
+    the keywords are checked by `check_keywords` before the first line.
     """
-    keywords = check_keywords(keywords)
-    if policies is None:
-        policies = default_policies()
+    keywords = check_keywords(keywords, substring)
     stats = TweetIngestStats()
-    state = BackoffState()
     seen_ids: set[int] = set()
 
     for line in lines:
-        if isinstance(line, Fault):
-            delay, state = next_delay(policies[line.mode], state, line.mode)
-            stats.reconnects += 1
-            stats.total_backoff_seconds += delay
-            if state.consecutive_failures >= max_consecutive_failures:
-                raise CollectAborted(stats, state.consecutive_failures)
-            continue
-        if state.consecutive_failures:
-            state = BackoffState()
         if not line.strip():
             continue
         stats.lines += 1

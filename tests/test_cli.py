@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -144,11 +145,11 @@ IRC_LOG = (
 )
 
 
-def _tweet_line(tweet_id: int, text: str, day: int = 1) -> str:
+def _tweet_line(tweet_id: int, text: str, day: int = 1, created_at: str = "") -> str:
     return json.dumps(
         {
             "id": tweet_id,
-            "created_at": f"Mon Jun {day:02d} 10:00:00 +0000 2015",
+            "created_at": created_at or f"Mon Jun {day:02d} 10:00:00 +0000 2015",
             "user": {"screen_name": f"u{tweet_id}"},
             "text": text,
         }
@@ -231,8 +232,7 @@ def test_ingest_tweets_filters_and_writes(tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["author"] for r in records] == ["u1", "u3"]
     assert capsys.readouterr().err == (
-        "ingest-tweets: lines=3 parsed=3 malformed=0 duplicates=0 matched=2 "
-        "reconnects=0 total_backoff_seconds=0.0\n"
+        "ingest-tweets: lines=3 parsed=3 malformed=0 duplicates=0 matched=2\n"
     )
 
 
@@ -262,6 +262,56 @@ def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
     capture.write_text(_tweet_line(2, "btc only") + "\n", encoding="utf-8")
     assert main(["ingest-tweets", "--in", str(capture), "--out", str(out), "--keywords", "bitcoin, btc"]) == 0
     assert len(out.read_text().splitlines()) == 1
+    # A phrase is a keyword only as a substring: no word holds a space.
+    capture.write_text(_tweet_line(3, "Bitcoin Cash forks") + "\n", encoding="utf-8")
+    assert main(
+        ["ingest-tweets", "--in", str(capture), "--out", str(out), "--keywords", "bitcoin cash", "--substring"]
+    ) == 0
+    assert len(out.read_text().splitlines()) == 1
+
+
+# Local times that fall outside datetime's range once converted to UTC.
+OUT_OF_RANGE_CREATED_AT = ["Mon Jan 01 00:30:00 +0100 0001", "Fri Dec 31 23:30:00 -0100 9999"]
+OUT_OF_RANGE_LOG_LINES = [
+    ("Asia/Tokyo", "[Mon Jan 1 0001] [00:10:00] <a>\thi\n"),
+    ("America/New_York", "[Fri Dec 31 9999] [23:50:00] <a>\thi\n"),
+]
+
+
+@pytest.mark.parametrize("created_at", OUT_OF_RANGE_CREATED_AT)
+def test_ingest_tweets_counts_a_time_out_of_range_in_utc_as_malformed(tmp_path, capsys, created_at):
+    capture = tmp_path / "cap.jsonl"
+    lines = [_tweet_line(1, "Bitcoin rally"), _tweet_line(2, "bitcoin", created_at=created_at)]
+    capture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(out)]) == 1
+    assert [json.loads(line)["author"] for line in out.read_text().splitlines()] == ["u1"]
+    assert "lines=2 parsed=1 malformed=1 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tz, line", OUT_OF_RANGE_LOG_LINES)
+def test_parse_irc_counts_a_time_out_of_range_in_utc_as_unparsable(tmp_path, capsys, tz, line):
+    log = tmp_path / "chan.log"
+    log.write_text(IRC_LOG + line, encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    argv = ["parse-irc", "--channel", "#x", "--tz", tz, "--in", str(log), "--out", str(out)]
+    assert main(argv) == 1
+    assert len(out.read_text().splitlines()) == 2
+    assert "messages=2 dropped_network=1 unparsable=1 " in capsys.readouterr().err
+    out.unlink()
+    assert main(argv + ["--strict"]) == 2
+    assert capsys.readouterr().err.startswith("coinbuzz: error: line 4: ")
+    assert not out.exists()
+
+
+def test_ingest_tweets_then_aggregate_reads_back_a_year_before_1000(tmp_path):
+    capture = tmp_path / "cap.jsonl"
+    capture.write_text(_tweet_line(1, "bitcoin", created_at="Mon Jun 01 10:00:00 +0000 0999") + "\n", encoding="utf-8")
+    messages, daily = tmp_path / "msgs.jsonl", tmp_path / "daily.csv"
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(messages)]) == 0
+    assert json.loads(messages.read_text())["ts"] == "0999-06-01T10:00:00Z"
+    assert main(["aggregate", "--in", str(messages), "--out", str(daily)]) == 0
+    assert daily.read_text() == "date,count,flag\n0999-06-01,1,ok\n"
 
 
 def test_annotate_writes_annotated_documents(tmp_path):
@@ -443,6 +493,18 @@ REPORT_ROW = {
         pytest.param(
             ["ingest-tweets", "--keywords", "#", "--in", "cap.jsonl"],
             {"cap.jsonl": _tweet_line(1, "bitcoin # rally") + "\n"}, "'keywords'", id="ingest-tweets.hash-only-keyword",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", "# btc", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "btc up") + "\n"}, "'keywords'", id="ingest-tweets.padded-after-hash",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", "# btc", "--substring", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "btc up") + "\n"}, "'keywords'", id="ingest-tweets.padded-after-hash-substring",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", "bitcoin cash", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "bitcoin cash up") + "\n"}, "'keywords'", id="ingest-tweets.phrase-as-word",
         ),
         pytest.param(
             ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
@@ -752,6 +814,9 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(keywords=["bitcoin", ""]), "keywords"),
         (lambda c: c.update(keywords=["bitcoin", " btc"]), "keywords"),
         (lambda c: c.update(keywords=["#"]), "keywords"),
+        (lambda c: c.update(keywords=["# btc"]), "keywords"),
+        (lambda c: c.update(keywords=["bitcoin cash"]), "keywords"),
+        (lambda c: c.update(keywords=json.loads("[" * 900 + "]" * 900)), "keywords"),
         (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
         (lambda c: c.update(window={"start": "2015-06-05", "end": "2015-06-01"}), "window"),
     ],
@@ -764,7 +829,9 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "window.not-a-date", "theta.null", "out_dir.int", "price_csv.int", "irc_logs.channel-int",
         "gazetteer.int", "tweet_captures.string", "k.float", "k.string", "k.bool", "strict.string",
         "keywords.string", "theta.range", "k.range", "format.unknown", "keywords.empty",
-        "keywords.blank", "keywords.padded", "keywords.hash-only", "irc_logs.channel-no-hash", "window.reversed",
+        "keywords.blank", "keywords.padded", "keywords.hash-only", "keywords.padded-after-hash",
+        "keywords.phrase-as-word", "keywords.nested-deep",
+        "irc_logs.channel-no-hash", "window.reversed",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -776,6 +843,8 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
     assert repr(key) in err
+    # A value is quoted cut short, however large it is.
+    assert len(err) < 200
     # The config is checked before anything is written.
     assert not out_dir.exists()
 
@@ -807,6 +876,27 @@ def test_run_all_counts_a_capture_line_nested_past_the_recursion_limit_as_malfor
     code, outputs = _run_all_outputs(config_path, out_dir)
     assert (clean[0], code) == (0, 1)
     assert "run-all: twitter: lines=31 parsed=30 malformed=1 " in capsys.readouterr().err
+    assert outputs == clean[1]
+
+
+def test_run_all_counts_a_time_out_of_range_in_utc_as_a_bad_line(tmp_path, capsys):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    tz, log_line = OUT_OF_RANGE_LOG_LINES[0]
+    config["irc_logs"][0]["tz"] = tz
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    clean = _run_all_outputs(config_path, out_dir)
+    with open(config["tweet_captures"][0], "a", encoding="utf-8") as out:
+        for n, created_at in enumerate(OUT_OF_RANGE_CREATED_AT):
+            out.write(_tweet_line(100 + n, "bitcoin", created_at=created_at) + "\n")
+    with open(config["irc_logs"][0]["path"], "a", encoding="utf-8") as out:
+        out.write(log_line)
+    capsys.readouterr()
+    code, outputs = _run_all_outputs(config_path, out_dir)
+    assert (clean[0], code) == (0, 1)
+    err = capsys.readouterr().err
+    assert "run-all: twitter: lines=32 parsed=30 malformed=2 " in err
+    assert " unparsable=1 " in err
     assert outputs == clean[1]
 
 
@@ -978,6 +1068,24 @@ def _outage_and_market_gap(config: dict) -> None:
     price.write_text(rows.replace("2015-06-02,231.5\n", ""), encoding="utf-8")
 
 
+def _rotated_captures_second_channel(config: dict) -> None:
+    """Split the capture in two rotated files, each ending with a newline,
+    that share the tweet id of one record; add a second channel's log."""
+    path = Path(config["tweet_captures"][0])
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    first, second = path.with_name("cap_a.jsonl"), path.with_name("cap_b.jsonl")
+    first.write_text("".join(lines[:16]), encoding="utf-8")
+    second.write_text("".join(lines[15:]), encoding="utf-8")
+    config["tweet_captures"] = [str(first), str(second)]
+    log = path.with_name("doge.log")
+    log.write_text(
+        "".join(f"[Mon Jun {day} 2015] [09:00:0{i}] <d{i}>\tdoge\n" for day in range(1, 6) for i in range(day)),
+        encoding="utf-8",
+    )
+    config["irc_logs"].append({"path": str(log), "channel": "#dogecoin"})
+    config["plots"].append({"series": "irc:#dogecoin", "metric": "price"})
+
+
 @pytest.mark.parametrize(
     "overrides, edit",
     [
@@ -997,14 +1105,15 @@ def _outage_and_market_gap(config: dict) -> None:
             _outage_and_market_gap,
             id="exclude-outages-outage-day-market-gap",
         ),
+        pytest.param({}, _rotated_captures_second_channel, id="two-captures-sharing-an-id-two-channels"),
     ],
 )
 def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, edit):
     config_path, out_dir = _run_all_workspace(tmp_path)
     config = {**json.loads(config_path.read_text()), **overrides}
-    config_path.write_text(json.dumps(config), encoding="utf-8")
     if edit is not None:
         edit(config)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     run_all_code = main(["run-all", "--config", str(config_path)])
 
     chain = tmp_path / "chain"
@@ -1013,25 +1122,32 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     def c(name: str) -> str:
         return str(chain / name)
 
-    with open(config["tweet_captures"][0], "rb") as raw, open(c("clean.jsonl"), "wb") as clean:
-        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=raw))
-        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=clean))
-        assert main(["sanitize"]) == 0
-    monkeypatch.undo()
-    slugs = {"twitter": "twitter", "irc:#bitcoin": "irc_bitcoin"}
+    # One ingest-tweets input: each capture sanitized, in config order.
+    with open(c("clean.jsonl"), "wb") as clean:
+        for capture in config["tweet_captures"]:
+            with open(capture, "rb") as raw:
+                monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=raw))
+                monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=clean))
+                assert main(["sanitize"]) == 0
+            monkeypatch.undo()
+    logs = {f"irc:{entry['channel']}": entry for entry in config["irc_logs"]}
+    # A stream's files are named by its id, each run of characters other
+    # than ASCII letters and digits turned into "_".
+    slugs = {stream_id: re.sub(r"[^A-Za-z0-9]+", "_", stream_id).strip("_") for stream_id in ["twitter", *logs]}
     report_name = "report.md" if config["format"] == "markdown" else "report.tsv"
-    steps = [
-        ["ingest-tweets", "--in", c("clean.jsonl"), "--out", c("messages_twitter.jsonl")],
-        ["parse-irc", "--channel", "#bitcoin", "--in", config["irc_logs"][0]["path"],
-         "--out", c("messages_irc_bitcoin.jsonl")],
-    ]
+    steps = [["ingest-tweets", "--in", c("clean.jsonl"), "--out", c("messages_twitter.jsonl")]]
+    for stream_id, entry in logs.items():
+        steps.append(["parse-irc", "--channel", entry["channel"], "--in", entry["path"],
+                      "--out", c(f"messages_{slugs[stream_id]}.jsonl")])
     for slug in slugs.values():
         steps.append(["aggregate", "--in", c(f"messages_{slug}.jsonl"), "--out", c(f"daily_{slug}.csv")])
         steps.append(["gaps", "--in", c(f"daily_{slug}.csv"), "--out", c(f"series_{slug}.csv")])
+    series_args = []
+    for stream_id in sorted(slugs):  # run-all reports its streams in the order of their ids
+        series_args += ["--series", f"{stream_id}={c(f'series_{slugs[stream_id]}.csv')}"]
     steps += [
-        ["correlate", "--series", f"irc:#bitcoin={c('series_irc_bitcoin.csv')}",
-         "--series", f"twitter={c('series_twitter.csv')}", "--price", config["price_csv"],
-         "--volume", config["volume_csv"], "--out", c("report.json")]
+        ["correlate", *series_args, "--price", config["price_csv"], "--volume", config["volume_csv"],
+         "--out", c("report.json")]
         + (["--exclude-outages"] if config.get("exclude_outages") else []),
         ["report", "--in", c("report.json"), "--format", config["format"], "--out", c(report_name)],
     ]
@@ -1048,10 +1164,10 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     # Everything run-all writes but the annotations, which
     # test_run_all_annotated_equals_annotate_over_each_stream covers.
     names = sorted(p.name for p in out_dir.iterdir() if p.name != "annotated.jsonl")
-    assert names == sorted([
-        "messages_irc_bitcoin.jsonl", "messages_twitter.jsonl", *plot_names,
-        "report.json", report_name, "series_irc_bitcoin.csv", "series_twitter.csv",
-    ])
+    expected = [*plot_names, "report.json", report_name]
+    for slug in slugs.values():
+        expected += [f"messages_{slug}.jsonl", f"series_{slug}.csv"]
+    assert names == sorted(expected)
     for name in names:
         assert (out_dir / name).read_bytes() == (chain / name).read_bytes(), name
     if edit is _awkward_capture:  # the `\\u00e9` that JSON decoded is scrubbed as well
@@ -1059,3 +1175,6 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     if edit is _outage_and_market_gap:
         assert "2015-06-03,0,outage\n" in (out_dir / "series_irc_bitcoin.csv").read_text(encoding="utf-8")
         assert [row["n_days"] for row in json.loads((out_dir / "report.json").read_text())["rows"]] == [3, 4]
+    if edit is _rotated_captures_second_channel:  # the shared id is counted once
+        assert len((out_dir / "messages_twitter.jsonl").read_text(encoding="utf-8").splitlines()) == 30
+        assert len(json.loads((out_dir / "report.json").read_text())["rows"]) == 3

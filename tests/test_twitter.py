@@ -11,19 +11,15 @@ from hypothesis import strategies as st
 from coinbuzz.twitter import (
     BackoffPolicy,
     BackoffState,
-    CollectAborted,
     FailureMode,
-    Fault,
     MalformedRecord,
     default_policies,
     ingest_capture,
     jitter_fraction,
-    load_fault_script,
     matches_keywords,
     next_delay,
     parse_created_at,
     parse_tweet,
-    scripted_source,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "backoff_golden.json"
@@ -221,17 +217,6 @@ def _records(n: int, matching_ids=()) -> list[str]:
     ]
 
 
-def test_collect_counts_reconnects_from_fault_script():
-    records = _records(5, matching_ids=(1, 2, 3, 4, 5))
-    script = ["ok", "ok", "ok", "drop", "ok", "ok"]
-    out = []
-    stats = ingest_capture(scripted_source(records, script), out.append)
-    assert stats.lines == 5
-    assert stats.reconnects == 1
-    assert stats.matched == 5
-    assert stats.total_backoff_seconds == 0.25
-
-
 def test_collect_forwards_only_matching_records():
     records = _records(10, matching_ids=(2, 4, 6, 8))
     out = []
@@ -249,71 +234,12 @@ def test_collect_forwards_only_matching_records():
             assert not matches_keywords(record.text, record.hashtags)
 
 
-def test_collect_aborts_after_max_consecutive_failures():
-    script = ["drop"] * 10
-    with pytest.raises(CollectAborted) as err:
-        ingest_capture(scripted_source([], script), lambda m: None, max_consecutive_failures=3)
-    assert err.value.failures == 3
-    assert err.value.stats.reconnects == 3
-    # Three backoffs happened before the abort: 0.25 + 0.5 + 1.0.
-    assert err.value.stats.total_backoff_seconds == 1.75
-
-
-def test_collect_is_deterministic_for_fixed_script_and_seed():
-    records = _records(6, matching_ids=(1, 5))
-    script = ["ok", "http", "ok", "ok", "rate", "ok", "ok", "drop", "ok", "ok"]
-
-    def run():
-        out = []
-        stats = ingest_capture(
-            scripted_source(records, script), out.append,
-            policies=default_policies(jitter_seed=11),
-        )
-        return stats, [m.text for m in out]
-
-    first, second = run(), run()
-    assert first[0] == second[0]
-    assert first[1] == second[1]
-
-
 def test_collect_deduplicates_by_id():
     line = _tweet_line(1, "Bitcoin twice")
     out = []
     stats = ingest_capture([line, line], out.append)
     assert stats.lines == 2
     assert stats.matched == 1
-
-
-def test_collect_success_resets_backoff():
-    records = _records(2, matching_ids=())
-    script = ["drop", "ok", "drop", "ok", "drop"]
-    stats = ingest_capture(scripted_source(records, script), lambda m: None)
-    # Every failure is the first of its run, so each costs the base 0.25s.
-    assert stats.total_backoff_seconds == 0.75
-    assert stats.reconnects == 3
-
-
-def test_scripted_source_stops_when_records_run_out():
-    events = list(scripted_source(["only"], ["ok", "ok", "drop"]))
-    assert events == ["only"]
-
-
-def test_load_fault_script(tmp_path):
-    path = tmp_path / "faults.txt"
-    path.write_text("ok\ndrop\n\nhttp\nrate\n", encoding="utf-8")
-    assert load_fault_script(path) == ["ok", "drop", "http", "rate"]
-    with pytest.raises(ValueError):
-        load_fault_script(["ok", "explode"])
-
-
-def test_fault_tokens_map_to_modes():
-    events = list(scripted_source([], ["drop", "http", "rate"]))
-    assert [e.mode for e in events] == [
-        FailureMode.NETWORK_ERROR,
-        FailureMode.HTTP_ERROR,
-        FailureMode.RATE_LIMITED,
-    ]
-    assert all(isinstance(e, Fault) for e in events)
 
 
 # --- file replay ingestion ---------------------------------------------------
@@ -356,17 +282,15 @@ _CAPTURE_EVENT = st.one_of(
     st.integers(1, 6).map(lambda i: _tweet_line(i, "stocks only")),
     st.sampled_from(["not json", "{}", "[1, 2]", '{"id": 1}']),
     st.sampled_from(["", "   ", "\n"]),
-    st.sampled_from(list(FailureMode)).map(Fault),
 )
 
 
 @given(st.lists(_CAPTURE_EVENT, max_size=40))
 def test_ingest_capture_counter_identities(events):
     out = []
-    stats = ingest_capture(events, out.append, max_consecutive_failures=len(events) + 1)
+    stats = ingest_capture(events, out.append)
     assert stats.lines == stats.parsed + stats.malformed
     assert stats.matched <= stats.parsed - stats.duplicates
     assert len(out) == stats.matched
-    assert stats.lines == sum(isinstance(e, str) and bool(e.strip()) for e in events)
-    assert stats.reconnects == sum(isinstance(e, Fault) for e in events)
+    assert stats.lines == sum(bool(e.strip()) for e in events)
     assert len({m.author for m in out}) == len(out)
