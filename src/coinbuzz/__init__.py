@@ -8,6 +8,8 @@ USD-exchange trading volume.
 
 __version__ = "0.1.0"
 
-from coinbuzz.message import Message
+# The keywords a tweet must match when none are given. Defined here, not in
+# `twitter`, so that the CLI can show it without importing that stage.
+DEFAULT_KEYWORDS = ("bitcoin",)
 
-__all__ = ["Message", "__version__"]
+__all__ = ["DEFAULT_KEYWORDS", "__version__"]

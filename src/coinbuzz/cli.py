@@ -11,6 +11,10 @@ Every output file appears whole or not at all: it is written as
 `<path>.partial`, which exists only while the file is being written, and
 renamed onto `<path>` when its command succeeds. After exit 2 no output of
 the command is left; run-all leaves no file of that run.
+
+Each subcommand's handler imports the stage modules it runs; at load time
+this module imports only the standard library and the package's defaults, so
+a subcommand starts without loading the stages it does not use.
 """
 
 from __future__ import annotations
@@ -21,18 +25,16 @@ import json
 import re
 import sys
 from contextlib import ExitStack, contextmanager, nullcontext
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from coinbuzz import annotate as annotate_mod
-from coinbuzz import irc as irc_mod
-from coinbuzz import message as message_mod
-from coinbuzz import series as series_mod
-from coinbuzz import stats as stats_mod
-from coinbuzz import twitter as twitter_mod
-from coinbuzz.sanitize import sanitize_stream, sanitize_text
+from coinbuzz import DEFAULT_KEYWORDS
+
+if TYPE_CHECKING:
+    from coinbuzz.message import Message
+    from coinbuzz.series import DailyCounter, DailySeries
+    from coinbuzz.stats import CorrelationReport
 
 TABLE_HEADERS = (
     "Data Source",
@@ -63,7 +65,7 @@ def _correlation_cell(value: float | None, error: str | None) -> str:
     return f"{value:.4f}"
 
 
-def render_table(report: stats_mod.CorrelationReport, format: str = "tsv") -> str:
+def render_table(report: CorrelationReport, format: str = "tsv") -> str:
     """Render the summary table; correlations to 4 decimals, totals as ints."""
     if not report.rows:
         raise ValueError("cannot render an empty report")
@@ -91,11 +93,13 @@ def render_table(report: stats_mod.CorrelationReport, format: str = "tsv") -> st
 
 
 def emit_plot_series(
-    daily: series_mod.DailySeries,
+    daily: DailySeries,
     market: Mapping[date, float],
     out: IO[str],
 ) -> int:
     """Write `date,count,flag,metric_value` over the joined date range."""
+    from coinbuzz import series as series_mod
+
     x, y, days = series_mod.align(daily.counts, market)
     out.write("date,count,flag,metric_value\n")
     for day, count, value in zip(days, x, y):
@@ -107,6 +111,8 @@ def emit_plot_series(
 # --- subcommand handlers -----------------------------------------------------
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
+    from coinbuzz.sanitize import sanitize_stream
+
     stats = sanitize_stream(sys.stdin.buffer, sys.stdout.buffer)
     sys.stdout.buffer.flush()
     if args.stats:
@@ -151,6 +157,8 @@ def _log_lines(path: str) -> Iterator[str]:
 def _ingest_file(label: str, lines: Iterable[str], outfile: str, ingest: Callable) -> int:
     """Write each message `ingest(lines, emit)` emits to `outfile` as a JSON line and
     print its counters; 1 if it skipped a line. `lines` opens its file when ingest pulls a line."""
+    from coinbuzz import message as message_mod
+
     with _output(outfile) as out:
         stats = ingest(lines, lambda msg: out.write(message_mod.to_json_line(msg) + "\n"))
     _print_stats(label, stats)
@@ -158,35 +166,52 @@ def _ingest_file(label: str, lines: Iterable[str], outfile: str, ingest: Callabl
 
 
 def _cmd_parse_irc(args: argparse.Namespace) -> int:
+    from coinbuzz import irc as irc_mod
+
     ingest = functools.partial(irc_mod.ingest_log, channel=args.channel, strict=args.strict, tz=args.tz)
     return _ingest_file("parse-irc", _log_lines(args.infile), args.outfile, ingest)
 
 
 def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
+    from coinbuzz import twitter as twitter_mod
+
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
     ingest = functools.partial(twitter_mod.ingest_capture, keywords=keywords, substring=args.substring)
     return _ingest_file("ingest-tweets", _capture_lines([args.infile]), args.outfile, ingest)
 
 
-def _annotated_line(msg: message_mod.Message, line_no: int, gazetteer: annotate_mod.Gazetteer) -> str:
-    """The annotated document of the message on line `line_no` (from 1) of its
-    stream's messages file; its doc_id is `<stream_id>:<line_no>`."""
-    doc = annotate_mod.Document(f"{msg.stream_id}:{line_no}", msg.text)
-    return annotate_mod.run_pipeline(doc, gazetteer).to_json() + "\n"
+def _annotator(gazetteer_path: str) -> Callable[[Message, int], str]:
+    """Loads the gazetteer at `gazetteer_path`, then maps (message, its line
+    number from 1 in its stream's messages file) to the message's annotated
+    document as a JSON line; the doc_id is `<stream_id>:<line_no>`."""
+    from coinbuzz import annotate as annotate_mod
+
+    gazetteer = annotate_mod.Gazetteer.load(gazetteer_path)
+
+    def annotated_line(msg: Message, line_no: int) -> str:
+        doc = annotate_mod.Document(f"{msg.stream_id}:{line_no}", msg.text)
+        return annotate_mod.run_pipeline(doc, gazetteer).to_json() + "\n"
+
+    return annotated_line
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    gazetteer = annotate_mod.Gazetteer.load(args.gazetteer)
+    from coinbuzz import message as message_mod
+
+    annotated_line = _annotator(args.gazetteer)
     docs = 0
     with open(args.infile, "r", encoding="utf-8") as src, _output(args.outfile) as out:
         for line_no, msg in message_mod.read_messages(src):
-            out.write(_annotated_line(msg, line_no, gazetteer))
+            out.write(annotated_line(msg, line_no))
             docs += 1
     print(f"annotate: documents={docs}", file=sys.stderr)
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    from coinbuzz import message as message_mod
+    from coinbuzz import series as series_mod
+
     counter = series_mod.DailyCounter()
     seen_streams: set[str] = set()
     with open(args.infile, "r", encoding="utf-8") as src:
@@ -212,6 +237,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaps(args: argparse.Namespace) -> int:
+    from coinbuzz import series as series_mod
+
     daily = series_mod.read_daily_csv(args.infile)
     flagged = series_mod.detect_gaps(daily, theta=args.theta, k=args.k)
     with _output(args.outfile) as out:
@@ -229,6 +256,9 @@ def _parse_series_arg(value: str) -> tuple[str, str]:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
+    from coinbuzz import series as series_mod
+    from coinbuzz import stats as stats_mod
+
     daily = []
     for series_arg in args.series:
         stream_id, path = _parse_series_arg(series_arg)
@@ -244,6 +274,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from coinbuzz import stats as stats_mod
+
     with open(args.infile, "r", encoding="utf-8") as src:
         report = stats_mod.report_from_json(src)
     with _output(args.outfile) if args.outfile else nullcontext(sys.stdout) as out:
@@ -252,6 +284,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_series(args: argparse.Namespace) -> int:
+    from coinbuzz import series as series_mod
+
     daily = series_mod.read_daily_csv(args.series)
     market = series_mod.load_market_csv(args.market)
     with _output(args.outfile) as out:
@@ -262,11 +296,11 @@ def _cmd_plot_series(args: argparse.Namespace) -> int:
 
 # --- run-all orchestration ---------------------------------------------------
 
-@dataclass
 class _StreamBundle:
-    counter: series_mod.DailyCounter
-    sink: IO[str]
-    lines: int = 0  # messages written to sink so far
+    def __init__(self, counter: DailyCounter, sink: IO[str]):
+        self.counter = counter
+        self.sink = sink
+        self.lines = 0  # messages written to sink so far
 
 
 def _slug(stream_id: str) -> str:
@@ -280,7 +314,7 @@ _CONFIG_KEYS: dict[str, dict[str, tuple]] = {
     "config": {
         "price_csv": (str, ...), "volume_csv": (str, ...), "gazetteer": (str, None),
         "tweet_captures": ([str], ()), "irc_logs": (["irc_logs entry"], ()),
-        "keywords": ([str], twitter_mod.DEFAULT_KEYWORDS), "substring": (bool, False),
+        "keywords": ([str], DEFAULT_KEYWORDS), "substring": (bool, False),
         "strict": (bool, False), "window": ("window", {"start": date.min, "end": date.max}),
         "theta": (float, 0.1), "k": (int, 7), "exclude_outages": (bool, False),
         "out_dir": (str, "out"), "format": (("tsv", "markdown"), "tsv"), "plots": (["plots entry"], ()),
@@ -292,11 +326,12 @@ _CONFIG_KEYS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _read_section(table: object, section: str) -> dict:
-    """`table` checked against `_CONFIG_KEYS[section]`, typed, with defaults filled in."""
+def _read_section(table: object, section: str, where: str = "") -> dict:
+    """`table` checked against `_CONFIG_KEYS[section]`, typed, with defaults
+    filled in; `where` names a table that is not one (default: `section`)."""
     keys = _CONFIG_KEYS[section]
     if not isinstance(table, dict):
-        raise ValueError(f"{section} must be a table, got {table!r}")
+        raise ValueError(f"{where or section} must be a table, got {table!r:.40}")
     for key in table:
         if key not in keys:
             raise ValueError(f"{section} has unknown key {key!r}")
@@ -313,7 +348,7 @@ def _read_section(table: object, section: str) -> dict:
 
 def _read_value(value: object, kind: object, where: str) -> object:
     if isinstance(kind, str):
-        return _read_section(value, kind)
+        return _read_section(value, kind, where)
     if isinstance(kind, list) and isinstance(value, list):
         return [_read_value(item, kind[0], where) for item in value]
     # type(), not isinstance(): a bool is no int here.
@@ -331,6 +366,9 @@ def _read_value(value: object, kind: object, where: str) -> object:
 
 
 def _load_config(path: Path) -> dict:
+    from coinbuzz.irc import resolve_tz
+    from coinbuzz.twitter import check_keywords
+
     text = path.read_text(encoding="utf-8")
     loads = json.loads
     if path.suffix.lower() == ".toml":
@@ -343,7 +381,7 @@ def _load_config(path: Path) -> dict:
     except RecursionError:
         raise ValueError(f"config {path} must not nest past the recursion limit") from None
     # What the stages would reject only after output is written.
-    twitter_mod.check_keywords(config["keywords"], config["substring"])
+    check_keywords(config["keywords"], config["substring"])
     if not 0 < config["theta"] < 1:
         raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
     if config["k"] < 1:
@@ -356,7 +394,7 @@ def _load_config(path: Path) -> dict:
     for entry in config["irc_logs"]:
         if not entry["channel"].startswith("#"):
             raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r}")
-        irc_mod.resolve_tz(entry["tz"])
+        resolve_tz(entry["tz"])
         stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
         other = streams.setdefault(_slug(stream_id), stream_id)
         if other != stream_id:
@@ -370,6 +408,13 @@ def _load_config(path: Path) -> dict:
 
 
 def _cmd_run_all(args: argparse.Namespace) -> int:
+    from coinbuzz import irc as irc_mod
+    from coinbuzz import message as message_mod
+    from coinbuzz import series as series_mod
+    from coinbuzz import stats as stats_mod
+    from coinbuzz import twitter as twitter_mod
+    from coinbuzz.sanitize import sanitize_text
+
     config = _load_config(Path(args.config))
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,25 +435,24 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         )
         sources.append((entry["stream_id"], _log_lines(entry["path"]), ingest))
 
-    gazetteer = None
-    annotated_out = None
+    annotated_line = annotated_out = None
     partial = False
     bundles: dict[str, _StreamBundle] = {}
 
-    def handle(bundle: _StreamBundle, msg: message_mod.Message) -> None:
+    def handle(bundle: _StreamBundle, msg: Message) -> None:
         if not start <= msg.timestamp.date() <= end:
             return
         bundle.sink.write(message_mod.to_json_line(msg) + "\n")
         bundle.lines += 1
         bundle.counter.add(msg)
         if annotated_out is not None:
-            annotated_out.write(_annotated_line(msg, bundle.lines, gazetteer))
+            annotated_out.write(annotated_line(msg, bundle.lines))
 
     # Every file of the run is entered on `stack`, so all of them are renamed
     # into place when the run ends with exit 0 or 1 and none after exit 2.
     with ExitStack() as stack:
         if config["gazetteer"]:
-            gazetteer = annotate_mod.Gazetteer.load(config["gazetteer"])
+            annotated_line = _annotator(config["gazetteer"])
             annotated_out = stack.enter_context(_output(out_dir / "annotated.jsonl"))
         for stream_id, lines, ingest in sources:
             if stream_id not in bundles:

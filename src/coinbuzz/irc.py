@@ -17,11 +17,9 @@ the run (strict).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
 from enum import Enum
-from typing import Callable, Iterable
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+from typing import Callable, Iterable, NamedTuple
 
 from coinbuzz.message import MONTH_BY_ABBREV, Message
 from coinbuzz.sanitize import sanitize_text
@@ -50,8 +48,7 @@ class UnparsableLine(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class IrcEvent:
+class IrcEvent(NamedTuple):
     timestamp: datetime
     channel: str
     kind: EventKind
@@ -60,14 +57,16 @@ class IrcEvent:
     text: str
 
 
-@dataclass
 class IrcIngestStats:
-    lines_in: int = 0
-    parsed: int = 0
-    messages: int = 0
-    dropped_network: int = 0
-    unparsable: int = 0
-    blank: int = 0
+    """Counters for one log; `vars()` lists them in the order they are printed."""
+
+    def __init__(self) -> None:
+        self.lines_in = 0
+        self.parsed = 0
+        self.messages = 0
+        self.dropped_network = 0
+        self.unparsable = 0
+        self.blank = 0
 
     @property
     def skipped(self) -> int:
@@ -79,7 +78,7 @@ def parse_log_line(
     line: str,
     channel: str,
     line_no: int = 0,
-    tz: ZoneInfo | timezone = timezone.utc,
+    tz: tzinfo = timezone.utc,
 ) -> IrcEvent | None:
     """Parse one log line into an IrcEvent; blank lines return None.
 
@@ -117,12 +116,15 @@ def _check_channel(channel: str) -> None:
 def resolve_tz(name: str) -> tzinfo:
     """The zone named `name` ("UTC" or an IANA key such as "Europe/London").
 
-    Raises ValueError for a name that is not a known zone.
+    Raises ValueError for a name that is not a known zone. `zoneinfo` is
+    imported only for a name other than "UTC".
     """
     if name == "UTC":
         return timezone.utc
     if not isinstance(name, str):
         raise ValueError(f"time zone must be a string, got {name!r}")
+    from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
+
     try:
         return ZoneInfo(name)
     except (ZoneInfoNotFoundError, ValueError):

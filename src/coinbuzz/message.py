@@ -9,10 +9,9 @@ schema is `{"stream_id": ..., "ts": "YYYY-MM-DDTHH:MM:SSZ", "author": ...,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 # English month abbreviations as used by tweet and chat-log wire formats.
 # Kept here (not strptime) so parsing does not depend on the process locale.
@@ -22,8 +21,7 @@ MONTH_BY_ABBREV = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One normalized message: stream id, UTC timestamp, author, text."""
 
     stream_id: str

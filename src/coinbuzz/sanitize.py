@@ -19,7 +19,6 @@ UTF-8 bytes: escapes are ASCII, so decoding and scrubbing commute.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 # Valid escape (4 hex digits) first, bare malformed prefix second. The scan
@@ -29,16 +28,22 @@ _ESCAPE_RE = re.compile(rb"\\u([0-9a-fA-F]{4})|\\u")
 _SIX_SPACES = b"      "
 
 
-@dataclass
 class SanitizeStats:
-    """Counters for one sanitizer run; line counts always match."""
+    """Counters for one sanitizer run; line counts always match. `vars()`
+    lists them in the order they are printed."""
 
-    lines_in: int = 0
-    lines_out: int = 0
-    replacements: int = 0
-    malformed_escapes: int = 0
+    def __init__(self, lines_in: int = 0, lines_out: int = 0, replacements: int = 0, malformed_escapes: int = 0):
+        self.lines_in = lines_in
+        self.lines_out = lines_out
+        self.replacements = replacements
+        self.malformed_escapes = malformed_escapes
 
-    def __add__(self, other: "SanitizeStats") -> "SanitizeStats":
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SanitizeStats):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __add__(self, other: SanitizeStats) -> SanitizeStats:
         return SanitizeStats(
             lines_in=self.lines_in + other.lines_in,
             lines_out=self.lines_out + other.lines_out,

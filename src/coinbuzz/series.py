@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from collections import deque
-from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
-from coinbuzz.message import Message
+if TYPE_CHECKING:
+    from coinbuzz.message import Message
 
 
 class Flag(Enum):
@@ -61,13 +60,15 @@ class EmptyOverlap(ValueError):
         self.overlap = overlap
 
 
-@dataclass
 class DailySeries:
     """Per-stream date -> count map with a gap flag per day, dates ascending."""
 
-    stream_id: str
-    counts: dict[date, int] = field(default_factory=dict)
-    flags: dict[date, Flag] = field(default_factory=dict)
+    def __init__(
+        self, stream_id: str, counts: dict[date, int] | None = None, flags: dict[date, Flag] | None = None
+    ):
+        self.stream_id = stream_id
+        self.counts = {} if counts is None else counts
+        self.flags = {} if flags is None else flags
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -96,11 +97,11 @@ def _filled(stream_id: str, counts: dict[date, int], flags: dict[date, Flag]) ->
     filled_counts: dict[date, int] = {}
     filled_flags: dict[date, Flag] = {}
     if counts:
-        day, last = min(counts), max(counts)
-        while day <= last:
+        # By ordinal, so that nothing steps past date.max.
+        for ordinal in range(min(counts).toordinal(), max(counts).toordinal() + 1):
+            day = date.fromordinal(ordinal)
             filled_counts[day] = counts.get(day, 0)
             filled_flags[day] = flags.get(day, Flag.OK)
-            day += timedelta(days=1)
     return DailySeries(stream_id, filled_counts, filled_flags)
 
 
@@ -130,13 +131,21 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
         count = series.counts[day]
         outage = count == 0
         if not outage and healthy:
-            outage = count < theta * statistics.median(healthy)
+            outage = count < theta * _median(healthy)
         if outage:
             flags[day] = Flag.OUTAGE
         else:
             flags[day] = Flag.OK
             healthy.append(count)
     return DailySeries(series.stream_id, dict(series.counts), flags)
+
+
+def _median(values: Iterable[int]) -> float:
+    """The median as `statistics.median` computes it: the middle value, or
+    the mean of the two middle values of an even count."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, date, list[str]]]:

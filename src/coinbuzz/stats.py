@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from datetime import date
-from typing import IO, Collection, Mapping, Sequence
+from typing import IO, Collection, Mapping, NamedTuple, Sequence
 
 from coinbuzz.series import DailySeries, EmptyOverlap, align
 
@@ -68,8 +67,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     stream_id: str
     total_messages: int
     r_volume: float | None
@@ -84,8 +82,7 @@ class ReportRow:
         return self.r_volume_error is not None or self.r_price_error is not None
 
 
-@dataclass
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     rows: list[ReportRow]
 
 
@@ -134,7 +131,8 @@ def correlation_report(
 # --- JSON persistence for report handoff between CLI steps ------------------
 
 def report_to_json(report: CorrelationReport) -> str:
-    return json.dumps(asdict(report), ensure_ascii=False, indent=2)
+    rows = [row._asdict() for row in report.rows]
+    return json.dumps({"rows": rows}, ensure_ascii=False, indent=2)
 
 
 # The JSON value types each ReportRow annotation admits, by type(): a bool is no int.
@@ -144,6 +142,8 @@ _JSON_TYPES = {
     "float | None": (int, float, type(None)),
     "str | None": (str, type(None)),
 }
+# Each ReportRow field's annotation as written; NamedTuple holds it as a ForwardRef.
+_FIELD_TYPES = {name: getattr(kind, "__forward_arg__", kind) for name, kind in ReportRow.__annotations__.items()}
 # The errors `_correlate` can name in a row.
 _ERROR_NAMES = tuple(e.__name__ for e in (EmptyOverlap, ConstantSeries, TooFewPoints))
 
@@ -163,10 +163,10 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
     except TypeError as exc:  # an item that is no object, or has other keys
         raise ValueError(f"a report row must be an object with the keys of ReportRow: {exc}") from None
     for n, row in enumerate(report.rows, start=1):
-        for f in fields(row):
-            value = getattr(row, f.name)
-            if type(value) not in _JSON_TYPES[f.type]:
-                raise ValueError(f"report row {n}: {f.name!r} must be {f.type}, got {value!r:.40}")
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(row, name)
+            if type(value) not in _JSON_TYPES[kind]:
+                raise ValueError(f"report row {n}: {name!r} must be {kind}, got {value!r:.40}")
         for name in ("r_volume", "r_price"):
             r, error = getattr(row, name), getattr(row, f"{name}_error")
             if (r is None) == (error is None):

@@ -20,17 +20,14 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 import re
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
+from coinbuzz import DEFAULT_KEYWORDS
 from coinbuzz.message import MONTH_BY_ABBREV, Message
 from coinbuzz.sanitize import sanitize_text
-
-DEFAULT_KEYWORDS = ("bitcoin",)
 
 # Maximal alphanumeric runs; underscore counts as punctuation, not word.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -44,8 +41,7 @@ class MalformedRecord(Exception):
     """A capture line that is not valid JSON or lacks a mandatory field."""
 
 
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     id: int
     created_at: datetime
     user: str
@@ -166,8 +162,15 @@ class FailureMode(Enum):
     RATE_LIMITED = "rate"
 
 
-@dataclass(frozen=True, slots=True)
-class BackoffPolicy:
+class _BackoffFields(NamedTuple):
+    mode: FailureMode
+    base_delay: float
+    factor: float = 2.0
+    cap: float = 320.0
+    jitter_seed: int | None = None
+
+
+class BackoffPolicy(_BackoffFields):
     """Exponential backoff schedule for one failure mode.
 
     jitter_seed None disables jitter entirely; otherwise the jitter fraction
@@ -175,23 +178,21 @@ class BackoffPolicy:
     (jitter_seed, n) and lies in [0, 0.25).
     """
 
-    mode: FailureMode
-    base_delay: float
-    factor: float = 2.0
-    cap: float = 320.0
-    jitter_seed: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    # A NamedTuple may not define __new__ itself, so the checks live on this subclass.
+    def __new__(cls, *args, **kwargs) -> BackoffPolicy:
+        self = super().__new__(cls, *args, **kwargs)
         if self.base_delay <= 0:
             raise ValueError("base_delay must be > 0")
         if self.factor < 1:
             raise ValueError("factor must be >= 1")
         if self.cap < self.base_delay:
             raise ValueError("cap must be >= base_delay")
+        return self
 
 
-@dataclass(frozen=True, slots=True)
-class BackoffState:
+class BackoffState(NamedTuple):
     consecutive_failures: int = 0
     last_mode: FailureMode | None = None
 
@@ -216,6 +217,8 @@ def default_policies(jitter_seed: int | None = None) -> dict[FailureMode, Backof
 
 def jitter_fraction(seed: int, failure_index: int) -> float:
     """Deterministic jitter in [0, 0.25) for the given failure index."""
+    import random  # only a seeded policy needs it
+
     return 0.25 * random.Random(f"{seed}:{failure_index}").random()
 
 
@@ -240,13 +243,15 @@ def next_delay(
 
 # --- ingestion loop ---------------------------------------------------------
 
-@dataclass
 class TweetIngestStats:
-    lines: int = 0
-    parsed: int = 0
-    malformed: int = 0
-    duplicates: int = 0
-    matched: int = 0
+    """Counters for one capture; `vars()` lists them in the order they are printed."""
+
+    def __init__(self) -> None:
+        self.lines = 0
+        self.parsed = 0
+        self.malformed = 0
+        self.duplicates = 0
+        self.matched = 0
 
     @property
     def skipped(self) -> int:

@@ -314,6 +314,19 @@ def test_ingest_tweets_then_aggregate_reads_back_a_year_before_1000(tmp_path):
     assert daily.read_text() == "date,count,flag\n0999-06-01,1,ok\n"
 
 
+def test_aggregate_and_gaps_on_a_series_ending_on_the_last_date(tmp_path):
+    messages, daily, flagged = tmp_path / "msgs.jsonl", tmp_path / "daily.csv", tmp_path / "flagged.csv"
+    messages.write_text(
+        "".join(MESSAGE.replace("2015-06-01T10:00:00Z", ts) for ts in ("9999-12-29T00:00:00Z", "9999-12-31T23:59:59Z")),
+        encoding="utf-8",
+    )
+    assert main(["aggregate", "--in", str(messages), "--out", str(daily)]) == 0
+    assert daily.read_text() == "date,count,flag\n9999-12-29,1,ok\n9999-12-30,0,ok\n9999-12-31,1,ok\n"
+    daily.write_text("date,count,flag\n9999-12-29,3,ok\n9999-12-31,2,ok\n", encoding="utf-8")
+    assert main(["gaps", "--in", str(daily), "--out", str(flagged)]) == 0
+    assert flagged.read_text() == "date,count,flag\n9999-12-29,3,ok\n9999-12-30,0,outage\n9999-12-31,2,ok\n"
+
+
 def test_annotate_writes_annotated_documents(tmp_path):
     msgs = tmp_path / "msgs.jsonl"
     msgs.write_text(
@@ -819,6 +832,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(keywords=json.loads("[" * 900 + "]" * 900)), "keywords"),
         (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
         (lambda c: c.update(window={"start": "2015-06-05", "end": "2015-06-01"}), "window"),
+        (lambda c: c.update(irc_logs=["x" * 2000]), "irc_logs"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -831,7 +845,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "keywords.string", "theta.range", "k.range", "format.unknown", "keywords.empty",
         "keywords.blank", "keywords.padded", "keywords.hash-only", "keywords.padded-after-hash",
         "keywords.phrase-as-word", "keywords.nested-deep",
-        "irc_logs.channel-no-hash", "window.reversed",
+        "irc_logs.channel-no-hash", "window.reversed", "irc_logs.entry-not-a-table",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):

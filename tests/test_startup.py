@@ -1,0 +1,84 @@
+"""Which modules each start-up loads: each subcommand imports only the stages it runs.
+
+Every check runs in a fresh interpreter and compares module sets, not times.
+It counts only the modules loaded after the interpreter started, so modules
+that a site hook of the host already loaded decide nothing.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints the modules that `import coinbuzz.cli` and `main(argv)` load, one a line.
+_PROBE = """
+import sys
+before = set(sys.modules)
+from coinbuzz.cli import main
+if sys.argv[1:]:
+    main(sys.argv[1:])
+sys.stdout.flush()
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+# Costly standard-library modules: only `annotate` may load `dataclasses`, only a
+# zone other than UTC may load `zoneinfo`, and nothing loads `statistics`.
+HEAVY = {"dataclasses", "statistics", "zoneinfo"}
+
+
+def _loaded(argv: list[str], cwd: Path) -> set[str]:
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        input="", capture_output=True, text=True, cwd=cwd, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def _coinbuzz(modules: set[str]) -> set[str]:
+    return {name.removeprefix("coinbuzz.") for name in modules if name.startswith("coinbuzz.")} - {"cli"}
+
+
+def test_importing_the_cli_loads_no_stage(tmp_path):
+    loaded = _loaded([], tmp_path)
+    assert "coinbuzz.cli" in loaded
+    assert _coinbuzz(loaded) == set()
+    assert not loaded & HEAVY
+
+
+# Each subcommand fails on its absent input, after its handler has imported what it runs.
+STAGES_RUN = [
+    (["sanitize"], {"sanitize"}),
+    (["parse-irc", "--channel", "#c", "--in", "absent", "--out", "out"], {"irc", "message", "sanitize"}),
+    (["ingest-tweets", "--in", "absent", "--out", "out"], {"twitter", "message", "sanitize"}),
+    (["annotate", "--in", "absent", "--gazetteer", "absent", "--out", "out"], {"annotate", "message"}),
+    (["aggregate", "--in", "absent", "--out", "out"], {"message", "series"}),
+    (["gaps", "--in", "absent", "--out", "out"], {"series"}),
+    (["correlate", "--series", "s=absent", "--price", "absent", "--volume", "absent"], {"series", "stats"}),
+    (["report", "--in", "absent"], {"series", "stats"}),
+    (["plot-series", "--series", "absent", "--market", "absent", "--out", "out"], {"series"}),
+]
+
+
+@pytest.mark.parametrize("argv, stages", STAGES_RUN, ids=[argv[0] for argv, _ in STAGES_RUN])
+def test_subcommand_loads_only_its_stages(tmp_path, argv, stages):
+    loaded = _loaded(argv, tmp_path)
+    assert _coinbuzz(loaded) == stages
+    if "annotate" not in stages:
+        assert not loaded & HEAVY
+
+
+def test_parse_irc_in_utc_does_not_load_zoneinfo(tmp_path):
+    (tmp_path / "chan.log").write_text("[Mon Jun 1 2015] [10:00:00] <nick>\tbitcoin\n", encoding="utf-8")
+    argv = ["parse-irc", "--channel", "#c", "--in", "chan.log", "--out", "out.jsonl", "--tz", "UTC"]
+    loaded = _loaded(argv, tmp_path)
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8").count("\n") == 1
+    assert "zoneinfo" not in loaded
+    assert "zoneinfo" in _loaded([*argv[:-1], "Europe/London"], tmp_path)
