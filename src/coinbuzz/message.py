@@ -32,19 +32,9 @@ class Message(NamedTuple):
 
 def format_ts(ts: datetime) -> str:
     """`ts` in UTC as `YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four
-    digits (strftime's `%Y` does not pad it on every platform)."""
-    ts = ts.astimezone(timezone.utc)
-    return (
-        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
-        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
-    )
-
-
-def parse_ts(value: str) -> datetime:
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    digits (strftime's `%Y` does not pad it on every platform; `isoformat`
+    always does)."""
+    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
 def to_json_line(msg: Message) -> str:
@@ -68,9 +58,12 @@ def from_json_line(line: str) -> Message:
     for key in ("stream_id", "ts", "author", "text"):
         if not isinstance(record.get(key), str):
             raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
+    ts = datetime.fromisoformat(record["ts"].replace("Z", "+00:00"))
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
     return Message(
         stream_id=record["stream_id"],
-        timestamp=parse_ts(record["ts"]),
+        timestamp=ts.astimezone(timezone.utc),
         author=record["author"],
         text=record["text"],
     )

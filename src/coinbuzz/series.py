@@ -78,7 +78,8 @@ class DailySeries:
 
 
 class DailyCounter:
-    """Streaming accumulator behind bucket_daily; add timestamps, then build."""
+    """Per-stream message counts by UTC calendar date: add messages, then
+    build the series, with interior dates zero-filled."""
 
     def __init__(self) -> None:
         self._counts: dict[date, int] = {}
@@ -103,14 +104,6 @@ def _filled(stream_id: str, counts: dict[date, int], flags: dict[date, Flag]) ->
             filled_counts[day] = counts.get(day, 0)
             filled_flags[day] = flags.get(day, Flag.OK)
     return DailySeries(stream_id, filled_counts, filled_flags)
-
-
-def bucket_daily(messages: Iterable[Message], stream_id: str) -> DailySeries:
-    """Count messages per UTC calendar date, zero-filling interior dates."""
-    counter = DailyCounter()
-    for message in messages:
-        counter.add(message)
-    return counter.build(stream_id)
 
 
 def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySeries:

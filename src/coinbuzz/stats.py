@@ -111,12 +111,17 @@ def correlation_report(
     Both correlations for a stream are computed over the same day set (the
     dates shared by the stream and both market series, minus excluded outage
     days) so each row carries a single meaningful n_days. Per-row failures
-    are recorded in the row, never raised.
+    are recorded in the row, never raised; a stream id given twice raises
+    ValueError.
     """
     policy = POLICY_EXCLUDE_OUTAGES if exclude_outages else POLICY_ALL_DAYS
     one_sided = price.keys() ^ volume.keys()  # days that only one market series has
     rows = []
+    seen: set[str] = set()
     for series in daily:
+        if series.stream_id in seen:
+            raise ValueError(f"stream {series.stream_id!r:.40} is given twice; a report has one row per stream")
+        seen.add(series.stream_id)
         exclude = one_sided | series.outage_dates() if exclude_outages else one_sided
         r_volume, volume_error, n_days = _correlate(series.counts, volume, exclude)
         r_price, price_error, _ = _correlate(series.counts, price, exclude)
@@ -149,8 +154,9 @@ _ERROR_NAMES = tuple(e.__name__ for e in (EmptyOverlap, ConstantSeries, TooFewPo
 
 
 def report_from_json(source: str | IO[str]) -> CorrelationReport:
-    """The report `report_to_json` wrote; ValueError for JSON of another shape
-    or for a row that `correlation_report` could not have made."""
+    """The report `report_to_json` wrote; ValueError for JSON of another shape,
+    for a row that `correlation_report` could not have made or for a stream
+    that has two rows."""
     try:
         payload = json.loads(source if isinstance(source, str) else source.read())
     except RecursionError:
@@ -162,6 +168,7 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
         report = CorrelationReport([ReportRow(**item) for item in rows])
     except TypeError as exc:  # an item that is no object, or has other keys
         raise ValueError(f"a report row must be an object with the keys of ReportRow: {exc}") from None
+    seen: set[str] = set()
     for n, row in enumerate(report.rows, start=1):
         for name, kind in _FIELD_TYPES.items():
             value = getattr(row, name)
@@ -181,4 +188,7 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
         if row.policy not in (POLICY_ALL_DAYS, POLICY_EXCLUDE_OUTAGES):
             policies = f"{POLICY_ALL_DAYS!r} or {POLICY_EXCLUDE_OUTAGES!r}"
             raise ValueError(f"report row {n}: 'policy' must be {policies}, got {row.policy!r:.40}")
+        if row.stream_id in seen:
+            raise ValueError(f"report row {n}: 'stream_id' {row.stream_id!r:.40} repeats an earlier row's")
+        seen.add(row.stream_id)
     return report

@@ -569,6 +569,12 @@ REPORT_ROW = {
             "row 2", id="correlate.malformed-price",
         ),
         pytest.param(
+            ["correlate", "--series", "a=series.csv", "--series", "a=series.csv", "--price", "market.csv",
+             "--volume", "market.csv"],
+            {"series.csv": SERIES_CSV, "market.csv": MARKET_CSV},
+            "stream 'a' is given twice", id="correlate.repeated-stream",
+        ),
+        pytest.param(
             ["report", "--in", "report.json"], {"report.json": '{"rows": 5}'},
             "a report must be a JSON object with a 'rows' list", id="report.rows-not-a-list",
         ),
@@ -592,6 +598,10 @@ REPORT_ROW = {
             ["report", "--in", "report.json"],
             {"report.json": json.dumps({"rows": [REPORT_ROW, {**REPORT_ROW, "total_messages": "x"}]})},
             "report row 2: 'total_messages' must be int, got 'x'", id="report.total-not-an-int",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [REPORT_ROW, REPORT_ROW]})},
+            "report row 2: 'stream_id' 's' repeats an earlier row's", id="report.repeated-stream",
         ),
         pytest.param(
             ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, "r_volume": math.nan}]})},

@@ -1,12 +1,13 @@
 """Differential tests: the ingest hot path against verbatim copies of its first version.
 
 The references below are the original `message.to_json_line` (a dict per
-record through `json.dumps` and `strftime`), `irc.parse_log_line` (a chat
-regex, then a network regex, blank lines tested first), `twitter.
-matches_keywords` (every text split into words), `twitter.parse_created_at`
-(a new `timezone` per call) and `sanitize.sanitize_text` (always a regex
-pass). The shipped functions must give the same result, or raise the same
-exception with the same message, on every input.
+record through `json.dumps`), `message.format_ts` (the UTC fields one by
+one), `irc.parse_log_line` (a chat regex, then a network regex, blank lines
+tested first), `twitter.matches_keywords` (every text split into words),
+`twitter.parse_created_at` (a new `timezone` per call) and `sanitize.
+sanitize_text` (always a regex pass). The shipped functions must give the
+same result, or raise the same exception with the same message, on every
+input.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def _ref_to_json_line(msg: Message) -> str:
         "text": msg.text,
     }
     return json.dumps(record, ensure_ascii=False)
+
+
+def _ref_format_ts(ts: datetime) -> str:
+    ts = ts.astimezone(timezone.utc)
+    return (
+        f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z"
+    )
 
 
 _REF_STAMP = r"\[(\w{3}) (\w{3}) (\d{1,2}) (\d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
@@ -191,6 +200,12 @@ def test_to_json_line_matches_reference(stream_id, ts, author, text):
     _same(to_json_line, _ref_to_json_line, Message(stream_id, ts, author, text))
 
 
+@settings(max_examples=400)
+@given(timestamps)
+def test_format_ts_matches_reference(ts):
+    _same(format_ts, _ref_format_ts, ts)
+
+
 def test_to_json_line_fixed_cases():
     utc = timezone.utc
     for ts in (
@@ -205,6 +220,7 @@ def test_to_json_line_fixed_cases():
         datetime(2015, 6, 1, 0, 30, tzinfo=ZoneInfo("Asia/Tokyo")),
         datetime(1000, 1, 1, 3, tzinfo=ZoneInfo("Asia/Tokyo")),
     ):
+        _same(format_ts, _ref_format_ts, ts)
         for text in ("", "plain", SPECIAL_CHARS, "\ud83d", "a\u2028b", "\x01\x1b[0m"):
             _same(to_json_line, _ref_to_json_line, Message("irc:#\u00e9", ts, text[:3], text))
 
@@ -275,9 +291,11 @@ def test_parse_log_line_fixed_cases():
 
 # --- matches_keywords -------------------------------------------------------------------
 
+# Regex metacharacters and word prefixes of one another test the compiled word pattern.
 KEYWORD_WORDS = (
     "bitcoin", "Bitcoin", "BITCOIN", "bitcoins", "#bitcoin", "btc", "#BTC", "#", "##btc",
-    "coin", "\u212a", "k", "\u0130", "i\u0307", "stra\u00dfe", "STRASSE", "a_b", "_", "",
+    "coin", "\u212a", "k", "\u0130", "i\u0307", "stra\u00dfe", "STRASSE", "a_b", "_",
+    "c++", "a.b", "(", "\\", "|", "$", "bit", "btcusd", "",
 )
 keyword_text = st.lists(
     st.tuples(
@@ -311,9 +329,44 @@ def test_matches_keywords_fixed_cases():
         ("\u0130stanbul", (), ("i\u0307stanbul",)),
         ("STRASSE", (), ("stra\u00dfe",)),
         ("text", (), ()),
+        ("c++ rocks", (), ("c++",)),
+        ("c rocks", (), ("c++", "c")),
+        ("tagged", ("C++",), ("c++",)),
+        ("axb", (), ("a.b",)),
+        ("a.b", (), ("a.b", "b")),
+        ("a (b) c", (), ("(",)),
+        ("a (b) c", (), ("(", "b")),
+        ("back\\slash", (), ("\\",)),
+        ("a|b", (), ("|",)),
+        ("a|b", (), ("|", "b")),
+        ("$100", (), ("$",)),
+        ("$100", (), ("$", "100")),
+        ("bitcoin up", (), ("bit", "bitcoin")),
+        ("bitcoin up", (), ("bitcoin", "bit")),
+        ("bitcoin up", (), ("bit",)),
+        ("a bit more", (), ("bitcoin", "bit")),
+        ("bitbitcoin", (), ("bit", "bitcoin")),
+        ("btcusd at 250", (), ("btc",)),
+        ("btcusd at 250", (), ("btc", "btcusd")),
+        ("btc-usd", (), ("btcusd", "btc")),
+        ("btc_usd", (), ("btcusd",)),
     ):
         for substring in (False, True):
             _same(matches_keywords, _ref_matches_keywords, text, tags, wanted, substring)
+
+
+def test_matches_keywords_takes_any_iterable_of_keywords():
+    words = ("bit", "#BTC", "c++", "btcusd")
+    for text, tags in (("a bit more", ()), ("bitcoin", ()), ("c++", ()), ("btcusd", ()), ("none", ("btc",)), ("none", ())):
+        for substring in (False, True):
+            want = _ref_matches_keywords(text, tags, words, substring)
+            # Twice: the second call of each may be served from state the first one left.
+            for _ in range(2):
+                assert matches_keywords(text, tags, list(words), substring) == want
+                assert matches_keywords(text, tags, words, substring) == want
+                assert matches_keywords(text, tags, (w for w in words), substring) == want
+    with pytest.raises(ValueError, match="keywords must be non-empty"):
+        matches_keywords("bitcoin", (), (w for w in ()))
 
 
 # --- parse_created_at -------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from coinbuzz.message import Message
 from coinbuzz.series import (
+    DailyCounter,
     DailySeries,
     DuplicateDate,
     EmptyOverlap,
@@ -16,7 +17,6 @@ from coinbuzz.series import (
     MalformedRow,
     NegativeValue,
     align,
-    bucket_daily,
     detect_gaps,
     load_market_csv,
     read_daily_csv,
@@ -29,6 +29,13 @@ def _msg(day: date, second: int = 0) -> Message:
     return Message("s", ts, "author", "text")
 
 
+def _bucket(messages: list[Message]) -> DailySeries:
+    counter = DailyCounter()
+    for message in messages:
+        counter.add(message)
+    return counter.build("s")
+
+
 def _series(counts: list[int], start: date = date(2015, 6, 1)) -> DailySeries:
     days = {start + timedelta(days=i): c for i, c in enumerate(counts)}
     return DailySeries("s", days, {d: Flag.OK for d in days})
@@ -38,7 +45,7 @@ def _series(counts: list[int], start: date = date(2015, 6, 1)) -> DailySeries:
 
 def test_bucket_fills_interior_dates_with_zero():
     messages = [_msg(date(2015, 6, 1), s) for s in range(3)] + [_msg(date(2015, 6, 3))]
-    series = bucket_daily(messages, "s")
+    series = _bucket(messages)
     assert series.counts == {
         date(2015, 6, 1): 3,
         date(2015, 6, 2): 0,
@@ -48,7 +55,7 @@ def test_bucket_fills_interior_dates_with_zero():
 
 
 def test_bucket_empty_stream():
-    series = bucket_daily([], "s")
+    series = DailyCounter().build("s")
     assert series.counts == {}
     assert series.total() == 0
 
@@ -63,7 +70,7 @@ def test_bucket_matches_generator_tally():
         tally[day] = tally.get(day, 0) + 1
         messages.append(_msg(day, rng.randint(0, 59)))
     rng.shuffle(messages)
-    series = bucket_daily(messages, "s")
+    series = _bucket(messages)
     for day, count in tally.items():
         assert series.counts[day] == count
     assert series.total() == 10_000
@@ -71,7 +78,7 @@ def test_bucket_matches_generator_tally():
 
 def test_bucket_conserves_message_count():
     messages = [_msg(date(2015, 6, 1))] * 4 + [_msg(date(2015, 6, 9))]
-    series = bucket_daily(messages, "s")
+    series = _bucket(messages)
     assert series.total() == len(messages)
     assert len(series.counts) == 9  # interior fill adds only zeros
 
