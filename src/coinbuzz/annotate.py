@@ -102,9 +102,6 @@ class AnnotatedDocument:
         self.annotations.append(ann)
         return ann
 
-    def covered_text(self, ann: Annotation) -> str:
-        return self.doc.text[ann.start:ann.end]
-
     def annotations_in(
         self,
         types: Iterable[str] | None = None,
@@ -160,16 +157,6 @@ class AnnotatedDocument:
         return adoc
 
 
-def token_spans(text: str) -> Iterable[tuple[str, int, int]]:
-    """Yield (type, start, end) for every non-whitespace atom, left to right.
-
-    The spans are disjoint and together cover exactly the non-whitespace
-    positions of the text.
-    """
-    for match in _SCAN_RE.finditer(text):
-        yield _INDEX_TYPE[match.lastindex], match.start(), match.end()
-
-
 # Gazetteer.prefixes.get default: the candidate starts no surface.
 _NOT_A_PREFIX = object()
 
@@ -208,7 +195,7 @@ class Gazetteer:
             if not surface:
                 raise ValueError("empty gazetteer surface form")
             normalized[surface] = (major, minor)
-            max_tokens = max(max_tokens, sum(1 for _ in token_spans(surface)))
+            max_tokens = max(max_tokens, sum(1 for _ in _SCAN_RE.finditer(surface)))
         return cls(normalized, max_tokens)
 
     @classmethod

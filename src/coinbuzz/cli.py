@@ -388,6 +388,8 @@ def _load_config(path: Path) -> dict:
         raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r}")
     if config["window"]["start"] > config["window"]["end"]:
         raise ValueError(f"config key 'window' has its start after its end: {config['window']}")
+    if not config["tweet_captures"] and not config["irc_logs"]:
+        raise ValueError("config keys 'tweet_captures' and 'irc_logs' are both empty; a run needs a stream")
     # The streams the config produces, by slug: each stream's files are named
     # by its slug, so two ids may not share one.
     streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
@@ -401,9 +403,11 @@ def _load_config(path: Path) -> dict:
             raise ValueError(
                 f"stream ids {other!r} and {stream_id!r} would share the files of {_slug(stream_id)!r}"
             )
-    for plot in config["plots"]:
+    for n, plot in enumerate(config["plots"]):
         if plot["series"] not in streams.values():
             raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r}")
+        if plot in config["plots"][:n]:
+            raise ValueError(f"'plots' lists series {plot['series']!r:.40} with metric {plot['metric']!r} twice")
     return config
 
 
@@ -593,7 +597,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _FATAL as exc:
         print(f"coinbuzz: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,8 +9,7 @@ job. Escape prefixes with fewer than four hex digits pass through untouched
 and are only counted.
 
 The scan is stateless: a surrogate pair is just two independent escapes and
-becomes twelve spaces. Lines shard cleanly across workers as long as the
-caller restores output order; stats merge by summing counters.
+becomes twelve spaces.
 
 `sanitize_text` applies `sanitize_line`, the one scrub rule, to a string's
 UTF-8 bytes: escapes are ASCII, so decoding and scrubbing commute.
@@ -32,24 +31,11 @@ class SanitizeStats:
     """Counters for one sanitizer run; line counts always match. `vars()`
     lists them in the order they are printed."""
 
-    def __init__(self, lines_in: int = 0, lines_out: int = 0, replacements: int = 0, malformed_escapes: int = 0):
-        self.lines_in = lines_in
-        self.lines_out = lines_out
-        self.replacements = replacements
-        self.malformed_escapes = malformed_escapes
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SanitizeStats):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __add__(self, other: SanitizeStats) -> SanitizeStats:
-        return SanitizeStats(
-            lines_in=self.lines_in + other.lines_in,
-            lines_out=self.lines_out + other.lines_out,
-            replacements=self.replacements + other.replacements,
-            malformed_escapes=self.malformed_escapes + other.malformed_escapes,
-        )
+    def __init__(self) -> None:
+        self.lines_in = 0
+        self.lines_out = 0
+        self.replacements = 0
+        self.malformed_escapes = 0
 
 
 def sanitize_line(line: bytes) -> tuple[bytes, int, int]:
@@ -82,27 +68,17 @@ def sanitize_text(text: str) -> str:
     return sanitize_line(text.encode("utf-8", "surrogatepass"))[0].decode("utf-8", "surrogatepass")
 
 
-def sanitize_stream(
-    source: Iterable[bytes] | IO[bytes],
-    sink: IO[bytes],
-    stats: SanitizeStats | None = None,
-) -> SanitizeStats:
+def sanitize_stream(source: Iterable[bytes] | IO[bytes], sink: IO[bytes]) -> SanitizeStats:
     """Filter a byte-line stream; lines come out in order, one per line in.
 
-    I/O failures from either side propagate; pass in a stats object to keep
-    the counters for the lines completed before the failure.
+    Each line is scrubbed with its terminator, which no escape can include.
+    I/O failures from either side propagate.
     """
-    if stats is None:
-        stats = SanitizeStats()
+    stats = SanitizeStats()
     for raw in source:
         stats.lines_in += 1
-        if raw.endswith(b"\n"):
-            body, terminator = raw[:-1], b"\n"
-        else:
-            body, terminator = raw, b""
-        cleaned, replaced, malformed = sanitize_line(body)
+        cleaned, replaced, malformed = sanitize_line(raw)
         sink.write(cleaned)
-        sink.write(terminator)
         stats.lines_out += 1
         stats.replacements += replaced
         stats.malformed_escapes += malformed

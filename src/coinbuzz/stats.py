@@ -22,10 +22,6 @@ POLICY_EXCLUDE_OUTAGES = "exclude-outages"
 _CLAMP_TOLERANCE = 1e-12
 
 
-class LengthMismatch(Exception):
-    pass
-
-
 class TooFewPoints(Exception):
     pass
 
@@ -41,8 +37,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     yields +/-1 and is statistically vacuous. The result is clamped to
     [-1, 1].
     """
-    if len(x) != len(y):
-        raise LengthMismatch(f"{len(x)} vs {len(y)} points")
     n = len(x)
     if n < 3:
         raise TooFewPoints(f"{n} points, need at least 3")

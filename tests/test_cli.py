@@ -843,6 +843,10 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c["irc_logs"][0].update(channel="c"), "channel"),
         (lambda c: c.update(window={"start": "2015-06-05", "end": "2015-06-01"}), "window"),
         (lambda c: c.update(irc_logs=["x" * 2000]), "irc_logs"),
+        # Both would fail only after out_dir exists.
+        (lambda c: c["plots"].append(dict(c["plots"][0])), "plots"),
+        (lambda c: c.update(tweet_captures=[], irc_logs=[]), "tweet_captures"),
+        (lambda c: c.update(tweet_captures=[], irc_logs=[]), "irc_logs"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -856,6 +860,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "keywords.blank", "keywords.padded", "keywords.hash-only", "keywords.padded-after-hash",
         "keywords.phrase-as-word", "keywords.nested-deep",
         "irc_logs.channel-no-hash", "window.reversed", "irc_logs.entry-not-a-table",
+        "plots.repeated", "no-stream.tweet_captures", "no-stream.irc_logs",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -1130,6 +1135,7 @@ def _rotated_captures_second_channel(config: dict) -> None:
             id="exclude-outages-outage-day-market-gap",
         ),
         pytest.param({}, _rotated_captures_second_channel, id="two-captures-sharing-an-id-two-channels"),
+        pytest.param({"window": {"start": "2015-06-02", "end": "2015-06-04"}}, None, id="window"),
     ],
 )
 def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, edit):
@@ -1163,6 +1169,15 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     for stream_id, entry in logs.items():
         steps.append(["parse-irc", "--channel", entry["channel"], "--in", entry["path"],
                       "--out", c(f"messages_{slugs[stream_id]}.jsonl")])
+    chain_codes = [main(argv) for argv in steps]
+    if "window" in config:  # a window has no subcommand: keep the messages of its days, by their UTC date
+        start, end = config["window"]["start"], config["window"]["end"]
+        for slug in slugs.values():
+            path = Path(c(f"messages_{slug}.jsonl"))
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            kept = [line for line in lines if start <= json.loads(line)["ts"][:10] <= end]
+            path.write_text("".join(kept), encoding="utf-8")
+    steps = []
     for slug in slugs.values():
         steps.append(["aggregate", "--in", c(f"messages_{slug}.jsonl"), "--out", c(f"daily_{slug}.csv")])
         steps.append(["gaps", "--in", c(f"daily_{slug}.csv"), "--out", c(f"series_{slug}.csv")])
@@ -1181,7 +1196,7 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
         plot_names.append(f"plot_{slug}_{metric}.csv")
         steps.append(["plot-series", "--series", c(f"series_{slug}.csv"), "--market", config[f"{metric}_csv"],
                       "--metric", metric, "--out", c(plot_names[-1])])
-    chain_codes = [main(argv) for argv in steps]
+    chain_codes += [main(argv) for argv in steps]
     # Both sides are partial exactly when some stage is: here, on a malformed capture line.
     assert run_all_code == max(chain_codes) == (1 if edit is _awkward_capture else 0), chain_codes
 
@@ -1202,3 +1217,5 @@ def test_run_all_equals_its_subcommand_chain(tmp_path, monkeypatch, overrides, e
     if edit is _rotated_captures_second_channel:  # the shared id is counted once
         assert len((out_dir / "messages_twitter.jsonl").read_text(encoding="utf-8").splitlines()) == 30
         assert len(json.loads((out_dir / "report.json").read_text())["rows"]) == 3
+    if "window" in config:  # three of the five days, 5 + 6 + 7 tweets and 4 + 6 + 8 chat lines
+        assert [row["total_messages"] for row in json.loads((out_dir / "report.json").read_text())["rows"]] == [18, 18]

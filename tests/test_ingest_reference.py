@@ -4,18 +4,20 @@ The references below are the original `message.to_json_line` (a dict per
 record through `json.dumps`), `message.format_ts` (the UTC fields one by
 one), `irc.parse_log_line` (a chat regex, then a network regex, blank lines
 tested first), `twitter.matches_keywords` (every text split into words),
-`twitter.parse_created_at` (a new `timezone` per call) and `sanitize.
-sanitize_text` (always a regex pass). The shipped functions must give the
-same result, or raise the same exception with the same message, on every
-input.
+`twitter.parse_created_at` (a new `timezone` per call), `sanitize.
+sanitize_text` (always a regex pass) and `sanitize.sanitize_stream` (each
+line's body scrubbed apart from its terminator). The shipped functions must
+give the same result, or raise the same exception with the same message, on
+every input.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from typing import Iterable
+from typing import IO, Iterable
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from coinbuzz.irc import NETWORK_SUBTYPES, EventKind, IrcEvent, UnparsableLine, parse_log_line
 from coinbuzz.message import MONTH_BY_ABBREV, Message, format_ts, to_json_line
-from coinbuzz.sanitize import sanitize_text
+from coinbuzz.sanitize import SanitizeStats, sanitize_line, sanitize_stream, sanitize_text
 from coinbuzz.twitter import MalformedRecord, matches_keywords, parse_created_at, parse_tweet
 
 # --- reference implementation (verbatim apart from names) ---------------------
@@ -146,6 +148,28 @@ def _ref_sanitize_text(text: str) -> str:
         return match.group(0)
 
     return _REF_ESCAPE_TEXT_RE.sub(sub, text)
+
+
+def _ref_sanitize_stream(
+    source: Iterable[bytes] | IO[bytes],
+    sink: IO[bytes],
+    stats: SanitizeStats | None = None,
+) -> SanitizeStats:
+    if stats is None:
+        stats = SanitizeStats()
+    for raw in source:
+        stats.lines_in += 1
+        if raw.endswith(b"\n"):
+            body, terminator = raw[:-1], b"\n"
+        else:
+            body, terminator = raw, b""
+        cleaned, replaced, malformed = sanitize_line(body)
+        sink.write(cleaned)
+        sink.write(terminator)
+        stats.lines_out += 1
+        stats.replacements += replaced
+        stats.malformed_escapes += malformed
+    return stats
 
 
 # --- comparison -------------------------------------------------------------------
@@ -436,3 +460,37 @@ def test_sanitize_text_fixed_cases():
     for text in ("", "plain", "\\", "u", "\\u", "\\u00", "\\u0041", "\\u2026", "\\U2026",
                  "a\\u00e9\\ud83d\\ude00b", "\\\\u2026", "\\u007f\\u0080", "\u2026"):
         _same(sanitize_text, _ref_sanitize_text, text)
+
+
+# --- sanitize_stream -------------------------------------------------------------------
+
+
+def _same_stream(payload: bytes) -> None:
+    sinks = io.BytesIO(), io.BytesIO()
+    new = sanitize_stream(io.BytesIO(payload), sinks[0])
+    ref = _ref_sanitize_stream(io.BytesIO(payload), sinks[1])
+    assert sinks[0].getvalue() == sinks[1].getvalue()
+    assert vars(new) == vars(ref)
+
+
+# Escapes and their prefixes next to each line ending, so that an escape meets "\n".
+stream_bytes = st.lists(
+    st.one_of(
+        st.binary(max_size=6),
+        st.sampled_from((b"\\u", b"\\u00e9", b"\\u0041", b"\\u20", b"\\", b"u", b"0", b"a",
+                         b"\n", b"\r\n", b"\r", b"\xc3")),
+    ),
+    max_size=16,
+).map(b"".join)
+
+
+@settings(max_examples=500)
+@given(stream_bytes)
+def test_sanitize_stream_matches_reference(payload):
+    _same_stream(payload)
+
+
+def test_sanitize_stream_fixed_cases():
+    for payload in (b"", b"\n", b"\n\n\n", b"a\\u\n", b"a\\u\r\n", b"\\u00\nb", b"\\u00e9\r\n\r\n",
+                    b"one\ntwo", b"tail\\u", b"x\\u2026", b"\\u0041\n\n\\u20ff"):
+        _same_stream(payload)
