@@ -9,10 +9,9 @@ run_pipeline is the one annotator: it tokenizes a document, then adds a
 gazetteer's lookups when one is given, handing out dense ids, tokens first, so
 identical inputs always yield identical ids.
 
-This is the per-document hot path of the pipeline, so run_pipeline appends
-spans in bulk instead of one checked `add()` at a time, and to_json
-formats each span directly rather than building a dict for json.dumps; the
-output is byte-identical to json.dumps of the record.
+This is the per-document hot path, so spans are plain tuples: run_pipeline
+fills them straight from the tokenizer's matches, to_json formats them
+directly (byte-identical to json.dumps), and only queries build Annotations.
 """
 
 from __future__ import annotations
@@ -88,19 +87,31 @@ class Annotation:
     features: dict[str, str] = field(default_factory=dict)
 
 
+Span = tuple[str, int, int, dict[str, str] | None]  # type, start, end, features
+
+
+def _annotation(ann_id: int, span: Span) -> Annotation:
+    return Annotation(ann_id, *span[:3], dict(span[3] or {}))
+
+
 class AnnotatedDocument:
-    """A document plus its stand-off annotations, queryable by type and span."""
+    """A document plus its stand-off annotations, queryable by type and span.
+
+    `spans` holds one `(type, start, end, features or None)` tuple per annotation, in id order."""
 
     def __init__(self, doc: Document):
         self.doc = doc
-        self.annotations: list[Annotation] = []
+        self.spans: list[Span] = []
+
+    @property
+    def annotations(self) -> list[Annotation]:
+        return [_annotation(ann_id, span) for ann_id, span in enumerate(self.spans)]
 
     def add(self, type: str, start: int, end: int, features: dict[str, str] | None = None) -> Annotation:
         if not (0 <= start <= end <= len(self.doc.text)):
             raise ValueError(f"span [{start},{end}) outside text of length {len(self.doc.text)}")
-        ann = Annotation(len(self.annotations), type, start, end, features or {})
-        self.annotations.append(ann)
-        return ann
+        self.spans.append((type, start, end, dict(features) if features else None))
+        return _annotation(len(self.spans) - 1, self.spans[-1])
 
     def annotations_in(
         self,
@@ -118,30 +129,23 @@ class AnnotatedDocument:
             a, b = window
             if not (0 <= a <= b <= len(self.doc.text)):
                 raise ValueError(f"window [{a},{b}) outside text")
-        out = []
-        for ann in self.annotations:
-            if wanted is not None and ann.type not in wanted:
+        hits = []
+        for ann_id, (type, start, end, _) in enumerate(self.spans):
+            if wanted is not None and type not in wanted:
                 continue
-            if window is not None:
-                if a == b:
-                    if not (ann.start <= a < ann.end):
-                        continue
-                elif not (ann.start < b and a < ann.end):
-                    continue
-            out.append(ann)
-        out.sort(key=lambda ann: (ann.start, ann.end, ann.ann_id))
-        return out
+            if window is None or (start <= a < end if a == b else start < b and a < end):
+                hits.append((start, end, ann_id))
+        hits.sort()
+        return [_annotation(ann_id, self.spans[ann_id]) for _, _, ann_id in hits]
 
     def to_json(self) -> str:
-        """One JSON line: doc_id, text and every annotation in id order.
-
-        Ids and offsets are formatted as ints, so they must be ints.
-        """
+        """One JSON line: doc_id, text and every annotation in id order; offsets
+        are formatted as ints, so they must be ints."""
         types = _TYPE_JSON
         spans = ",".join([
-            f'{{"id":{a.ann_id},"type":{types[a.type]},"start":{a.start},"end":{a.end},'
-            f'"features":{_features_json(a.features) if a.features else "{}"}}}'
-            for a in self.annotations
+            f'{{"id":{ann_id},"type":{types[type]},"start":{start},"end":{end},'
+            f'"features":{_features_json(features) if features else "{}"}}}'
+            for ann_id, (type, start, end, features) in enumerate(self.spans)
         ])
         doc_id = _ENCODER.encode(self.doc.doc_id)
         return f'{{"doc_id":{doc_id},"text":{encode_basestring(self.doc.text)},"annotations":[{spans}]}}'
@@ -151,7 +155,7 @@ class AnnotatedDocument:
         record = json.loads(payload)
         adoc = cls(Document(record["doc_id"], record["text"]))
         for item in record["annotations"]:
-            ann = adoc.add(item["type"], item["start"], item["end"], dict(item["features"]))
+            ann = adoc.add(item["type"], item["start"], item["end"], item["features"])
             if ann.ann_id != item["id"]:
                 raise ValueError(f"non-dense annotation id {item['id']}")
         return adoc
@@ -213,13 +217,13 @@ class Gazetteer:
         return cls.from_entries(entries)
 
 
-def gazetteer_lookup(doc: Document, tokens: Sequence[Annotation], gazetteer: Gazetteer) -> list[Annotation]:
-    """One Lookup per maximal gazetteer match over consecutive tokens.
+def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer) -> list[Span]:
+    """One Lookup span per maximal gazetteer match over consecutive tokens.
 
-    `tokens` are sorted by start with non-decreasing ends, as the tokenizer
-    yields them. Candidate surfaces are the raw document text spanning the
-    token run, lowercased. Longest match wins; ties break leftmost; matched
-    tokens are consumed so lookups never overlap.
+    `tokens` are spans sorted by start with non-decreasing ends, as the
+    tokenizer yields them. Candidate surfaces are the raw document text
+    spanning the token run, lowercased. Longest match wins; ties break
+    leftmost; matched tokens are consumed so lookups never overlap.
 
     A run grows one token at a time and stops as soon as the candidate is no
     surface's prefix, so a token that starts no surface costs one probe.
@@ -227,18 +231,18 @@ def gazetteer_lookup(doc: Document, tokens: Sequence[Annotation], gazetteer: Gaz
     text = doc.text.lower()
     prefixes = gazetteer.prefixes
     not_a_prefix = _NOT_A_PREFIX
-    lookups: list[Annotation] = []
+    lookups: list[Span] = []
     i = 0
     n = len(tokens)
     while i < n:
-        start = tokens[i].start
-        entry = prefixes.get(text[start:tokens[i].end], not_a_prefix)
+        _, start, end, _ = tokens[i]
+        entry = prefixes.get(text[start:end], not_a_prefix)
         if entry is not_a_prefix:
             i += 1
             continue
         last = i
         for j in range(i + 1, min(i + gazetteer.max_tokens, n)):
-            longer = prefixes.get(text[start:tokens[j].end], not_a_prefix)
+            longer = prefixes.get(text[start:tokens[j][2]], not_a_prefix)
             if longer is not_a_prefix:
                 break
             if longer is not None:
@@ -247,8 +251,7 @@ def gazetteer_lookup(doc: Document, tokens: Sequence[Annotation], gazetteer: Gaz
             i += 1
             continue
         major, minor = entry
-        features = {"major_type": major, "minor_type": minor}
-        lookups.append(Annotation(len(lookups), LOOKUP, start, tokens[last].end, features))
+        lookups.append((LOOKUP, start, tokens[last][2], {"major_type": major, "minor_type": minor}))
         i = last + 1
     return lookups
 
@@ -260,14 +263,11 @@ def run_pipeline(doc: Document, gazetteer: Gazetteer | None = None) -> Annotated
     # skipped; they are disjoint and in text order, as gazetteer_lookup wants.
     index_type = _INDEX_TYPE
     adoc = AnnotatedDocument(doc)
-    annotations = adoc.annotations
-    annotations.extend([
-        Annotation(ann_id, index_type[match.lastindex], match.start(), match.end(), {})
-        for ann_id, match in enumerate(_SCAN_RE.finditer(doc.text))
+    spans = adoc.spans
+    spans.extend([
+        (index_type[match.lastindex], match.start(), match.end(), None)
+        for match in _SCAN_RE.finditer(doc.text)
     ])
     if gazetteer is not None:
-        lookups = gazetteer_lookup(doc, annotations, gazetteer)
-        for ann_id, ann in enumerate(lookups, len(annotations)):
-            ann.ann_id = ann_id
-        annotations.extend(lookups)
+        spans.extend(gazetteer_lookup(doc, spans, gazetteer))
     return adoc

@@ -228,7 +228,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         stream_id = ""
     else:
         raise ValueError(
-            f"input mixes streams {sorted(seen_streams)}; pick one with --stream-id"
+            f"input mixes streams {sorted(seen_streams)!r:.40}; pick one with --stream-id"
         )
     with _output(args.outfile) as out:
         days = series_mod.write_daily_csv(counter.build(stream_id), out)
@@ -251,7 +251,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
 def _parse_series_arg(value: str) -> tuple[str, str]:
     stream_id, sep, path = value.partition("=")
     if not sep or not stream_id or not path:
-        raise ValueError(f"--series wants <stream_id>=<path>, got {value!r}")
+        raise ValueError(f"--series wants <stream_id>=<path>, got {value!r:.40}")
     return stream_id, path
 
 
@@ -334,7 +334,7 @@ def _read_section(table: object, section: str, where: str = "") -> dict:
         raise ValueError(f"{where or section} must be a table, got {table!r:.40}")
     for key in table:
         if key not in keys:
-            raise ValueError(f"{section} has unknown key {key!r}")
+            raise ValueError(f"{section} has unknown key {key!r:.40}")
     typed = {}
     for key, (kind, default) in keys.items():
         if key in table:
@@ -385,7 +385,7 @@ def _load_config(path: Path) -> dict:
     if not 0 < config["theta"] < 1:
         raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
     if config["k"] < 1:
-        raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r}")
+        raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r:.40}")
     if config["window"]["start"] > config["window"]["end"]:
         raise ValueError(f"config key 'window' has its start after its end: {config['window']}")
     if not config["tweet_captures"] and not config["irc_logs"]:
@@ -395,17 +395,17 @@ def _load_config(path: Path) -> dict:
     streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
     for entry in config["irc_logs"]:
         if not entry["channel"].startswith("#"):
-            raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r}")
+            raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r:.40}")
         resolve_tz(entry["tz"])
         stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
         other = streams.setdefault(_slug(stream_id), stream_id)
         if other != stream_id:
             raise ValueError(
-                f"stream ids {other!r} and {stream_id!r} would share the files of {_slug(stream_id)!r}"
+                f"stream ids {other!r:.40} and {stream_id!r:.40} would share the files of {_slug(stream_id)!r:.40}"
             )
     for n, plot in enumerate(config["plots"]):
         if plot["series"] not in streams.values():
-            raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r}")
+            raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r:.40}")
         if plot in config["plots"][:n]:
             raise ValueError(f"'plots' lists series {plot['series']!r:.40} with metric {plot['metric']!r} twice")
     return config

@@ -110,7 +110,7 @@ def parse_log_line(
 
 def _check_channel(channel: str) -> None:
     if not channel.startswith("#"):
-        raise ValueError(f"channel must begin with '#': {channel!r}")
+        raise ValueError(f"channel must begin with '#': {channel!r:.40}")
 
 
 def resolve_tz(name: str) -> tzinfo:
@@ -122,13 +122,13 @@ def resolve_tz(name: str) -> tzinfo:
     if name == "UTC":
         return timezone.utc
     if not isinstance(name, str):
-        raise ValueError(f"time zone must be a string, got {name!r}")
+        raise ValueError(f"time zone must be a string, got {name!r:.40}")
     from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
     try:
         return ZoneInfo(name)
     except (ZoneInfoNotFoundError, ValueError):
-        raise ValueError(f"unknown time zone {name!r}") from None
+        raise ValueError(f"unknown time zone {name!r:.40}") from None
 
 
 def ingest_log(

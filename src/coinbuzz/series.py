@@ -48,7 +48,7 @@ class DuplicateDate(ValueError):
 
 class NegativeValue(ValueError):
     def __init__(self, day: date, value: float):
-        super().__init__(f"negative value {value} on {day.isoformat()}")
+        super().__init__(f"negative value {value!r:.40} on {day.isoformat()}")
         self.day = day
 
 
@@ -155,7 +155,7 @@ def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterat
         reader = csv.reader(source)
         got = next(reader, None)
         if got is None or [cell.strip() for cell in got] != list(header):
-            raise MalformedRow(1, f"expected header {','.join(header)!r}, got {got!r}")
+            raise MalformedRow(1, f"expected header {','.join(header)!r}, got {got!r:.40}")
         seen: set[date] = set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -165,7 +165,7 @@ def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterat
             try:
                 day = date.fromisoformat(row[0].strip())
             except ValueError:
-                raise MalformedRow(line_no, f"bad date {row[0]!r}") from None
+                raise MalformedRow(line_no, f"bad date {row[0]!r:.40}") from None
             if day in seen:
                 raise DuplicateDate(day)
             seen.add(day)
@@ -188,9 +188,9 @@ def load_market_csv(source: str | Path | IO[str]) -> dict[date, float]:
         try:
             value = float(cell)
         except ValueError:
-            raise MalformedRow(line_no, f"bad value {cell!r}") from None
+            raise MalformedRow(line_no, f"bad value {cell!r:.40}") from None
         if not math.isfinite(value):
-            raise MalformedRow(line_no, f"non-finite value {cell!r}")
+            raise MalformedRow(line_no, f"non-finite value {cell!r:.40}")
         values[day] = _non_negative(day, value)
     return dict(sorted(values.items()))
 
@@ -234,7 +234,7 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
         try:
             value, flags[day] = int(count), Flag(flag.strip())
         except ValueError:
-            raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r}") from None
+            raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)
     # Normalize foreign CSVs: interior dates absent from the file become
     # explicit zero-count days, same as the aggregation path produces.

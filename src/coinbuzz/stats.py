@@ -160,8 +160,8 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
         raise ValueError(f"a report must be a JSON object with a 'rows' list, got {payload!r:.40}")
     try:
         report = CorrelationReport([ReportRow(**item) for item in rows])
-    except TypeError as exc:  # an item that is no object, or has other keys
-        raise ValueError(f"a report row must be an object with the keys of ReportRow: {exc}") from None
+    except TypeError:  # an item that is no object, or has other keys
+        raise ValueError(f"a report row must be an object with exactly the keys {', '.join(ReportRow._fields)}") from None
     seen: set[str] = set()
     for n, row in enumerate(report.rows, start=1):
         for name, kind in _FIELD_TYPES.items():
@@ -178,7 +178,7 @@ def report_from_json(source: str | IO[str]) -> CorrelationReport:
                 raise ValueError(f"report row {n}: '{name}_error' must be one of {_ERROR_NAMES}, got {error!r:.40}")
         for name in ("total_messages", "n_days"):
             if getattr(row, name) < 0:
-                raise ValueError(f"report row {n}: {name!r} must not be negative, got {getattr(row, name)}")
+                raise ValueError(f"report row {n}: {name!r} must not be negative, got {getattr(row, name)!r:.40}")
         if row.policy not in (POLICY_ALL_DAYS, POLICY_EXCLUDE_OUTAGES):
             policies = f"{POLICY_ALL_DAYS!r} or {POLICY_EXCLUDE_OUTAGES!r}"
             raise ValueError(f"report row {n}: 'policy' must be {policies}, got {row.policy!r:.40}")

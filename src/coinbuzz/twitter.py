@@ -128,9 +128,9 @@ def check_keywords(keywords: Iterable[str], substring: bool = False) -> tuple[st
     keywords = tuple(keywords)
     cores = [kw.lstrip("#") for kw in keywords]
     if not cores or any(not core or core != core.strip() for core in cores):
-        raise ValueError(f"'keywords' must be one or more unpadded words after any leading '#', got {list(keywords)!r}")
+        raise ValueError(f"'keywords' must be one or more unpadded words after any leading '#', got {list(keywords)!r:.40}")
     if not substring and any(len(core.split()) > 1 for core in cores):
-        raise ValueError(f"'keywords' must hold no whitespace unless matched as substrings, got {list(keywords)!r}")
+        raise ValueError(f"'keywords' must hold no whitespace unless matched as substrings, got {list(keywords)!r:.40}")
     return keywords
 
 

@@ -115,20 +115,20 @@ def _gazetteer(*surfaces: str) -> Gazetteer:
 
 
 def _tokens(doc: Document):
-    return run_pipeline(doc).annotations
+    return run_pipeline(doc).spans
 
 
 def test_lookup_is_case_insensitive():
     doc = Document("d", "Bitcoin rallies")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin"))
-    assert _spans(lookups) == [(LOOKUP, 0, 7)]
-    assert lookups[0].features == {"major_type": "crypto", "minor_type": "coin"}
+    assert [span[:3] for span in lookups] == [(LOOKUP, 0, 7)]
+    assert lookups[0][3] == {"major_type": "crypto", "minor_type": "coin"}
 
 
 def test_longest_match_wins():
     doc = Document("d", "bitcoin cash drops")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin", "bitcoin cash"))
-    assert _spans(lookups) == [(LOOKUP, 0, 12)]
+    assert [span[:3] for span in lookups] == [(LOOKUP, 0, 12)]
 
 
 def test_empty_gazetteer_yields_nothing():
@@ -139,13 +139,13 @@ def test_empty_gazetteer_yields_nothing():
 def test_matched_tokens_are_consumed():
     doc = Document("d", "bitcoin bitcoin")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin"))
-    assert _spans(lookups) == [(LOOKUP, 0, 7), (LOOKUP, 8, 15)]
+    assert [span[:3] for span in lookups] == [(LOOKUP, 0, 7), (LOOKUP, 8, 15)]
 
 
 def test_lookup_spans_hashtag_surface():
     doc = Document("d", "#bitcoin up")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("#bitcoin"))
-    assert _spans(lookups) == [(LOOKUP, 0, 8)]
+    assert [span[:3] for span in lookups] == [(LOOKUP, 0, 8)]
 
 
 def test_gazetteer_load(tmp_path):
@@ -305,3 +305,54 @@ def test_serialization_keeps_unicode_text():
     recovered = AnnotatedDocument.from_json(adoc.to_json())
     assert recovered.doc.text == "café …"
     assert recovered.annotations[0].features == {"kind": "word"}
+
+
+# --- the span store ----------------------------------------------------------
+
+_WORDS = ("bitcoin", "Bitcoin", "cash", "to", "the", "moon", "#btc", "@al", "http://x.io", "!", "café")
+_GAZETTEERS = st.dictionaries(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+    st.tuples(st.sampled_from(("crypto", "m")), st.sampled_from(("coin", "phrase"))),
+    max_size=6,
+).map(Gazetteer.from_entries)
+_TEXTS = st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=3)), max_size=12).map(" ".join)
+
+
+@given(_TEXTS, _GAZETTEERS)
+def test_annotations_are_fresh_copies_of_the_spans(text, gazetteer):
+    adoc = run_pipeline(Document("d", text), gazetteer)
+    first, second = adoc.annotations, adoc.annotations
+    assert [a.ann_id for a in first] == list(range(len(adoc.spans)))
+    assert [(a.type, a.start, a.end, a.features) for a in first] == [
+        (type, start, end, features or {}) for type, start, end, features in adoc.spans
+    ]
+    assert first == second
+    stored = [features for *_, features in adoc.spans]
+    for one, other, features in zip(first, second, stored):
+        assert one is not other
+        assert one.features is not other.features
+        assert one.features is not features
+    # Editing a handed-out copy leaves the store as it was.
+    for ann in first:
+        ann.features["edited"] = "yes"
+    assert adoc.annotations == second
+
+
+def test_round_trip_keeps_spans_with_added_features():
+    adoc = _sample_adoc()
+    adoc.add(TOKEN, 0, 7, {"kind": "word"})
+    adoc.add("Custom", 8, 12)
+    adoc.add(LOOKUP, 0, 12, {"major_type": "crypto", "minor_type": "coin", "note": "\"quoted\""})
+    recovered = AnnotatedDocument.from_json(adoc.to_json())
+    assert recovered.spans == adoc.spans
+    assert recovered.spans[-3][3] == {"kind": "word"}
+    assert recovered.spans[-2][3] is None
+
+
+def test_add_copies_the_features_it_stores():
+    adoc = AnnotatedDocument(Document("d", "hello"))
+    features = {"kind": "word"}
+    ann = adoc.add(TOKEN, 0, 5, features)
+    features["kind"] = "changed"
+    ann.features["kind"] = "changed too"
+    assert adoc.spans == [(TOKEN, 0, 5, {"kind": "word"})]

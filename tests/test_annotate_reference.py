@@ -26,6 +26,7 @@ from coinbuzz.annotate import (
     Gazetteer,
     run_pipeline,
 )
+from coinbuzz.cli import main
 
 # --- reference implementation (verbatim apart from names) ---------------------
 
@@ -223,3 +224,36 @@ def test_matches_reference_when_lowercasing_retokenizes():
     lookups = [(ann.start, ann.end) for ann in adoc.annotations if ann.type == LOOKUP]
     assert lookups == [(0, 7), (8, len(text))]
     _check("d", text, gazetteer)
+
+
+def test_cli_annotate_builds_no_annotation_object(tmp_path, monkeypatch):
+    # The CLI only serializes, so its path must stay on the span tuples: an
+    # Annotation built per span is the cost the tuples remove.
+    messages = [
+        ("twitter", "Bitcoin cash to the moon #BTC @al http://x.io/bitcoin"),
+        ("irc:#c", ""),
+        ("irc:#c", "K bitcoin!"),
+    ]
+    infile = tmp_path / "msgs.jsonl"
+    infile.write_text(
+        "".join(
+            json.dumps({"stream_id": stream, "ts": "2015-06-01T10:00:00Z", "author": "a", "text": text}) + "\n"
+            for stream, text in messages
+        ),
+        encoding="utf-8",
+    )
+    gaz = tmp_path / "gaz.tsv"
+    gaz.write_text("bitcoin cash\tcrypto\tcoin\nbitcoin\tcrypto\tcoin\n#btc\tcrypto\ttag\n", encoding="utf-8")
+    gazetteer = Gazetteer.load(gaz)
+    expected = "".join(
+        _reference(Document(f"{stream}:{line_no}", text), gazetteer) + "\n"
+        for line_no, (stream, text) in enumerate(messages, start=1)
+    )
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the CLI built an Annotation")
+
+    monkeypatch.setattr(Annotation, "__init__", refuse)
+    out = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--in", str(infile), "--gazetteer", str(gaz), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")

@@ -482,6 +482,8 @@ MARKET_CSV = "date,value\n2015-06-04,1.0\n2015-06-05,2.0\n2015-06-06,3.0\n"
 GAZETTEER = "bitcoin\tcrypto\tcoin\n"
 # JSON nested far past any recursion limit.
 DEEP = "[" * 100_000
+# A value that an error quotes cut short.
+LONG = "x" * 2000
 REPORT_ROW = {
     "stream_id": "s", "total_messages": 5, "r_volume": 0.5, "r_volume_error": None,
     "r_price": None, "r_price_error": "ConstantSeries", "n_days": 5, "policy": "all-days",
@@ -654,6 +656,56 @@ REPORT_ROW = {
             {"series.csv": SERIES_CSV, "volume.csv": MARKET_CSV},
             "only 2 shared dates", id="plot-series.too-little-overlap",
         ),
+        pytest.param(
+            ["parse-irc", "--channel", LONG, "--in", "chan.log"], {"chan.log": IRC_LOG},
+            "channel must begin with '#'", id="parse-irc.channel-long",
+        ),
+        pytest.param(
+            ["parse-irc", "--channel", "#x", "--tz", LONG, "--in", "chan.log"], {"chan.log": IRC_LOG},
+            "unknown time zone", id="parse-irc.tz-long",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", f"{LONG},#", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "Bitcoin rally") + "\n"}, "unpadded words", id="ingest-tweets.keywords-blank-long",
+        ),
+        pytest.param(
+            ["ingest-tweets", "--keywords", f"{LONG} {LONG}", "--in", "cap.jsonl"],
+            {"cap.jsonl": _tweet_line(1, "Bitcoin rally") + "\n"}, "no whitespace", id="ingest-tweets.keywords-phrase-long",
+        ),
+        pytest.param(
+            ["correlate", "--series", LONG, "--price", "price.csv", "--volume", "volume.csv"],
+            {"price.csv": MARKET_CSV, "volume.csv": MARKET_CSV}, "--series wants", id="correlate.series-long",
+        ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE + MESSAGE.replace('"s"', json.dumps(LONG))},
+            "input mixes streams", id="aggregate.mixed-streams-long",
+        ),
+        pytest.param(["gaps", "--in", "series.csv"], {"series.csv": f"{LONG}\n"}, "expected header", id="gaps.header-long"),
+        pytest.param(
+            ["gaps", "--in", "series.csv"], {"series.csv": f"date,count,flag\n{LONG},1,ok\n"}, "bad date", id="gaps.date-long",
+        ),
+        pytest.param(
+            ["gaps", "--in", "series.csv"], {"series.csv": f"date,count,flag\n2015-06-01,{LONG},ok\n"},
+            "bad count or flag", id="gaps.count-long",
+        ),
+        pytest.param(
+            ["gaps", "--in", "series.csv"], {"series.csv": f"date,count,flag\n2015-06-01,-{'1' * 2000},ok\n"},
+            "negative value", id="gaps.negative-count-long",
+        ),
+        pytest.param(
+            ["plot-series", "--series", "series.csv", "--market", "volume.csv"],
+            {"series.csv": SERIES_CSV, "volume.csv": f"date,value\n2015-06-01,{LONG}\n"},
+            "bad value", id="plot-series.market-value-long",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"],
+            {"report.json": json.dumps({"rows": [{**REPORT_ROW, "total_messages": -10**2000}]})},
+            "'total_messages' must not be negative", id="report.negative-total-long",
+        ),
+        pytest.param(
+            ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, LONG: 1}]})},
+            "a report row must be an object", id="report.row-keys-long",
+        ),
     ],
 )
 def test_failed_subcommand_leaves_no_output(tmp_path, capsys, monkeypatch, argv, inputs, error):
@@ -664,6 +716,8 @@ def test_failed_subcommand_leaves_no_output(tmp_path, capsys, monkeypatch, argv,
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
     assert error in err
+    # A value is quoted cut short, however large it is.
+    assert len(err) < 200
     assert not Path("out.txt").exists()
     assert not Path("out.txt.partial").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
@@ -847,6 +901,17 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c["plots"].append(dict(c["plots"][0])), "plots"),
         (lambda c: c.update(tweet_captures=[], irc_logs=[]), "tweet_captures"),
         (lambda c: c.update(tweet_captures=[], irc_logs=[]), "irc_logs"),
+        # Values of 2,000 characters, which the error quotes cut short.
+        (lambda c: c["plots"][0].update(series=LONG), LONG),
+        (lambda c: c["irc_logs"][0].update(channel=LONG), LONG),
+        (lambda c: c["irc_logs"].extend(
+            [{"path": c["irc_logs"][0]["path"], "channel": f"#{LONG}{sep}b"} for sep in "-_"]
+        ), f"irc:#{LONG}-b"),
+        (lambda c: c["irc_logs"][0].update(tz=LONG), LONG),
+        (lambda c: c.update(keywords=["bitcoin", f"#{LONG} "]), "keywords"),
+        (lambda c: c.update(keywords=[f"{LONG} {LONG}"]), "keywords"),
+        (lambda c: c.update({LONG: True}), LONG),
+        (lambda c: c.update(k=-10**2000), "k"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -861,6 +926,9 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "keywords.phrase-as-word", "keywords.nested-deep",
         "irc_logs.channel-no-hash", "window.reversed", "irc_logs.entry-not-a-table",
         "plots.repeated", "no-stream.tweet_captures", "no-stream.irc_logs",
+        "plots.series-long", "irc_logs.channel-long", "irc_logs.slug-collision-long",
+        "irc_logs.tz-long", "keywords.padded-long", "keywords.phrase-as-word-long",
+        "unknown-key.long", "k.range-long",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -871,8 +939,8 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     assert main(["run-all", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
-    assert repr(key) in err
-    # A value is quoted cut short, however large it is.
+    # A value is quoted cut to 40 characters, however large it is.
+    assert repr(key)[:40] in err
     assert len(err) < 200
     # The config is checked before anything is written.
     assert not out_dir.exists()
