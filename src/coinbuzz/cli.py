@@ -589,11 +589,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_text(exc: Exception) -> str:
+    """The error line's text: an OSError names its paths cut to 40
+    characters, where `str(exc)` would quote them whole."""
+    if not isinstance(exc, OSError) or exc.strerror is None or exc.filename is None:
+        return str(exc)
+    text = f"{exc.strerror}: {exc.filename!r:.40}"
+    if exc.filename2 is not None:
+        text += f" -> {exc.filename2!r:.40}"
+    return text
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _FATAL as exc:
-        print(f"coinbuzz: error: {exc}", file=sys.stderr)
+        print(f"coinbuzz: error: {_error_text(exc)}", file=sys.stderr)
         return 2

@@ -12,6 +12,12 @@ that word, so unknown server chatter is kept visible rather than silently
 discarded. Other log dialects are future adapters; lines that do not match
 the grammar are counted and either skipped (lenient, the default) or abort
 the run (strict).
+
+A log holds many lines per day, so the date text of a line is read into
+(year, month, day) once per distinct text, in a small bounded cache
+(`_log_date`). Each line builds its own timestamp, so `datetime` and the
+zone check every field and resolve every DST fold and gap; no UTC offset is
+cached, as one date can have two.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone, tzinfo
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from coinbuzz.message import MONTH_BY_ABBREV, Message
@@ -29,8 +36,9 @@ NETWORK_SUBTYPES = frozenset(
     {"Join", "Topic", "Quit", "Mode", "Created", "Part", "Nick", "Notice"}
 )
 
-_STAMP = r"\[(\w{3}) (\w{3}) (\d{1,2}) (\d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
-# Chat (groups 8-9: nick, text) is tried before network (groups 10-11: word, rest).
+# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `_log_date` reads.
+_STAMP = r"\[\w{3} (\w{3} \d{1,2} \d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
+# Chat (groups 5-6: nick, text) is tried before network (groups 7-8: word, rest).
 _LINE_RE = re.compile(_STAMP + r" (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
 
 
@@ -85,19 +93,19 @@ def parse_log_line(
     Timestamps are interpreted in `tz` (log files rarely say) and normalized
     to UTC. Raises UnparsableLine for anything outside the grammar.
     """
-    _check_channel(channel)
+    if channel[:1] != "#":
+        _check_channel(channel)
     match = _LINE_RE.match(line)
     if match is None:
         if not line.strip():
             return None
         raise UnparsableLine(line_no, "does not match chat or network grammar")
-    _dow, mon, day, year, hh, mm, ss, nick, text, word, rest = match.groups()
-    month = MONTH_BY_ABBREV.get(mon)
-    if month is None:
-        raise UnparsableLine(line_no, f"unknown month abbreviation {mon!r}")
+    date_text, hh, mm, ss, nick, text, word, rest = match.groups()
     try:
-        local = datetime(int(year), month, int(day), int(hh), int(mm), int(ss), tzinfo=tz)
-        ts = local.astimezone(timezone.utc)
+        year, month, day = _log_date(date_text)
+        ts = datetime(year, month, day, int(hh), int(mm), int(ss), 0, tz)
+        if tz is not timezone.utc:
+            ts = ts.astimezone(timezone.utc)
     except ValueError as exc:
         raise UnparsableLine(line_no, str(exc)) from exc
     if nick is not None:
@@ -106,6 +114,18 @@ def parse_log_line(
         return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
     # Unknown server chatter: keep it, authored by the announcing word.
     return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
+
+
+@lru_cache(maxsize=64)
+def _log_date(text: str) -> tuple[int, int, int]:
+    """(year, month, day) of a log's date text such as "Jan 1 2015"; whether
+    that day exists is left to `datetime`. ValueError for an unknown month
+    abbreviation."""
+    mon, day, year = text.split(" ")
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
+        raise ValueError(f"unknown month abbreviation {mon!r}")
+    return int(year), month, int(day)
 
 
 def _check_channel(channel: str) -> None:
@@ -173,12 +193,5 @@ def ingest_log(
             stats.dropped_network += 1
             continue
         stats.messages += 1
-        emit(
-            Message(
-                stream_id=stream_id,
-                timestamp=event.timestamp,
-                author=event.nick,
-                text=sanitize_text(event.text),
-            )
-        )
+        emit(Message(stream_id, event.timestamp, event.nick, sanitize_text(event.text)))
     return stats

@@ -3,13 +3,16 @@
 A Message is one user-authored utterance from any stream (a tweet or an IRC
 chat line), carrying a UTC timestamp at second precision. The JSONL wire
 schema is `{"stream_id": ..., "ts": "YYYY-MM-DDTHH:MM:SSZ", "author": ...,
-"text": ...}`, one record per line.
+"text": ...}`, one record per line. Messages come roughly in time order, so
+`format_ts` builds the `YYYY-MM-DDT` prefix once per UTC day, in a small
+bounded cache (`_iso_day`).
 """
 
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
+from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import IO, Iterator, NamedTuple
 
@@ -30,11 +33,18 @@ class Message(NamedTuple):
     text: str
 
 
+@lru_cache(maxsize=64)
+def _iso_day(day: date) -> str:
+    return f"{day.isoformat()}T"
+
+
 def format_ts(ts: datetime) -> str:
     """`ts` in UTC as `YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four
     digits (strftime's `%Y` does not pad it on every platform; `isoformat`
-    always does)."""
-    return ts.astimezone(timezone.utc).isoformat()[:19] + "Z"
+    always does) and microseconds cut."""
+    if ts.tzinfo is not timezone.utc:
+        ts = ts.astimezone(timezone.utc)
+    return _iso_day(ts.date()) + ts.time().isoformat()[:8] + "Z"
 
 
 def to_json_line(msg: Message) -> str:
@@ -58,7 +68,11 @@ def from_json_line(line: str) -> Message:
     for key in ("stream_id", "ts", "author", "text"):
         if not isinstance(record.get(key), str):
             raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
-    ts = datetime.fromisoformat(record["ts"].replace("Z", "+00:00"))
+    try:
+        ts = datetime.fromisoformat(record["ts"].replace("Z", "+00:00"))
+    except ValueError:
+        # fromisoformat's own message quotes the whole value.
+        raise ValueError(f"bad ts {record['ts']!r:.40}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return Message(

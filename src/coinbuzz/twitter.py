@@ -312,12 +312,5 @@ def ingest_capture(
         if not matches_keywords(record.text, record.hashtags, keywords, substring):
             continue
         stats.matched += 1
-        emit(
-            Message(
-                stream_id="twitter",
-                timestamp=record.created_at,
-                author=record.user,
-                text=sanitize_text(record.text),
-            )
-        )
+        emit(Message("twitter", record.created_at, record.user, sanitize_text(record.text)))
     return stats

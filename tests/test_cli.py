@@ -706,13 +706,32 @@ REPORT_ROW = {
             ["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [{**REPORT_ROW, LONG: 1}]})},
             "a report row must be an object", id="report.row-keys-long",
         ),
+        pytest.param(
+            ["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE.replace("2015-06-01T10:00:00Z", f"2015-{LONG}")},
+            "messages line 1: bad ts '2015-xxx", id="aggregate.ts-long",
+        ),
+        pytest.param(
+            ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
+            {"gaz.tsv": GAZETTEER, "msgs.jsonl": MESSAGE + MESSAGE.replace("2015-06-01T10:00:00Z", f"2015-{LONG}")},
+            "messages line 2: bad ts '2015-xxx", id="annotate.ts-long",
+        ),
+        pytest.param(
+            ["parse-irc", "--channel", "#x", "--in", LONG], {}, "File name too long: 'xxx", id="parse-irc.in-long",
+        ),
+        # The case's own --out, a path of about 2,000 characters under a directory that does not exist.
+        pytest.param(
+            ["parse-irc", "--channel", "#x", "--in", "chan.log", "--out", "missing/" + "d/" * 1000 + "out.txt"],
+            {"chan.log": IRC_LOG}, "No such file or directory: 'missing/d/", id="parse-irc.out-long",
+        ),
     ],
 )
 def test_failed_subcommand_leaves_no_output(tmp_path, capsys, monkeypatch, argv, inputs, error):
     monkeypatch.chdir(tmp_path)
     for name, text in inputs.items():
         Path(name).write_text(text, encoding="utf-8")
-    assert main(argv + ["--out", "out.txt"]) == 2
+    if "--out" not in argv:
+        argv = argv + ["--out", "out.txt"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
     assert error in err

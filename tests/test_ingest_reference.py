@@ -3,12 +3,14 @@
 The references below are the original `message.to_json_line` (a dict per
 record through `json.dumps`), `message.format_ts` (the UTC fields one by
 one), `irc.parse_log_line` (a chat regex, then a network regex, blank lines
-tested first), `twitter.matches_keywords` (every text split into words),
+tested first, the date fields read on every line), `irc.ingest_log` (a loop
+over that `parse_log_line`), `twitter.matches_keywords` (every text split into words),
 `twitter.parse_created_at` (a new `timezone` per call), `sanitize.
 sanitize_text` (always a regex pass) and `sanitize.sanitize_stream` (each
 line's body scrubbed apart from its terminator). The shipped functions must
 give the same result, or raise the same exception with the same message, on
-every input.
+every input. `irc` and `message` keep per-day caches from one call to the
+next, so their tests also feed whole sequences of lines and timestamps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from typing import IO, Iterable
 from zoneinfo import ZoneInfo
 
@@ -24,7 +26,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinbuzz.irc import NETWORK_SUBTYPES, EventKind, IrcEvent, UnparsableLine, parse_log_line
+from coinbuzz.irc import (
+    NETWORK_SUBTYPES,
+    EventKind,
+    IrcEvent,
+    IrcIngestStats,
+    UnparsableLine,
+    ingest_log,
+    parse_log_line,
+    resolve_tz,
+)
 from coinbuzz.message import MONTH_BY_ABBREV, Message, format_ts, to_json_line
 from coinbuzz.sanitize import SanitizeStats, sanitize_line, sanitize_stream, sanitize_text
 from coinbuzz.twitter import MalformedRecord, matches_keywords, parse_created_at, parse_tweet
@@ -91,6 +102,44 @@ def _ref_parse_log_line(line: str, channel: str, line_no: int = 0, tz=timezone.u
         return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
 
     raise UnparsableLine(line_no, "does not match chat or network grammar")
+
+
+def _ref_ingest_log(lines, emit, channel, stream_id=None, *, tz="UTC", strict=False):
+    if not channel.startswith("#"):
+        raise ValueError(f"channel must begin with '#': {channel!r}")
+    if stream_id is None:
+        stream_id = f"irc:{channel}"
+    zone = resolve_tz(tz)
+
+    stats = IrcIngestStats()
+    for line_no, line in enumerate(lines, start=1):
+        stats.lines_in += 1
+        try:
+            event = _ref_parse_log_line(line.rstrip("\r\n"), channel, line_no, zone)
+        except (UnparsableLine, OverflowError) as exc:
+            if strict:
+                if isinstance(exc, OverflowError):
+                    raise UnparsableLine(line_no, str(exc)) from exc
+                raise
+            stats.unparsable += 1
+            continue
+        if event is None:
+            stats.blank += 1
+            continue
+        stats.parsed += 1
+        if event.kind is EventKind.NETWORK:
+            stats.dropped_network += 1
+            continue
+        stats.messages += 1
+        emit(
+            Message(
+                stream_id=stream_id,
+                timestamp=event.timestamp,
+                author=event.nick,
+                text=_ref_sanitize_text(event.text),
+            )
+        )
+    return stats
 
 
 _REF_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -230,6 +279,34 @@ def test_format_ts_matches_reference(ts):
     _same(format_ts, _ref_format_ts, ts)
 
 
+# Non-UTC zones, so that a timestamp's local day and its UTC day differ near midnight.
+LOCAL_ZONES = (
+    timezone(timedelta(hours=5, minutes=30)),
+    timezone(-timedelta(hours=23, minutes=59)),
+    ZoneInfo("America/New_York"),
+    ZoneInfo("Australia/Lord_Howe"),
+    ZoneInfo("Asia/Tokyo"),
+)
+# Offsets from a UTC midnight, in microseconds: whole seconds or not, within half a day.
+midnight_offsets = st.one_of(
+    st.integers(-43_200, 43_200).map(lambda s: s * 10**6),
+    st.integers(-43_200 * 10**6, 43_200 * 10**6),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.dates(min_value=date(1, 1, 2), max_value=date(9999, 12, 30)),
+    st.lists(st.tuples(st.sampled_from(LOCAL_ZONES), midnight_offsets), min_size=1, max_size=30),
+)
+def test_format_ts_matches_reference_across_utc_midnight(day, steps):
+    # One sequence of calls, as a messages file makes them: the prefix cache carries over.
+    midnight = datetime(day.year, day.month, day.day, tzinfo=timezone.utc)
+    for zone, offset in steps:
+        ts = (midnight + timedelta(microseconds=offset)).astimezone(zone)
+        _same(format_ts, _ref_format_ts, ts)
+
+
 def test_to_json_line_fixed_cases():
     utc = timezone.utc
     for ts in (
@@ -311,6 +388,88 @@ def test_parse_log_line_fixed_cases():
             _same(parse_log_line, _ref_parse_log_line, line, "#bitcoin", 7, tz)
     _same(parse_log_line, _ref_parse_log_line, f"{stamp} <alice>\thi", "bitcoin", 1, timezone.utc)
     _same(parse_log_line, _ref_parse_log_line, "", "bitcoin", 1, timezone.utc)
+
+
+# --- ingest_log -------------------------------------------------------------------
+
+INGEST_ZONES = ("UTC", "America/New_York", "Europe/London", "Australia/Lord_Howe", "Asia/Tokyo")
+# Date texts: the DST transition days of those zones in 2015 (Lord Howe shifts by 30 minutes),
+# Tokyo's 1948-1951 DST, pre-1970 days (New York and Lord Howe on local mean time before
+# 1883 and 1895), the first and last days, and texts that name no day.
+LOG_DATES = (
+    "Mar 8 2015", "Nov 1 2015", "Mar 29 2015", "Oct 25 2015", "Apr 5 2015", "Oct 4 2015",
+    "Sep 11 1948", "May 7 1950", "Dec 31 1969", "Jan 1 1970", "Nov 18 1883", "Jan 1 1895",
+    "Jan 1 0001", "Jan 01 0001", "Dec 31 9999", "Feb 29 2016", "Feb 29 2015", "Jun 31 2015",
+    "Jan 0 2015", "Jan 1 0000", "Foo 1 2015", "jun 1 2015",
+)
+log_time = st.builds(
+    lambda hh, mm, ss: f"{hh}:{mm}:{ss}",
+    st.sampled_from(("00", "01", "02", "03", "12", "23", "24")),
+    st.sampled_from(("00", "29", "30", "59", "60")),
+    st.sampled_from(("00", "59", "60")),
+)
+log_body = st.one_of(
+    st.builds(lambda text: f"<alice>\t{text}", special_text),
+    st.sampled_from(("*** Join: bob", "*** Quit: bob left", "*** Away: back soon")),
+)
+# None repeats the previous dated line's date, as most lines of a log do.
+dated_line = st.tuples(st.one_of(st.none(), st.sampled_from(LOG_DATES)), log_time, log_body)
+log_lines = st.lists(
+    st.one_of(
+        dated_line, dated_line, dated_line,
+        st.sampled_from(("", "\r\n", "  ", "not a log line", "[Mon Jun 1 2015] <alice>\tno time")),
+        log_line,
+    ),
+    max_size=40,
+)
+
+
+def _render_log(items) -> list[str]:
+    lines, day_text = [], LOG_DATES[0]
+    for item in items:
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        day_text = item[0] or day_text
+        lines.append(f"[Mon {day_text}] [{item[1]}] {item[2]}\n")
+    return lines
+
+
+def _ingest_outcome(fn, lines, tz, strict):
+    """The messages a run emits, its counters, and the type and message of what it raises."""
+    emitted: list[str] = []
+    try:
+        stats = fn(lines, lambda msg: emitted.append(repr(msg)), "#bitcoin", tz=tz, strict=strict)
+    except UnparsableLine as exc:
+        return emitted, "raise", exc.line_no, exc.reason
+    return emitted, vars(stats)
+
+
+def _same_ingest(lines, tz, strict=False):
+    assert _ingest_outcome(ingest_log, lines, tz, strict) == _ingest_outcome(_ref_ingest_log, lines, tz, strict)
+
+
+@settings(max_examples=400)
+@given(log_lines, st.sampled_from(INGEST_ZONES), st.booleans())
+def test_ingest_log_matches_reference(items, tz, strict):
+    _same_ingest(_render_log(items), tz, strict)
+
+
+def test_ingest_log_fixed_cases():
+    for tz in INGEST_ZONES:
+        # Every hour and half hour across each date, which crosses every DST fold and gap in it.
+        lines = [
+            f"[Mon {day_text}] [{hh:02d}:{mm:02d}:00] <alice>\tbitcoin"
+            for day_text in LOG_DATES
+            for hh in range(24)
+            for mm in (0, 30, 59)
+        ]
+        _same_ingest(lines, tz)
+        # More distinct days than the date cache holds, forward and then back.
+        days = [
+            f"[Mon {mon} {day} 2015] [12:00:00] <alice>\tbitcoin" for mon in ("Jan", "Feb", "Mar") for day in range(1, 29)
+        ]
+        _same_ingest(days + days[::-1], tz)
 
 
 # --- matches_keywords -------------------------------------------------------------------
