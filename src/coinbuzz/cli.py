@@ -100,12 +100,11 @@ def emit_plot_series(
     """Write `date,count,flag,metric_value` over the joined date range."""
     from coinbuzz import series as series_mod
 
-    x, y, days = series_mod.align(daily.counts, market)
+    joined = series_mod.align(daily, market)
     out.write("date,count,flag,metric_value\n")
-    for day, count, value in zip(days, x, y):
-        flag = daily.flags.get(day, series_mod.Flag.OK).value
-        out.write(f"{day.isoformat()},{int(count)},{flag},{value!r}\n")
-    return len(days)
+    for day, count, flag, value in joined:
+        out.write(f"{day.isoformat()},{count},{flag.value},{value!r}\n")
+    return len(joined)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -242,9 +241,9 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     daily = series_mod.read_daily_csv(args.infile)
     flagged = series_mod.detect_gaps(daily, theta=args.theta, k=args.k)
     with _output(args.outfile) as out:
-        series_mod.write_daily_csv(flagged, out)
-    outages = len(flagged.outage_dates())
-    print(f"gaps: days={len(flagged.counts)} outages={outages}", file=sys.stderr)
+        days = series_mod.write_daily_csv(flagged, out)
+    outages = sum(flag is series_mod.Flag.OUTAGE for _, _, flag in flagged.days())
+    print(f"gaps: days={days} outages={outages}", file=sys.stderr)
     return 0
 
 
@@ -354,7 +353,7 @@ def _read_value(value: object, kind: object, where: str) -> object:
     # type(), not isinstance(): a bool is no int here.
     if isinstance(kind, tuple) and value in kind or type(value) is kind:
         return value
-    if kind is float and type(value) is int:
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)
     if kind is date and isinstance(value, str):
         try:
@@ -422,6 +421,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     config = _load_config(Path(args.config))
     out_dir = Path(config["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    price = series_mod.load_market_csv(config["price_csv"])
+    volume = series_mod.load_market_csv(config["volume_csv"])
     start, end = config["window"]["start"], config["window"]["end"]
 
     # Each source is (stream_id, lines, ingest) with ingest(lines, emit) -> stats.
@@ -474,8 +475,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             series_out = stack.enter_context(_output(out_dir / f"series_{_slug(stream_id)}.csv"))
             series_mod.write_daily_csv(flagged, series_out)
 
-        price = series_mod.load_market_csv(config["price_csv"])
-        volume = series_mod.load_market_csv(config["volume_csv"])
         report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
         stack.enter_context(_output(out_dir / "report.json")).write(stats_mod.report_to_json(report) + "\n")
         suffix = "md" if config["format"] == "markdown" else "tsv"

@@ -1,10 +1,10 @@
 """Daily message-count series, outage flagging, and the two dated CSVs.
 
 Days are UTC calendar days; both market data and normalized message
-timestamps are UTC-native, so no bucketing timezone is configurable. Interior
-dates with no messages are materialized with count zero so collection gaps
-stay visible, while leading/trailing dates outside the observed span are not
-(the collection window defines the span).
+timestamps are UTC-native, so no bucketing timezone is configurable. A series
+holds only its input's days. A day between its first and last that it lacks
+counts zero and is walked, not stored, so the daily CSV still lists collection
+gaps; dates outside that span are not listed (the collection window defines it).
 
 The outage detector compares each day against a rolling median of recent
 healthy days. Median, not mean: a single spam spike must not mask a real
@@ -61,25 +61,42 @@ class EmptyOverlap(ValueError):
 
 
 class DailySeries:
-    """Per-stream date -> count map with a gap flag per day, dates ascending."""
+    """Per-stream date -> count and date -> flag maps of the days counted or read, in input order, so
+    readers walk by ordinal or sort; `lacking` is the flag of a day that `flags` lacks."""
 
     def __init__(
-        self, stream_id: str, counts: dict[date, int] | None = None, flags: dict[date, Flag] | None = None
+        self, stream_id: str, counts: dict[date, int] | None = None, flags: dict[date, Flag] | None = None,
+        lacking: Flag = Flag.OK,
     ):
         self.stream_id = stream_id
         self.counts = {} if counts is None else counts
         self.flags = {} if flags is None else flags
+        self.lacking = lacking
 
     def total(self) -> int:
         return sum(self.counts.values())
 
+    def days(self, among: Iterable[date] | None = None) -> Iterator[tuple[date, int, Flag]]:
+        """(day, count, flag) for each day from the first of `counts` to the last, ascending, or only
+        for the days of `among` in that span; a day that `counts` lacks counts zero."""
+        if not self.counts:
+            return
+        first, last = min(self.counts), max(self.counts)
+        if among is None:
+            # By ordinal, so that nothing steps past date.max.
+            span = map(date.fromordinal, range(first.toordinal(), last.toordinal() + 1))
+        else:
+            span = sorted(day for day in among if first <= day <= last)
+        for day in span:
+            yield day, self.counts.get(day, 0), self.flags.get(day, self.lacking)
+
     def outage_dates(self) -> set[date]:
-        return {d for d, flag in self.flags.items() if flag is Flag.OUTAGE}
+        return {day for day, _, flag in self.days() if flag is Flag.OUTAGE}
 
 
 class DailyCounter:
     """Per-stream message counts by UTC calendar date: add messages, then
-    build the series, with interior dates zero-filled."""
+    build the series of the days that have messages."""
 
     def __init__(self) -> None:
         self._counts: dict[date, int] = {}
@@ -89,21 +106,7 @@ class DailyCounter:
         self._counts[day] = self._counts.get(day, 0) + 1
 
     def build(self, stream_id: str) -> DailySeries:
-        return _filled(stream_id, self._counts, {})
-
-
-def _filled(stream_id: str, counts: dict[date, int], flags: dict[date, Flag]) -> DailySeries:
-    """The series over every day from the first to the last of `counts`; a day
-    absent from `counts` counts zero, one absent from `flags` is OK."""
-    filled_counts: dict[date, int] = {}
-    filled_flags: dict[date, Flag] = {}
-    if counts:
-        # By ordinal, so that nothing steps past date.max.
-        for ordinal in range(min(counts).toordinal(), max(counts).toordinal() + 1):
-            day = date.fromordinal(ordinal)
-            filled_counts[day] = counts.get(day, 0)
-            filled_flags[day] = flags.get(day, Flag.OK)
-    return DailySeries(stream_id, filled_counts, filled_flags)
+        return DailySeries(stream_id, dict(self._counts))
 
 
 def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySeries:
@@ -119,7 +122,8 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
     if k < 1:
         raise ValueError("k must be >= 1")
     flags: dict[date, Flag] = {}
-    healthy: deque[int] = deque(maxlen=k)
+    # A day that `counts` lacks is an outage, so the window holds only days of `counts`.
+    healthy: deque[int] = deque(maxlen=min(k, len(series.counts)))
     for day in sorted(series.counts):
         count = series.counts[day]
         outage = count == 0
@@ -130,7 +134,7 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
         else:
             flags[day] = Flag.OK
             healthy.append(count)
-    return DailySeries(series.stream_id, dict(series.counts), flags)
+    return DailySeries(series.stream_id, dict(series.counts), flags, Flag.OUTAGE)
 
 
 def _median(values: Iterable[int]) -> float:
@@ -196,21 +200,23 @@ def load_market_csv(source: str | Path | IO[str]) -> dict[date, float]:
 
 
 def align(
-    a: Mapping[date, float],
-    b: Mapping[date, float],
+    series: DailySeries,
+    market: Mapping[date, float],
     exclude: Collection[date] = (),
-) -> tuple[list[float], list[float], list[date]]:
-    """Inner-join two date maps into paired vectors, dates ascending.
-
-    Dates in `exclude` (outage days, typically) are dropped before the join.
-    Raises EmptyOverlap when fewer than 3 dates survive.
+    exclude_outages: bool = False,
+) -> list[tuple[date, int, Flag, float]]:
+    """(day, count, flag, market value) for each market day in the series'
+    span, dates ascending, but for days in `exclude` and, with
+    `exclude_outages`, outage days. Raises EmptyOverlap when fewer than 3 remain.
     """
-    shared = sorted(set(a) & set(b) - set(exclude))
-    if len(shared) < 3:
-        raise EmptyOverlap(len(shared))
-    x = [float(a[day]) for day in shared]
-    y = [float(b[day]) for day in shared]
-    return x, y, shared
+    joined = [
+        (day, count, flag, float(market[day]))
+        for day, count, flag in series.days(market)
+        if day not in exclude and not (exclude_outages and flag is Flag.OUTAGE)
+    ]
+    if len(joined) < 3:
+        raise EmptyOverlap(len(joined))
+    return joined
 
 
 # --- plot-ready CSV (date,count,flag) ---------------------------------------
@@ -221,13 +227,15 @@ _DAILY_HEADER = ("date", "count", "flag")
 def write_daily_csv(series: DailySeries, out: IO[str]) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_DAILY_HEADER)
-    for day in sorted(series.counts):
-        writer.writerow([day.isoformat(), series.counts[day], series.flags.get(day, Flag.OK).value])
-    return len(series.counts)
+    rows = 0
+    for rows, (day, count, flag) in enumerate(series.days(), start=1):
+        writer.writerow([day.isoformat(), count, flag.value])
+    return rows
 
 
 def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySeries:
-    """A `date,count,flag` CSV as a series; counts are non-negative integers."""
+    """A `date,count,flag` CSV as a series of its rows; counts are non-negative integers, and a
+    day inside the span without a row counts zero and is OK, as in an aggregated series."""
     counts: dict[date, int] = {}
     flags: dict[date, Flag] = {}
     for line_no, day, (count, flag) in _dated_rows(source, _DAILY_HEADER):
@@ -236,6 +244,4 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
         except ValueError:
             raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)
-    # Normalize foreign CSVs: interior dates absent from the file become
-    # explicit zero-count days, same as the aggregation path produces.
-    return _filled(stream_id, counts, flags)
+    return DailySeries(stream_id, counts, flags)

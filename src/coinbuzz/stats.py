@@ -81,17 +81,18 @@ class CorrelationReport(NamedTuple):
 
 
 def _correlate(
-    counts: Mapping[date, int], market: Mapping[date, float], exclude: Collection[date]
+    series: DailySeries, market: Mapping[date, float], exclude: Collection[date], exclude_outages: bool
 ) -> tuple[float | None, str | None, int]:
     """(r, None, n_days), or (None, the error's name, n_days) when r is undefined."""
     try:
-        x, y, days = align(counts, market, exclude)
+        joined = align(series, market, exclude, exclude_outages)
     except EmptyOverlap as exc:
         return None, "EmptyOverlap", exc.overlap
+    _, x, _, y = zip(*joined)
     try:
-        return pearson(x, y), None, len(days)
+        return pearson(x, y), None, len(joined)
     except (ConstantSeries, TooFewPoints) as exc:
-        return None, type(exc).__name__, len(days)
+        return None, type(exc).__name__, len(joined)
 
 
 def correlation_report(
@@ -116,9 +117,8 @@ def correlation_report(
         if series.stream_id in seen:
             raise ValueError(f"stream {series.stream_id!r:.40} is given twice; a report has one row per stream")
         seen.add(series.stream_id)
-        exclude = one_sided | series.outage_dates() if exclude_outages else one_sided
-        r_volume, volume_error, n_days = _correlate(series.counts, volume, exclude)
-        r_price, price_error, _ = _correlate(series.counts, price, exclude)
+        r_volume, volume_error, n_days = _correlate(series, volume, one_sided, exclude_outages)
+        r_price, price_error, _ = _correlate(series, price, one_sided, exclude_outages)
         rows.append(
             ReportRow(
                 series.stream_id, series.total(), r_volume, volume_error, r_price, price_error, n_days, policy

@@ -125,10 +125,9 @@ def test_emit_plot_series_row_count_matches_align():
             START + timedelta(days=offset + i): float(rng.randint(1, 9))
             for i in range(rng.randint(0, 15))
         }
-        counts = {d: float(c) for d, c in daily.counts.items()}
         out = io.StringIO()
         try:
-            expected = len(align(counts, values)[2])
+            expected = len(align(daily, values))
         except EmptyOverlap:
             with pytest.raises(EmptyOverlap):
                 emit_plot_series(daily, values, out)
@@ -371,6 +370,21 @@ def test_aggregate_and_gaps_round_trip(tmp_path):
     assert main(["gaps", "--in", str(series_csv), "--out", str(series_csv)]) == 0
     assert series_csv.read_bytes() == flagged_csv.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["flagged.csv", "msgs.jsonl", "series.csv"]
+
+
+def test_gaps_with_a_k_past_every_c_size_equals_a_k_past_the_series(tmp_path, capsys):
+    # Any k past the series' day count flags alike, however far past it is.
+    daily = tmp_path / "daily.csv"
+    daily.write_text("date,count,flag\n2015-06-01,100,ok\n2015-06-02,5,ok\n2015-06-05,90,ok\n", encoding="utf-8")
+    outputs = []
+    for k in (10**20, 1_000_000):
+        out = tmp_path / f"flagged_{k}.csv"
+        assert main(["gaps", "--in", str(daily), "--out", str(out), "--k", str(k)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == b"date,count,flag\n2015-06-01,100,ok\n2015-06-02,5,outage\n2015-06-03,0,outage\n" \
+        b"2015-06-04,0,outage\n2015-06-05,90,ok\n"
+    assert capsys.readouterr().err == "gaps: days=5 outages=3\n" * 2
 
 
 def test_aggregate_rejects_mixed_streams_without_selector(tmp_path):
@@ -931,6 +945,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         (lambda c: c.update(keywords=[f"{LONG} {LONG}"]), "keywords"),
         (lambda c: c.update({LONG: True}), LONG),
         (lambda c: c.update(k=-10**2000), "k"),
+        (lambda c: c.update(theta=10**400), "theta"),
     ],
     ids=[
         "price_csv", "volume_csv", "irc_logs.path", "irc_logs.channel", "plots.series",
@@ -947,7 +962,7 @@ def test_run_all_dedupes_ids_shared_across_captures(tmp_path):
         "plots.repeated", "no-stream.tweet_captures", "no-stream.irc_logs",
         "plots.series-long", "irc_logs.channel-long", "irc_logs.slug-collision-long",
         "irc_logs.tz-long", "keywords.padded-long", "keywords.phrase-as-word-long",
-        "unknown-key.long", "k.range-long",
+        "unknown-key.long", "k.range-long", "theta.past-float-range",
     ],
 )
 def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
@@ -1045,6 +1060,26 @@ def test_run_all_fatal_leaves_no_file_of_its_run(tmp_path, capsys, fault, rerun)
     assert main(["run-all", "--config", str(config_path)]) == 2
     assert "coinbuzz: error: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_run_all_reports_a_malformed_market_csv_before_the_ingest(tmp_path, capsys):
+    # Both faults are fatal; the market CSVs are read first, so their row is the one named.
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    _malformed_price(config)
+    _strict_abort(config)
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "coinbuzz: error: row 2: bad value 'abc'\n"
+    assert list(out_dir.iterdir()) == []
+
+
+def test_run_all_with_a_k_past_every_c_size_runs(tmp_path):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    wide = _run_all_outputs(config_path, out_dir, k=10**20)
+    narrow = _run_all_outputs(config_path, out_dir, k=1_000_000)
+    assert wide[0] == narrow[0] == 0
+    assert wide[1] == narrow[1]
 
 
 def test_run_all_drops_a_plot_without_overlap_alone(tmp_path, capsys):

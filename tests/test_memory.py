@@ -1,0 +1,84 @@
+"""The series stages hold what their input holds, not the days of its span.
+
+Each case runs one command in-process through `cli.main` under `tracemalloc`
+on inputs of two or three dated rows whose dates lie 40,000 days apart, and
+bounds the traced peak. A series that held every day of that span took 4.4 to
+9.2 MB here (CPython 3.11); the days it lacks are written, not held.
+"""
+from __future__ import annotations
+
+import json
+import tracemalloc
+from datetime import date, timedelta
+
+import pytest
+
+# The stage modules are imported here, so that `cli.main` imports none of them under the trace.
+from coinbuzz import annotate, irc, message, sanitize, series, stats, twitter  # noqa: F401
+from coinbuzz.cli import main
+
+FIRST = date(2015, 6, 1)
+LAST = FIRST + timedelta(days=40_000)
+PEAK_BOUND = 2_000_000  # bytes
+
+MESSAGE = {"stream_id": "twitter", "author": "a", "text": "bitcoin"}
+
+
+def _tweet(tweet_id: int, day: date) -> str:
+    created_at = f"{day:%a %b %d} 10:00:00 +0000 {day.year}"
+    record = {"id_str": str(tweet_id), "created_at": created_at, "user": {"screen_name": "a"}, "text": "bitcoin"}
+    return json.dumps(record) + "\n"
+
+
+def _workspace(tmp_path):
+    """Inputs whose dates span LAST - FIRST days, with a market of the first three."""
+    files = {
+        "daily.csv": f"date,count,flag\n{FIRST},5,ok\n{FIRST + timedelta(days=2)},4,ok\n{LAST},7,ok\n",
+        "msgs.jsonl": "".join(
+            json.dumps({**MESSAGE, "ts": f"{day}T10:00:00Z"}) + "\n" for day in (FIRST, FIRST, LAST)
+        ),
+        "cap.jsonl": _tweet(1, FIRST) + _tweet(2, FIRST + timedelta(days=2)) + _tweet(3, LAST),
+        "price.csv": "date,value\n" + "".join(f"{FIRST + timedelta(days=i)},{230 + i * i}\n" for i in range(3)),
+        "volume.csv": "date,value\n" + "".join(f"{FIRST + timedelta(days=i)},{40 + 3 * i}\n" for i in range(3)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = {
+        "out_dir": str(tmp_path / "out"), "tweet_captures": [str(tmp_path / "cap.jsonl")],
+        "price_csv": str(tmp_path / "price.csv"), "volume_csv": str(tmp_path / "volume.csv"),
+        "plots": [{"series": "twitter", "metric": "volume"}],
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+
+CASES = {
+    "gaps": (["gaps", "--in", "daily.csv", "--out", "flagged.csv"], 0),
+    "aggregate": (["aggregate", "--in", "msgs.jsonl", "--out", "daily_out.csv"], 0),
+    "correlate": (["correlate", "--series", "twitter=daily.csv", "--price", "price.csv", "--volume", "volume.csv",
+                   "--exclude-outages", "--out", "report.json"], 0),
+    "plot-series": (["plot-series", "--series", "daily.csv", "--market", "volume.csv", "--out", "plot.csv"], 0),
+    "run-all": (["run-all", "--config", "config.json"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", CASES.values(), ids=CASES.keys())
+def test_series_stage_peak_is_bounded_by_its_input(tmp_path, monkeypatch, capsys, argv, code):
+    _workspace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND, f"{argv[0]} peaked at {peak:,} bytes"
+
+
+def test_the_span_is_written_whole(tmp_path, monkeypatch):
+    """The bound holds with every day of the span still in the daily CSV."""
+    _workspace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(CASES["gaps"][0]) == 0
+    rows = (tmp_path / "flagged.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + (LAST - FIRST).days + 1
+    assert rows[-1] == f"{LAST},7,ok"

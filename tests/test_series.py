@@ -46,12 +46,11 @@ def _series(counts: list[int], start: date = date(2015, 6, 1)) -> DailySeries:
 def test_bucket_fills_interior_dates_with_zero():
     messages = [_msg(date(2015, 6, 1), s) for s in range(3)] + [_msg(date(2015, 6, 3))]
     series = _bucket(messages)
-    assert series.counts == {
-        date(2015, 6, 1): 3,
-        date(2015, 6, 2): 0,
-        date(2015, 6, 3): 1,
-    }
-    assert set(series.flags.values()) == {Flag.OK}
+    assert list(series.days()) == [
+        (date(2015, 6, 1), 3, Flag.OK),
+        (date(2015, 6, 2), 0, Flag.OK),
+        (date(2015, 6, 3), 1, Flag.OK),
+    ]
 
 
 def test_bucket_empty_stream():
@@ -80,7 +79,7 @@ def test_bucket_conserves_message_count():
     messages = [_msg(date(2015, 6, 1))] * 4 + [_msg(date(2015, 6, 9))]
     series = _bucket(messages)
     assert series.total() == len(messages)
-    assert len(series.counts) == 9  # interior fill adds only zeros
+    assert len(list(series.days())) == 9  # interior days add only zeros
 
 
 # --- gap detection -----------------------------------------------------------
@@ -212,8 +211,14 @@ def _datemap(start: date, values: list[float]) -> dict[date, float]:
     return {start + timedelta(days=i): v for i, v in enumerate(values)}
 
 
+def _aligned(series: DailySeries, market: dict[date, float], **kwargs) -> tuple[list, list, list]:
+    """`align`'s rows as the paired vectors and dates of a join."""
+    rows = align(series, market, **kwargs)
+    return [float(count) for _, count, _, _ in rows], [value for *_, value in rows], [day for day, *_ in rows]
+
+
 def test_align_needs_three_shared_dates():
-    a = _datemap(date(2015, 6, 1), [1, 2, 3])
+    a = DailySeries("s", _datemap(date(2015, 6, 1), [1, 2, 3]))
     b = _datemap(date(2015, 6, 2), [4, 5, 6])
     with pytest.raises(EmptyOverlap) as err:
         align(a, b)
@@ -221,26 +226,31 @@ def test_align_needs_three_shared_dates():
 
 
 def test_align_excludes_outage_dates():
-    a = _datemap(date(2015, 6, 1), list(range(10)))
+    a = _series(list(range(10)))
     b = _datemap(date(2015, 6, 1), list(range(10, 20)))
-    x, y, days = align(a, b, exclude={date(2015, 6, 5)})
+    x, y, days = _aligned(a, b, exclude={date(2015, 6, 5)})
     assert len(x) == len(y) == len(days) == 9
     assert date(2015, 6, 5) not in days
+    # The same day dropped by its flag instead of by its date.
+    a.flags[date(2015, 6, 5)] = Flag.OUTAGE
+    assert _aligned(a, b, exclude_outages=True) == (x, y, days)
 
 
 def test_align_matches_brute_force_intersection():
     rng = random.Random(17)
     base = date(2015, 6, 1)
     for _ in range(100):
-        a = {base + timedelta(days=rng.randint(0, 30)): rng.random() for _ in range(rng.randint(0, 20))}
+        # A series holds every day of its span here, so its span is its day set.
+        first = rng.randint(0, 30)
+        a = {base + timedelta(days=first + i): rng.random() for i in range(rng.randint(0, 20))}
         b = {base + timedelta(days=rng.randint(0, 30)): rng.random() for _ in range(rng.randint(0, 20))}
         exclude = {base + timedelta(days=rng.randint(0, 30)) for _ in range(rng.randint(0, 4))}
         expected = sorted(d for d in set(a) & set(b) if d not in exclude)
         if len(expected) < 3:
             with pytest.raises(EmptyOverlap):
-                align(a, b, exclude)
+                align(DailySeries("s", a), b, exclude)
             continue
-        x, y, days = align(a, b, exclude)
+        x, y, days = _aligned(DailySeries("s", a), b, exclude=exclude)
         assert days == expected
         assert len(x) == len(y) == len(days) <= min(len(a), len(b))
         assert x == [a[d] for d in days]
@@ -276,5 +286,5 @@ def test_read_daily_csv_rejects_duplicate_date():
 def test_read_daily_csv_fills_interior_holes():
     payload = "date,count,flag\n2015-06-01,5,ok\n2015-06-04,7,ok\n"
     series = read_daily_csv(io.StringIO(payload), "s")
-    assert list(series.counts.values()) == [5, 0, 0, 7]
-    assert series.flags[date(2015, 6, 2)] is Flag.OK
+    assert [count for _, count, _ in series.days()] == [5, 0, 0, 7]
+    assert list(series.days([date(2015, 6, 2)])) == [(date(2015, 6, 2), 0, Flag.OK)]
