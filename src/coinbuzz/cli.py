@@ -1,16 +1,16 @@
-"""Command-line entry point: one subcommand per pipeline stage plus run-all.
+"""Command-line entry point: one subcommand per pipeline stage, and run-all,
+which `coinbuzz.run_all` runs.
 
 Exit codes: 0 success, 1 partial success (skipped lines or per-row report
 errors in lenient mode), 2 fatal error, 64 usage error. All stages stream
 line by line; the run's set of seen tweet ids is the only state that grows
 with the corpus. A tweet capture line ends at "\\n" alone, as sanitize frames
-it, in ingest-tweets and run-all, which scrubs each line as sanitize would; an
-IRC log line ends at "\\n", "\\r\\n" or "\\r".
+it; an IRC log line ends at "\\n", "\\r\\n" or "\\r".
 
 Every output file appears whole or not at all: it is written as
 `<path>.partial`, which exists only while the file is being written, and
 renamed onto `<path>` when its command succeeds. After exit 2 no output of
-the command is left; run-all leaves no file of that run.
+the command is left.
 
 Each subcommand's handler imports the stage modules it runs; at load time
 this module imports only the standard library and the package's defaults, so
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
-import re
 import sys
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from datetime import date
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -33,7 +31,7 @@ from coinbuzz import DEFAULT_KEYWORDS
 
 if TYPE_CHECKING:
     from coinbuzz.message import Message
-    from coinbuzz.series import DailyCounter, DailySeries
+    from coinbuzz.series import DailySeries
     from coinbuzz.stats import CorrelationReport
 
 TABLE_HEADERS = (
@@ -242,7 +240,8 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
     flagged = series_mod.detect_gaps(daily, theta=args.theta, k=args.k)
     with _output(args.outfile) as out:
         days = series_mod.write_daily_csv(flagged, out)
-    outages = sum(flag is series_mod.Flag.OUTAGE for _, _, flag in flagged.days())
+    # Every day that the series lacks is an outage, so only its OK days are not.
+    outages = days - list(flagged.flags.values()).count(series_mod.Flag.OK)
     print(f"gaps: days={days} outages={outages}", file=sys.stderr)
     return 0
 
@@ -293,19 +292,6 @@ def _cmd_plot_series(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- run-all orchestration ---------------------------------------------------
-
-class _StreamBundle:
-    def __init__(self, counter: DailyCounter, sink: IO[str]):
-        self.counter = counter
-        self.sink = sink
-        self.lines = 0  # messages written to sink so far
-
-
-def _slug(stream_id: str) -> str:
-    return re.sub(r"[^A-Za-z0-9]+", "_", stream_id).strip("_") or "stream"
-
-
 # Every key run-all reads, per config section: key -> (type, default). A
 # default of ... marks a required key; a one-item list is a list of that type,
 # a tuple the allowed strings and a section name a nested table.
@@ -325,179 +311,10 @@ _CONFIG_KEYS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _read_section(table: object, section: str, where: str = "") -> dict:
-    """`table` checked against `_CONFIG_KEYS[section]`, typed, with defaults
-    filled in; `where` names a table that is not one (default: `section`)."""
-    keys = _CONFIG_KEYS[section]
-    if not isinstance(table, dict):
-        raise ValueError(f"{where or section} must be a table, got {table!r:.40}")
-    for key in table:
-        if key not in keys:
-            raise ValueError(f"{section} has unknown key {key!r:.40}")
-    typed = {}
-    for key, (kind, default) in keys.items():
-        if key in table:
-            typed[key] = _read_value(table[key], kind, f"{section} key {key!r}")
-        elif default is ...:
-            raise ValueError(f"{section} lacks required key {key!r}")
-        else:
-            typed[key] = default
-    return typed
-
-
-def _read_value(value: object, kind: object, where: str) -> object:
-    if isinstance(kind, str):
-        return _read_section(value, kind, where)
-    if isinstance(kind, list) and isinstance(value, list):
-        return [_read_value(item, kind[0], where) for item in value]
-    # type(), not isinstance(): a bool is no int here.
-    if isinstance(kind, tuple) and value in kind or type(value) is kind:
-        return value
-    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    if kind is date and isinstance(value, str):
-        try:
-            return date.fromisoformat(value)
-        except ValueError:
-            pass
-    wanted = "list" if isinstance(kind, list) else getattr(kind, "__name__", f"one of {kind}")
-    raise ValueError(f"{where} must be {wanted}, got {value!r:.40}")
-
-
-def _load_config(path: Path) -> dict:
-    from coinbuzz.irc import resolve_tz
-    from coinbuzz.twitter import check_keywords
-
-    text = path.read_text(encoding="utf-8")
-    loads = json.loads
-    if path.suffix.lower() == ".toml":
-        try:
-            from tomllib import loads
-        except ImportError:
-            raise ValueError("TOML configs need Python 3.11+; use a JSON config instead") from None
-    try:
-        config = _read_section(loads(text), "config")
-    except RecursionError:
-        raise ValueError(f"config {path} must not nest past the recursion limit") from None
-    # What the stages would reject only after output is written.
-    check_keywords(config["keywords"], config["substring"])
-    if not 0 < config["theta"] < 1:
-        raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
-    if config["k"] < 1:
-        raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r:.40}")
-    if config["window"]["start"] > config["window"]["end"]:
-        raise ValueError(f"config key 'window' has its start after its end: {config['window']}")
-    if not config["tweet_captures"] and not config["irc_logs"]:
-        raise ValueError("config keys 'tweet_captures' and 'irc_logs' are both empty; a run needs a stream")
-    # The streams the config produces, by slug: each stream's files are named
-    # by its slug, so two ids may not share one.
-    streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
-    for entry in config["irc_logs"]:
-        if not entry["channel"].startswith("#"):
-            raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r:.40}")
-        resolve_tz(entry["tz"])
-        stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
-        other = streams.setdefault(_slug(stream_id), stream_id)
-        if other != stream_id:
-            raise ValueError(
-                f"stream ids {other!r:.40} and {stream_id!r:.40} would share the files of {_slug(stream_id)!r:.40}"
-            )
-    for n, plot in enumerate(config["plots"]):
-        if plot["series"] not in streams.values():
-            raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r:.40}")
-        if plot in config["plots"][:n]:
-            raise ValueError(f"'plots' lists series {plot['series']!r:.40} with metric {plot['metric']!r} twice")
-    return config
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
-    from coinbuzz import irc as irc_mod
-    from coinbuzz import message as message_mod
-    from coinbuzz import series as series_mod
-    from coinbuzz import stats as stats_mod
-    from coinbuzz import twitter as twitter_mod
-    from coinbuzz.sanitize import sanitize_text
+    from coinbuzz.run_all import run
 
-    config = _load_config(Path(args.config))
-    out_dir = Path(config["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    price = series_mod.load_market_csv(config["price_csv"])
-    volume = series_mod.load_market_csv(config["volume_csv"])
-    start, end = config["window"]["start"], config["window"]["end"]
-
-    # Each source is (stream_id, lines, ingest) with ingest(lines, emit) -> stats.
-    # All captures form one "twitter" source, so tweet ids are deduped run-wide.
-    sources = []
-    if config["tweet_captures"]:
-        ingest = functools.partial(
-            twitter_mod.ingest_capture, keywords=config["keywords"], substring=config["substring"]
-        )
-        sources.append(("twitter", map(sanitize_text, _capture_lines(config["tweet_captures"])), ingest))
-    for entry in config["irc_logs"]:
-        ingest = functools.partial(
-            irc_mod.ingest_log, channel=entry["channel"], stream_id=entry["stream_id"],
-            tz=entry["tz"], strict=config["strict"],
-        )
-        sources.append((entry["stream_id"], _log_lines(entry["path"]), ingest))
-
-    annotated_line = annotated_out = None
-    partial = False
-    bundles: dict[str, _StreamBundle] = {}
-
-    def handle(bundle: _StreamBundle, msg: Message) -> None:
-        if not start <= msg.timestamp.date() <= end:
-            return
-        bundle.sink.write(message_mod.to_json_line(msg) + "\n")
-        bundle.lines += 1
-        bundle.counter.add(msg)
-        if annotated_out is not None:
-            annotated_out.write(annotated_line(msg, bundle.lines))
-
-    # Every file of the run is entered on `stack`, so all of them are renamed
-    # into place when the run ends with exit 0 or 1 and none after exit 2.
-    with ExitStack() as stack:
-        if config["gazetteer"]:
-            annotated_line = _annotator(config["gazetteer"])
-            annotated_out = stack.enter_context(_output(out_dir / "annotated.jsonl"))
-        for stream_id, lines, ingest in sources:
-            if stream_id not in bundles:
-                sink = stack.enter_context(_output(out_dir / f"messages_{_slug(stream_id)}.jsonl"))
-                bundles[stream_id] = _StreamBundle(series_mod.DailyCounter(), sink)
-            stats = ingest(lines, functools.partial(handle, bundles[stream_id]))
-            partial = partial or stats.skipped > 0
-            _print_stats(f"run-all: {stream_id}", stats)
-
-        # Aggregate, flag gaps, and persist one series CSV per stream.
-        all_series = []
-        for stream_id in sorted(bundles):
-            flagged = series_mod.detect_gaps(bundles[stream_id].counter.build(stream_id), config["theta"], config["k"])
-            all_series.append(flagged)
-            series_out = stack.enter_context(_output(out_dir / f"series_{_slug(stream_id)}.csv"))
-            series_mod.write_daily_csv(flagged, series_out)
-
-        report = stats_mod.correlation_report(all_series, price, volume, config["exclude_outages"])
-        stack.enter_context(_output(out_dir / "report.json")).write(stats_mod.report_to_json(report) + "\n")
-        suffix = "md" if config["format"] == "markdown" else "tsv"
-        stack.enter_context(_output(out_dir / f"report.{suffix}")).write(render_table(report, config["format"]))
-        partial = partial or any(row.has_error for row in report.rows)
-
-        by_id = {s.stream_id: s for s in all_series}
-        for plot in config["plots"]:
-            stream_id = plot["series"]
-            metric = plot["metric"]
-            market = volume if metric == "volume" else price
-            plot_path = out_dir / f"plot_{_slug(stream_id)}_{metric}.csv"
-            try:
-                # A plot without overlap is dropped alone; the others commit with the run.
-                with ExitStack() as plot_stack:
-                    emit_plot_series(by_id[stream_id], market, plot_stack.enter_context(_output(plot_path)))
-                    stack.enter_context(plot_stack.pop_all())
-            except series_mod.EmptyOverlap as exc:
-                print(f"run-all: plot {stream_id}/{metric}: {exc}", file=sys.stderr)
-                partial = True
-
-    print(f"run-all: wrote {out_dir}/report.{suffix}", file=sys.stderr)
-    return 1 if partial else 0
+    return run(args.config)
 
 
 # --- parser ------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
 from datetime import date
 from enum import Enum
@@ -234,8 +235,8 @@ def write_daily_csv(series: DailySeries, out: IO[str]) -> int:
 
 
 def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySeries:
-    """A `date,count,flag` CSV as a series of its rows; counts are non-negative integers, and a
-    day inside the span without a row counts zero and is OK, as in an aggregated series."""
+    """A `date,count,flag` CSV as a series of its rows; counts are non-negative integers within the range
+    of a float, and a day inside the span without a row counts zero and is OK, as in an aggregated series."""
     counts: dict[date, int] = {}
     flags: dict[date, Flag] = {}
     for line_no, day, (count, flag) in _dated_rows(source, _DAILY_HEADER):
@@ -244,4 +245,7 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
         except ValueError:
             raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)
+        # `gaps` and `correlate` compute with the counts as floats.
+        if value > sys.float_info.max:
+            raise MalformedRow(line_no, f"count past the range of a float {count!r:.40}")
     return DailySeries(stream_id, counts, flags)

@@ -79,8 +79,9 @@ def parse_tweet(line: str) -> TweetRecord:
     """Extract a TweetRecord from one sanitized JSON capture line."""
     try:
         record = json.loads(line)
-    # RecursionError: JSON nested past the recursion limit.
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # RecursionError: JSON nested past the recursion limit. ValueError: a JSONDecodeError,
+    # or a number of more digits than int() converts.
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise MalformedRecord("record is not a JSON object")
@@ -88,10 +89,14 @@ def parse_tweet(line: str) -> TweetRecord:
     tweet_id = record.get("id")
     if tweet_id is None:
         tweet_id = record.get("id_str")
-    try:
-        tweet_id = int(tweet_id)
-    except (TypeError, ValueError):
-        raise MalformedRecord("missing or non-integer id/id_str") from None
+    # Exactly an int or ASCII digits: int() alone reads 1.5 and true as 1, "1_0" as 10 and " 7 " as 7.
+    if isinstance(tweet_id, str) and tweet_id.isascii() and tweet_id.isdigit():
+        try:
+            tweet_id = int(tweet_id)
+        except ValueError:  # more digits than int() converts
+            pass
+    if type(tweet_id) is not int:
+        raise MalformedRecord("missing or non-integer id/id_str")
 
     created_raw = record.get("created_at")
     if not isinstance(created_raw, str):

@@ -498,6 +498,8 @@ GAZETTEER = "bitcoin\tcrypto\tcoin\n"
 DEEP = "[" * 100_000
 # A value that an error quotes cut short.
 LONG = "x" * 2000
+# Daily counts past the range of a float, which `gaps` and `correlate` compute with.
+PAST_FLOAT_CSV = "".join(["date,count,flag\n"] + [f"2015-06-0{d},1{'0' * 400},ok\n" for d in range(1, 6)])
 REPORT_ROW = {
     "stream_id": "s", "total_messages": 5, "r_volume": 0.5, "r_volume_error": None,
     "r_price": None, "r_price_error": "ConstantSeries", "n_days": 5, "policy": "all-days",
@@ -705,6 +707,16 @@ REPORT_ROW = {
         pytest.param(
             ["gaps", "--in", "series.csv"], {"series.csv": f"date,count,flag\n2015-06-01,-{'1' * 2000},ok\n"},
             "negative value", id="gaps.negative-count-long",
+        ),
+        pytest.param(
+            ["gaps", "--in", "series.csv"], {"series.csv": PAST_FLOAT_CSV},
+            "row 2: count past the range of a float '1000", id="gaps.count-past-float",
+        ),
+        pytest.param(
+            ["correlate", "--series", "s=series.csv", "--price", "market.csv", "--volume", "market.csv"],
+            {"series.csv": PAST_FLOAT_CSV,
+             "market.csv": "date,value\n" + "".join(f"2015-06-0{d},{d}\n" for d in range(1, 6))},
+            "row 2: count past the range of a float '1000", id="correlate.count-past-float",
         ),
         pytest.param(
             ["plot-series", "--series", "series.csv", "--market", "volume.csv"],

@@ -1,17 +1,28 @@
-"""The series stages hold what their input holds, not the days of its span.
+"""Memory stays bounded in the shipped stages.
 
-Each case runs one command in-process through `cli.main` under `tracemalloc`
-on inputs of two or three dated rows whose dates lie 40,000 days apart, and
-bounds the traced peak. A series that held every day of that span took 4.4 to
-9.2 MB here (CPython 3.11); the days it lacks are written, not held.
+The series stages hold what their input holds, not the days of its span.
+Each of those cases runs one command in-process through `cli.main` under
+`tracemalloc` on inputs of two or three dated rows whose dates lie 40,000
+days apart, and bounds the traced peak. A series that held every day of that
+span took 4.4 to 9.2 MB here (CPython 3.11); the days it lacks are written,
+not held.
+
+`run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
+run as a child process like the shipped command.
 """
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import sys
+import time
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
+from test_acceptance import PERF_MAX_RSS_KB, PERF_MIN_MBPS, _write_perf_corpus
 
 # The stage modules are imported here, so that `cli.main` imports none of them under the trace.
 from coinbuzz import annotate, irc, message, sanitize, series, stats, twitter  # noqa: F401
@@ -82,3 +93,32 @@ def test_the_span_is_written_whole(tmp_path, monkeypatch):
     rows = (tmp_path / "flagged.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 1 + (LAST - FIRST).days + 1
     assert rows[-1] == f"{LAST},7,ok"
+
+
+def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):
+    """Criterion 8's corpus and gates, through `python -m coinbuzz run-all` with a one-entry gazetteer."""
+    corpus_bytes = _write_perf_corpus(tmp_path / "corpus.jsonl")
+    # Criterion 8's corpus spans 2015-06-01 to 2015-06-14.
+    market = "date,value\n" + "".join(f"2015-06-{day:02d},{100 + day * day}\n" for day in range(1, 15))
+    (tmp_path / "market.csv").write_text(market, encoding="utf-8")
+    (tmp_path / "gazetteer.tsv").write_text("bitcoin\tcrypto\tcoin\n", encoding="utf-8")
+    config = {
+        "out_dir": str(tmp_path / "out"), "tweet_captures": [str(tmp_path / "corpus.jsonl")],
+        "price_csv": str(tmp_path / "market.csv"), "volume_csv": str(tmp_path / "market.csv"),
+        "gazetteer": str(tmp_path / "gazetteer.tsv"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = [sys.executable, "-m", "coinbuzz", "run-all", "--config", str(tmp_path / "config.json")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    started = time.perf_counter()
+    # wait4 reads this one child's max RSS; RUSAGE_CHILDREN would count earlier tests' children too.
+    pid = os.posix_spawn(sys.executable, argv, dict(os.environ, PYTHONPATH=src))
+    _, status, usage = os.wait4(pid, 0)
+    elapsed = time.perf_counter() - started
+    assert os.waitstatus_to_exitcode(status) == 0
+    mbps = corpus_bytes / (1024 * 1024) / elapsed
+    assert mbps >= PERF_MIN_MBPS, f"only {mbps:.2f} MB/s through run-all"
+    assert usage.ru_maxrss < PERF_MAX_RSS_KB, f"peak RSS {usage.ru_maxrss} KB"
+    # About 370 MB of corpus and outputs, which pytest would keep with its last runs' temporary directories.
+    shutil.rmtree(tmp_path / "out")
+    (tmp_path / "corpus.jsonl").unlink()

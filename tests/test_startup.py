@@ -64,6 +64,8 @@ STAGES_RUN = [
     (["correlate", "--series", "s=absent", "--price", "absent", "--volume", "absent"], {"series", "stats"}),
     (["report", "--in", "absent"], {"series", "stats"}),
     (["plot-series", "--series", "absent", "--market", "absent", "--out", "out"], {"series"}),
+    # run-all loads its own module, which imports every stage it runs but `annotate`, a gazetteer's.
+    (["run-all", "--config", "absent"], {"run_all", "irc", "message", "sanitize", "series", "stats", "twitter"}),
 ]
 
 

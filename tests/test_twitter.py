@@ -73,6 +73,48 @@ def test_id_str_fallback():
     assert parse_tweet(json.dumps(payload)).id == 99
 
 
+# What int() would coerce to an id: two tweets with ids 1.5 and 1.7 must not share id 1.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("id", 1.5), ("id", 1.0), ("id", True), ("id", False), ("id", [7]), ("id_str", "1_0"), ("id_str", " 7 "),
+        ("id_str", "+7"), ("id_str", "-7"), ("id_str", ""), ("id_str", "\u0667"), ("id_str", 7.0),
+        pytest.param("id_str", "1" * 5000, id="id_str-past-the-int-digit-limit"),
+    ],
+)
+def test_an_id_that_is_not_exact_is_malformed(key, value):
+    payload = json.loads(_tweet_line(6, "Bitcoin"))
+    del payload["id"]
+    payload[key] = value
+    with pytest.raises(MalformedRecord):
+        parse_tweet(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "fields, tweet_id",
+    [
+        ({"id": -7}, -7), ({"id": "7"}, 7), ({"id_str": "007"}, 7),
+        ({"id": None, "id_str": "7"}, 7), ({"id": 7, "id_str": "x"}, 7),
+    ],
+)
+def test_an_exact_id_is_read(fields, tweet_id):
+    payload = json.loads(_tweet_line(6, "Bitcoin"))
+    del payload["id"]
+    assert parse_tweet(json.dumps({**payload, **fields})).id == tweet_id
+
+
+def test_an_id_number_past_the_int_digit_limit_is_one_malformed_line():
+    line = _tweet_line(1, "Bitcoin").replace('"id": 1', '"id": ' + "1" * 5000)
+    stats = ingest_capture([line, _tweet_line(2, "Bitcoin")], [].append)
+    assert (stats.lines, stats.malformed, stats.matched) == (2, 1, 1)
+
+
+def test_fractional_ids_are_malformed_not_duplicates():
+    lines = [_tweet_line(1, "Bitcoin").replace('"id": 1', f'"id": {value}') for value in ("1.5", "1.7")]
+    stats = ingest_capture(lines, [].append)
+    assert (stats.malformed, stats.duplicates, stats.matched) == (2, 0, 0)
+
+
 def test_created_at_honours_nonzero_offset():
     ts = parse_created_at("Mon Jun 01 10:00:00 +0200 2015")
     assert ts == datetime(2015, 6, 1, 8, 0, 0, tzinfo=timezone.utc)
