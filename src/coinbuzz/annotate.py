@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TOKEN = "Token"
 HASHTAG = "Hashtag"
@@ -72,19 +71,17 @@ def _features_json(features: Mapping[str, object]) -> str:
         return _ENCODER.encode(features)
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     text: str
 
 
-@dataclass(slots=True)
-class Annotation:
+class Annotation(NamedTuple):
     ann_id: int
     type: str
     start: int
     end: int
-    features: dict[str, str] = field(default_factory=dict)
+    features: dict[str, str]
 
 
 Span = tuple[str, int, int, dict[str, str] | None]  # type, start, end, features
@@ -165,42 +162,40 @@ class AnnotatedDocument:
 _NOT_A_PREFIX = object()
 
 
-@dataclass
 class Gazetteer:
     """Case-insensitive surface-form lookup with entity categories.
 
     File format: one entry per line, `surface<TAB>major<TAB>minor`.
 
-    `prefixes` maps every non-empty prefix of every surface to its entry, or
-    to None when the prefix is not itself a surface. It is built from
-    `entries` at construction; replace the Gazetteer rather than editing
-    `entries` in place. It costs about 0.5 KB per entry (1 MB for 2,000
-    entries of 8.5 characters on average).
+    `Gazetteer(entries)` is the one constructor. It lowercases each surface
+    (a later surface wins over an earlier one that lowercases the same),
+    rejects an empty one, and derives from the entries:
+    - `max_tokens`, the most tokens any surface scans to (at least 1);
+    - `prefixes`, which maps every non-empty prefix of every surface to its
+      entry, or to None when the prefix is not itself a surface. It costs
+      about 0.5 KB per entry (1 MB for 2,000 entries of 8.5 characters on
+      average).
+    Replace the Gazetteer rather than editing `entries` in place.
     """
 
-    entries: dict[str, tuple[str, str]]
-    max_tokens: int = 1
-    prefixes: dict[str, tuple[str, str] | None] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        prefixes: dict[str, tuple[str, str] | None] = {}
-        for surface in self.entries:
-            for end in range(1, len(surface)):
-                prefixes.setdefault(surface[:end], None)
-        prefixes.update(self.entries)
-        self.prefixes = prefixes
-
-    @classmethod
-    def from_entries(cls, entries: Mapping[str, tuple[str, str]]) -> "Gazetteer":
-        normalized = {}
-        max_tokens = 1
+    def __init__(self, entries: Mapping[str, tuple[str, str]]):
+        self.entries: dict[str, tuple[str, str]] = {}
+        self.max_tokens = 1
+        self.prefixes: dict[str, tuple[str, str] | None] = {}
         for surface, (major, minor) in entries.items():
             surface = surface.lower()
             if not surface:
                 raise ValueError("empty gazetteer surface form")
-            normalized[surface] = (major, minor)
-            max_tokens = max(max_tokens, sum(1 for _ in _SCAN_RE.finditer(surface)))
-        return cls(normalized, max_tokens)
+            self.entries[surface] = (major, minor)
+            self.max_tokens = max(self.max_tokens, sum(1 for _ in _SCAN_RE.finditer(surface)))
+            for end in range(1, len(surface)):
+                self.prefixes.setdefault(surface[:end], None)
+        self.prefixes.update(self.entries)
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[str, tuple[str, str]]) -> "Gazetteer":
+        """`Gazetteer(entries)`, under the name that callers of the first version use."""
+        return cls(entries)
 
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
@@ -212,9 +207,9 @@ class Gazetteer:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
-                    raise ValueError(f"{path}:{line_no}: expected surface<TAB>major<TAB>minor")
+                    raise ValueError(f"{str(path)!r:.40}:{line_no}: expected surface<TAB>major<TAB>minor")
                 entries[parts[0]] = (parts[1], parts[2])
-        return cls.from_entries(entries)
+        return cls(entries)
 
 
 def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer) -> list[Span]:

@@ -82,7 +82,7 @@ def _load_config(path: Path) -> dict:
     try:
         config = _read_section(loads(text), "config")
     except RecursionError:
-        raise ValueError(f"config {path} must not nest past the recursion limit") from None
+        raise ValueError(f"config {str(path)!r:.40} must not nest past the recursion limit") from None
     # What the stages would reject only after output is written.
     twitter.check_keywords(config["keywords"], config["substring"])
     if not 0 < config["theta"] < 1:

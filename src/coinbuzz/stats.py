@@ -30,16 +30,28 @@ class ConstantSeries(Exception):
     pass
 
 
+def _scaled(values: Sequence[float]) -> list[float]:
+    """`values` times the power of two that brings the largest magnitude into
+    [0.5, 1), or unchanged when all are 0. Exact, as long as nothing underflows."""
+    _, e = math.frexp(max(map(abs, values)))
+    return [math.ldexp(v, -e) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson r via the two-pass definition with exact summation.
 
     Requires len(x) == len(y) >= 3 and non-constant inputs; n = 2 always
     yields +/-1 and is statistically vacuous. The result is clamped to
     [-1, 1].
+
+    Each series is first scaled by a power of two, so no sum or square can
+    overflow; r does not depend on the scale of either input.
     """
     n = len(x)
     if n < 3:
         raise TooFewPoints(f"{n} points, need at least 3")
+    x = _scaled(x)
+    y = _scaled(y)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     dx = [xi - mean_x for xi in x]
@@ -48,13 +60,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     syy = math.fsum(d * d for d in dy)
     if sxx == 0.0 or syy == 0.0:
         raise ConstantSeries("zero variance")
-    # Single sqrt keeps exact linear dependence at exactly +/-1; fall back to
-    # the split form only when the product over- or underflows.
-    denom_sq = sxx * syy
-    if math.isinf(denom_sq) or denom_sq == 0.0:
-        denom = math.sqrt(sxx) * math.sqrt(syy)
-    else:
-        denom = math.sqrt(denom_sq)
+    # Single sqrt keeps exact linear dependence at exactly +/-1.
+    denom = math.sqrt(sxx * syy)
     r = math.fsum(a * b for a, b in zip(dx, dy)) / denom
     if abs(r) > 1.0 + _CLAMP_TOLERANCE:
         raise AssertionError(f"pearson out of range: {r}")

@@ -21,7 +21,7 @@ from coinbuzz.series import (
     Flag,
     align,
 )
-from coinbuzz.stats import CorrelationReport, ReportRow
+from coinbuzz.stats import CorrelationReport, ReportRow, pearson
 
 START = date(2015, 6, 1)
 
@@ -450,6 +450,58 @@ def test_correlate_and_report(tmp_path, capsys):
     assert md.read_text().startswith("| Data Source |")
 
 
+def _correlate_row(tmp_path, counts: list[int], price: list[float], volume: list[float]) -> dict:
+    """The one report row of `correlate` over a stream of these daily counts from START."""
+    days = [START + timedelta(days=i) for i in range(len(counts))]
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text(
+        "date,count,flag\n" + "".join(f"{day},{count},ok\n" for day, count in zip(days, counts)), encoding="utf-8"
+    )
+    _write_market(tmp_path / "price.csv", price)
+    _write_market(tmp_path / "volume.csv", volume)
+    report_json = tmp_path / "report.json"
+    argv = ["correlate", "--series", f"s={series_csv}", "--price", str(tmp_path / "price.csv"),
+            "--volume", str(tmp_path / "volume.csv"), "--out", str(report_json)]
+    assert main(argv) == 0
+    [row] = json.loads(report_json.read_text(encoding="utf-8"))["rows"]
+    return row
+
+
+# Counts and prices whose sums, squares or products of deviations pass the range
+# of a float, each followed by the same values at unit scale. The volume is
+# small in every case.
+NEAR_FLOAT_MAX = [1e308, 1.5e308, 1e308, 1.7e308, 1.0]
+AT_1E200 = [1e200, 1.5e200, 1e200, 1.7e200, 1.0]
+UNIT = [1.0, 1.5, 1.0, 1.7, 0.0]
+SMALL = [3, 1, 4, 1, 5]
+VOLUME = [2.0, 7.0, 1.0, 8.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "counts, price, unit_counts, unit_price",
+    [
+        pytest.param([10**308, 15 * 10**307, 10**308, 17 * 10**307, 1], VOLUME, UNIT, VOLUME, id="counts-near-float-max"),
+        pytest.param(SMALL, NEAR_FLOAT_MAX, SMALL, UNIT, id="price-near-float-max"),
+        pytest.param(SMALL, AT_1E200, SMALL, UNIT, id="price-at-1e200"),
+        pytest.param(
+            [10**200, 15 * 10**199, 10**200, 17 * 10**199, 1], [1.7e200, 1e200, 1.5e200, 1.0, 1e200],
+            UNIT, [1.7, 1.0, 1.5, 0.0, 1.0], id="counts-and-price-at-1e200",
+        ),
+    ],
+)
+def test_correlate_gives_r_at_any_scale(tmp_path, counts, price, unit_counts, unit_price):
+    row = _correlate_row(tmp_path, counts, price, VOLUME)
+    for name, expected in (("r_price", pearson(unit_counts, unit_price)), ("r_volume", pearson(unit_counts, VOLUME))):
+        assert math.isfinite(row[name]) and -1 <= row[name] <= 1, row
+        assert row[name] == pytest.approx(expected, abs=1e-12), name
+
+
+def test_correlate_price_of_the_volume_times_2_700_gives_r_volume(tmp_path):
+    row = _correlate_row(tmp_path, SMALL, [math.ldexp(v, 700) for v in VOLUME], VOLUME)
+    assert row["r_volume"] is not None and row["r_volume"] != 0
+    assert row["r_price"] == row["r_volume"]
+
+
 def test_plot_series_command(tmp_path):
     series_csv = tmp_path / "series.csv"
     with open(series_csv, "w", encoding="utf-8", newline="") as fh:
@@ -498,6 +550,8 @@ GAZETTEER = "bitcoin\tcrypto\tcoin\n"
 DEEP = "[" * 100_000
 # A value that an error quotes cut short.
 LONG = "x" * 2000
+# A gazetteer file name of 250 characters, within the 255 that a file name may have.
+LONG_GAZETTEER = "g" * 246 + ".tsv"
 # Daily counts past the range of a float, which `gaps` and `correlate` compute with.
 PAST_FLOAT_CSV = "".join(["date,count,flag\n"] + [f"2015-06-0{d},1{'0' * 400},ok\n" for d in range(1, 6)])
 REPORT_ROW = {
@@ -740,6 +794,11 @@ REPORT_ROW = {
             ["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
             {"gaz.tsv": GAZETTEER, "msgs.jsonl": MESSAGE + MESSAGE.replace("2015-06-01T10:00:00Z", f"2015-{LONG}")},
             "messages line 2: bad ts '2015-xxx", id="annotate.ts-long",
+        ),
+        pytest.param(
+            ["annotate", "--gazetteer", LONG_GAZETTEER, "--in", "msgs.jsonl"],
+            {"msgs.jsonl": MESSAGE, LONG_GAZETTEER: "bitcoin\tcrypto\n"},
+            f"'{'g' * 39}:1: expected surface", id="annotate.gazetteer-path-long",
         ),
         pytest.param(
             ["parse-irc", "--channel", "#x", "--in", LONG], {}, "File name too long: 'xxx", id="parse-irc.in-long",
@@ -999,13 +1058,15 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
 )
 def test_run_all_config_nested_past_the_recursion_limit_is_fatal(tmp_path, capsys, name, text):
     out_dir = tmp_path / "out"
-    config_path = tmp_path / name
+    # A long file name, which the error line quotes cut short.
+    config_path = tmp_path / ("c" * 240 + name)
     config_path.write_text(text.format(out_dir=json.dumps(str(out_dir)), deep=DEEP), encoding="utf-8")
     assert main(["run-all", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("coinbuzz: error: ")
     if name == "config.json" or sys.version_info >= (3, 11):
         assert "must not nest past the recursion limit" in err
+    assert len(err) < 200
     assert not out_dir.exists()
 
 

@@ -7,6 +7,11 @@ days apart, and bounds the traced peak. A series that held every day of that
 span took 4.4 to 9.2 MB here (CPython 3.11); the days it lacks are written,
 not held.
 
+The streaming stages hold nothing that grows with their input: `parse-irc`,
+`annotate`, `aggregate` and `ingest-tweets` each run in-process under
+`tracemalloc` on about 2,000 lines and on 4 times that, over the same days,
+ids and gazetteer, and the 4x peak may exceed the 1x peak by less than 64 KB.
+
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
 """
@@ -93,6 +98,71 @@ def test_the_span_is_written_whole(tmp_path, monkeypatch):
     rows = (tmp_path / "flagged.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 1 + (LAST - FIRST).days + 1
     assert rows[-1] == f"{LAST},7,ok"
+
+
+BASE_LINES = 2_000
+GROWTH_BOUND = 64 * 1024  # bytes
+# The days every streaming input spreads its lines over, at any scale.
+STREAM_DAYS = [FIRST + timedelta(days=i) for i in range(10)]
+
+
+def _irc_log(lines: int) -> str:
+    rows = []
+    for i in range(lines):
+        day, second = STREAM_DAYS[i % len(STREAM_DAYS)], i % 86_400
+        stamp = f"[{day:%a %b} {day.day} {day.year}] [{second // 3600:02d}:{second // 60 % 60:02d}:{second % 60:02d}]"
+        rows.append(f"{stamp} <nick{i % 50}>\tbitcoin to the moon {i}\n")
+    return "".join(rows)
+
+
+def _messages(lines: int) -> str:
+    return "".join(
+        json.dumps({**MESSAGE, "ts": f"{STREAM_DAYS[i % len(STREAM_DAYS)]}T10:00:00Z",
+                    "text": f"Bitcoin to the moon #btc @al http://x.io/{i}"}) + "\n"
+        for i in range(lines)
+    )
+
+
+# Each stage's argv and its inputs at a number of lines. The capture repeats
+# the ids of its first BASE_LINES tweets, so the seen-id set does not grow.
+STREAM_CASES = {
+    "parse-irc": (["parse-irc", "--channel", "#c", "--in", "chan.log", "--out", "out.jsonl"],
+                  lambda lines: {"chan.log": _irc_log(lines)}),
+    "annotate": (["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl", "--out", "out.jsonl"],
+                 lambda lines: {"msgs.jsonl": _messages(lines), "gaz.tsv": "bitcoin\tcrypto\tcoin\n"}),
+    "aggregate": (["aggregate", "--in", "msgs.jsonl", "--out", "out.csv"],
+                  lambda lines: {"msgs.jsonl": _messages(lines)}),
+    "ingest-tweets": (["ingest-tweets", "--in", "cap.jsonl", "--out", "out.jsonl"],
+                      lambda lines: {"cap.jsonl": "".join(
+                          _tweet(1 + i % BASE_LINES, STREAM_DAYS[i % len(STREAM_DAYS)]) for i in range(lines)
+                      )}),
+}
+
+
+def _traced_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("argv, inputs", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+def test_streaming_stage_peak_does_not_grow_with_its_input(tmp_path, monkeypatch, capsys, argv, inputs):
+    peaks = {}
+    for scale in (1, 4):
+        workdir = tmp_path / f"x{scale}"
+        workdir.mkdir()
+        for name, text in inputs(BASE_LINES * scale).items():
+            (workdir / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        if scale == 1:
+            # An untraced run first, so that neither traced run pays for what a first call caches.
+            assert main(argv) == 0
+        peaks[scale] = _traced_peak(argv)
+    assert peaks[4] - peaks[1] < GROWTH_BOUND, f"{argv[0]} peaked at {peaks[1]:,} bytes at 1x, {peaks[4]:,} at 4x"
 
 
 def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):

@@ -27,8 +27,8 @@ sys.stdout.flush()
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
-# Costly standard-library modules: only `annotate` may load `dataclasses`, only a
-# zone other than UTC may load `zoneinfo`, and nothing loads `statistics`.
+# Costly standard-library modules: only a zone other than UTC may load `zoneinfo`,
+# and nothing loads `dataclasses` or `statistics`.
 HEAVY = {"dataclasses", "statistics", "zoneinfo"}
 
 
@@ -73,8 +73,7 @@ STAGES_RUN = [
 def test_subcommand_loads_only_its_stages(tmp_path, argv, stages):
     loaded = _loaded(argv, tmp_path)
     assert _coinbuzz(loaded) == stages
-    if "annotate" not in stages:
-        assert not loaded & HEAVY
+    assert not loaded & HEAVY
 
 
 def test_parse_irc_in_utc_does_not_load_zoneinfo(tmp_path):

@@ -127,6 +127,37 @@ def test_huge_magnitudes_fall_back_without_overflow():
     assert abs(pearson(x, y) - 1.0) < 1e-12
 
 
+# Zero, or a magnitude in [2**-60, 2**60]: scaled by 2**k for any k in
+# [-900, 900], such a value neither over- nor underflows, so ldexp is exact.
+_exact_under_scaling = st.floats(min_value=-(2.0**60), max_value=2.0**60).filter(
+    lambda v: v == 0 or abs(v) >= 2.0**-60
+)
+
+
+def _outcome(x, y) -> str:
+    """r's bits as hex, or the name of the error pearson raises."""
+    try:
+        return pearson(x, y).hex()
+    except (ConstantSeries, TooFewPoints) as exc:
+        return type(exc).__name__
+
+
+@given(
+    st.integers(min_value=3, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.lists(_exact_under_scaling, min_size=n, max_size=n),
+            st.lists(_exact_under_scaling, min_size=n, max_size=n),
+        )
+    ),
+    st.integers(min_value=-900, max_value=900),
+    st.integers(min_value=-900, max_value=900),
+)
+def test_r_does_not_depend_on_the_scale_of_either_input(pair, k, j):
+    x, y = pair
+    scaled = _outcome([math.ldexp(v, k) for v in x], [math.ldexp(v, j) for v in y])
+    assert scaled == _outcome(x, y)
+
+
 # --- report assembly ---------------------------------------------------------
 
 START = date(2015, 6, 1)
