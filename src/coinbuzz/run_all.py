@@ -85,10 +85,7 @@ def _load_config(path: Path) -> dict:
         raise ValueError(f"config {str(path)!r:.40} must not nest past the recursion limit") from None
     # What the stages would reject only after output is written.
     twitter.check_keywords(config["keywords"], config["substring"])
-    if not 0 < config["theta"] < 1:
-        raise ValueError(f"config key 'theta' must be in (0, 1), got {config['theta']!r}")
-    if config["k"] < 1:
-        raise ValueError(f"config key 'k' must be at least 1, got {config['k']!r:.40}")
+    series.check_gap_args(config["theta"], config["k"])
     if config["window"]["start"] > config["window"]["end"]:
         raise ValueError(f"config key 'window' has its start after its end: {config['window']}")
     if not config["tweet_captures"] and not config["irc_logs"]:

@@ -35,24 +35,6 @@ class Flag(Enum):
     OUTAGE = "outage"
 
 
-class MalformedRow(ValueError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"row {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class DuplicateDate(ValueError):
-    def __init__(self, day: date):
-        super().__init__(f"duplicate date {day.isoformat()}")
-        self.day = day
-
-
-class NegativeValue(ValueError):
-    def __init__(self, day: date, value: float):
-        super().__init__(f"negative value {value!r:.40} on {day.isoformat()}")
-        self.day = day
-
-
 class EmptyOverlap(ValueError):
     """Fewer than three shared dates; correlation would be meaningless."""
 
@@ -110,6 +92,14 @@ class DailyCounter:
         return DailySeries(stream_id, dict(self._counts))
 
 
+def check_gap_args(theta: float, k: int) -> None:
+    """ValueError unless 0 < theta < 1 and k >= 1, as `detect_gaps` needs."""
+    if not 0 < theta < 1:
+        raise ValueError(f"'theta' must be in (0, 1), got {theta!r:.40}")
+    if k < 1:
+        raise ValueError(f"'k' must be at least 1, got {k!r:.40}")
+
+
 def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySeries:
     """Flag likely collection-outage days; returns a new series.
 
@@ -118,10 +108,7 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
     flagged in this pass do not poison the baseline). Early days fall back to
     whatever history exists; with no history only the zero rule applies.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must be in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_gap_args(theta, k)
     flags: dict[date, Flag] = {}
     # A day that `counts` lacks is an outage, so the window holds only days of `counts`.
     healthy: deque[int] = deque(maxlen=min(k, len(series.counts)))
@@ -149,9 +136,10 @@ def _median(values: Iterable[int]) -> float:
 def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterator[tuple[int, date, list[str]]]:
     """(line number, date, value cells) for each non-blank row of a dated CSV.
 
-    `source` is a path or an open stream. Raises MalformedRow for a header
-    other than `header`, a row of another field count or a bad ISO date, and
-    DuplicateDate for a date seen before; the caller parses the value cells.
+    `source` is a path or an open stream. Raises ValueError, `row <n>: ...`
+    for a header other than `header`, a row of another field count or a bad
+    ISO date, and `duplicate date ...` for a date seen before; the caller
+    parses the value cells.
     """
     close_after = isinstance(source, (str, Path))
     if close_after:
@@ -160,19 +148,19 @@ def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterat
         reader = csv.reader(source)
         got = next(reader, None)
         if got is None or [cell.strip() for cell in got] != list(header):
-            raise MalformedRow(1, f"expected header {','.join(header)!r}, got {got!r:.40}")
+            raise ValueError(f"row 1: expected header {','.join(header)!r}, got {got!r:.40}")
         seen: set[date] = set()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
+                raise ValueError(f"row {line_no}: expected {len(header)} fields, got {len(row)}")
             try:
                 day = date.fromisoformat(row[0].strip())
             except ValueError:
-                raise MalformedRow(line_no, f"bad date {row[0]!r:.40}") from None
+                raise ValueError(f"row {line_no}: bad date {row[0]!r:.40}") from None
             if day in seen:
-                raise DuplicateDate(day)
+                raise ValueError(f"duplicate date {day.isoformat()}")
             seen.add(day)
             yield line_no, day, row[1:]
     finally:
@@ -182,7 +170,7 @@ def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterat
 
 def _non_negative(day: date, value: float) -> float:
     if value < 0:
-        raise NegativeValue(day, value)
+        raise ValueError(f"negative value {value!r:.40} on {day.isoformat()}")
     return value
 
 
@@ -193,9 +181,9 @@ def load_market_csv(source: str | Path | IO[str]) -> dict[date, float]:
         try:
             value = float(cell)
         except ValueError:
-            raise MalformedRow(line_no, f"bad value {cell!r:.40}") from None
+            raise ValueError(f"row {line_no}: bad value {cell!r:.40}") from None
         if not math.isfinite(value):
-            raise MalformedRow(line_no, f"non-finite value {cell!r:.40}")
+            raise ValueError(f"row {line_no}: non-finite value {cell!r:.40}")
         values[day] = _non_negative(day, value)
     return dict(sorted(values.items()))
 
@@ -243,9 +231,9 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
         try:
             value, flags[day] = int(count), Flag(flag.strip())
         except ValueError:
-            raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r:.40}") from None
+            raise ValueError(f"row {line_no}: bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)
         # `gaps` and `correlate` compute with the counts as floats.
         if value > sys.float_info.max:
-            raise MalformedRow(line_no, f"count past the range of a float {count!r:.40}")
+            raise ValueError(f"row {line_no}: count past the range of a float {count!r:.40}")
     return DailySeries(stream_id, counts, flags)

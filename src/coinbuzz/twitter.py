@@ -41,7 +41,8 @@ _CREATED_AT_RE = re.compile(
 
 
 class MalformedRecord(Exception):
-    """A capture line that is not valid JSON or lacks a mandatory field."""
+    """A capture line that is not valid JSON, lacks a mandatory field or holds
+    one that UTF-8 cannot write."""
 
 
 class TweetRecord(NamedTuple):
@@ -115,6 +116,13 @@ def parse_tweet(line: str) -> TweetRecord:
     text = record.get("text")
     if not isinstance(text, str):
         raise MalformedRecord("missing text")
+    # A lone surrogate (a `\ud800` escape, say) is not text that UTF-8 can write; only non-ASCII text holds one.
+    if not (text.isascii() and screen_name.isascii()):
+        try:
+            screen_name.encode()
+            text.encode()
+        except UnicodeEncodeError:
+            raise MalformedRecord("user.screen_name or text holds a lone surrogate") from None
 
     hashtags = []
     entities = record.get("entities")
@@ -186,15 +194,7 @@ class FailureMode(Enum):
     RATE_LIMITED = "rate"
 
 
-class _BackoffFields(NamedTuple):
-    mode: FailureMode
-    base_delay: float
-    factor: float = 2.0
-    cap: float = 320.0
-    jitter_seed: int | None = None
-
-
-class BackoffPolicy(_BackoffFields):
+class BackoffPolicy:
     """Exponential backoff schedule for one failure mode.
 
     jitter_seed None disables jitter entirely; otherwise the jitter fraction
@@ -202,23 +202,25 @@ class BackoffPolicy(_BackoffFields):
     (jitter_seed, n) and lies in [0, 0.25).
     """
 
-    __slots__ = ()
-
-    # A NamedTuple may not define __new__ itself, so the checks live on this subclass.
-    def __new__(cls, *args, **kwargs) -> BackoffPolicy:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.base_delay <= 0:
+    def __init__(
+        self, mode: FailureMode, base_delay: float, factor: float = 2.0, cap: float = 320.0,
+        jitter_seed: int | None = None,
+    ):
+        if base_delay <= 0:
             raise ValueError("base_delay must be > 0")
-        if self.factor < 1:
+        if factor < 1:
             raise ValueError("factor must be >= 1")
-        if self.cap < self.base_delay:
+        if cap < base_delay:
             raise ValueError("cap must be >= base_delay")
-        return self
+        self.mode = mode
+        self.base_delay = base_delay
+        self.factor = factor
+        self.cap = cap
+        self.jitter_seed = jitter_seed
 
 
 class BackoffState(NamedTuple):
     consecutive_failures: int = 0
-    last_mode: FailureMode | None = None
 
 
 def default_policies(jitter_seed: int | None = None) -> dict[FailureMode, BackoffPolicy]:
@@ -262,7 +264,7 @@ def next_delay(
     delay = min(policy.cap, policy.base_delay * policy.factor ** state.consecutive_failures)
     if policy.jitter_seed is not None:
         delay *= 1.0 + jitter_fraction(policy.jitter_seed, state.consecutive_failures)
-    return delay, BackoffState(state.consecutive_failures + 1, outcome)
+    return delay, BackoffState(state.consecutive_failures + 1)
 
 
 # --- ingestion loop ---------------------------------------------------------

@@ -245,6 +245,18 @@ def test_ingest_tweets_counts_a_line_nested_past_the_recursion_limit_as_malforme
     assert "lines=3 parsed=2 malformed=1 " in capsys.readouterr().err
 
 
+def test_ingest_tweets_counts_a_tweet_with_a_lone_surrogate_as_malformed(tmp_path, capsys):
+    capture = tmp_path / "cap.jsonl"
+    # The escape is not sanitized first, so the parsed text holds the surrogate itself.
+    lines = [_tweet_line(1, "Bitcoin rally"), _tweet_line(2, "bitcoin \ud800 up")]
+    assert "\\ud800" in lines[1]
+    capture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(out)]) == 1
+    assert [json.loads(line)["author"] for line in out.read_text().splitlines()] == ["u1"]
+    assert "lines=2 parsed=1 malformed=1 " in capsys.readouterr().err
+
+
 def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
     capture = tmp_path / "cap.jsonl"
     capture.write_text(_tweet_line(1, "bitcoins plural") + "\n", encoding="utf-8")
@@ -1049,6 +1061,30 @@ def test_run_all_missing_required_key_is_fatal(tmp_path, capsys, drop, key):
     assert len(err) < 200
     # The config is checked before anything is written.
     assert not out_dir.exists()
+
+
+# `gaps` and run-all hold one rule for theta and k, so a value that breaks it gives one error line.
+@pytest.mark.parametrize(
+    "key, value", [("theta", 2), ("theta", 0), ("theta", math.nan), ("k", 0)], ids=["theta-2", "theta-0", "theta-nan", "k-0"]
+)
+def test_gaps_and_run_all_reject_a_gap_arg_with_one_error_line(tmp_path, capsys, key, value):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    config[key] = value
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    run_all_err = capsys.readouterr().err
+    daily = tmp_path / "daily.csv"
+    daily.write_text("date,count,flag\n2015-06-01,5,ok\n", encoding="utf-8")
+    flagged = tmp_path / "flagged.csv"
+    assert main(["gaps", "--in", str(daily), "--out", str(flagged), f"--{key}", str(value)]) == 2
+    gaps_err = capsys.readouterr().err
+    assert gaps_err == run_all_err
+    # Each names the value, as the option or the config gives it to the stage.
+    named = repr(float(value)) if key == "theta" else repr(value)
+    assert gaps_err.startswith(f"coinbuzz: error: {key!r} must be ")
+    assert gaps_err.endswith(f", got {named}\n")
+    assert not out_dir.exists() and not flagged.exists()
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,10 @@ span took 4.4 to 9.2 MB here (CPython 3.11); the days it lacks are written,
 not held.
 
 The streaming stages hold nothing that grows with their input: `parse-irc`,
-`annotate`, `aggregate` and `ingest-tweets` each run in-process under
-`tracemalloc` on about 2,000 lines and on 4 times that, over the same days,
-ids and gazetteer, and the 4x peak may exceed the 1x peak by less than 64 KB.
+`annotate`, `aggregate`, `ingest-tweets` and `run-all` each run in-process
+under `tracemalloc` on about 2,000 lines and on 4 times that, over the same
+days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
+64 KB.
 
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
@@ -123,6 +124,25 @@ def _messages(lines: int) -> str:
     )
 
 
+def _run_all_inputs(lines: int) -> dict[str, str]:
+    """A capture that repeats the ids of its first BASE_LINES tweets and an IRC log, each with one more
+    message on three of the days (equal daily counts leave r undefined), a one-entry gazetteer, a
+    ten-day market and one plot."""
+    config = {
+        "out_dir": "out", "tweet_captures": ["cap.jsonl"], "irc_logs": [{"path": "chan.log", "channel": "#c"}],
+        "gazetteer": "gaz.tsv", "price_csv": "price.csv", "volume_csv": "volume.csv",
+        "plots": [{"series": "twitter", "metric": "volume"}],
+    }
+    capture = [_tweet(1 + i % BASE_LINES, STREAM_DAYS[i % len(STREAM_DAYS)]) for i in range(lines)]
+    capture += [_tweet(BASE_LINES + 1 + i, STREAM_DAYS[i]) for i in range(3)]
+    return {
+        "cap.jsonl": "".join(capture), "chan.log": _irc_log(lines) + _irc_log(3), "gaz.tsv": "bitcoin\tcrypto\tcoin\n",
+        "price.csv": "date,value\n" + "".join(f"{day},{230 + i * i}\n" for i, day in enumerate(STREAM_DAYS)),
+        "volume.csv": "date,value\n" + "".join(f"{day},{40 + 3 * i}\n" for i, day in enumerate(STREAM_DAYS)),
+        "config.json": json.dumps(config),
+    }
+
+
 # Each stage's argv and its inputs at a number of lines. The capture repeats
 # the ids of its first BASE_LINES tweets, so the seen-id set does not grow.
 STREAM_CASES = {
@@ -136,6 +156,7 @@ STREAM_CASES = {
                       lambda lines: {"cap.jsonl": "".join(
                           _tweet(1 + i % BASE_LINES, STREAM_DAYS[i % len(STREAM_DAYS)]) for i in range(lines)
                       )}),
+    "run-all": (["run-all", "--config", "config.json"], _run_all_inputs),
 }
 
 

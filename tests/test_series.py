@@ -11,11 +11,8 @@ from coinbuzz.message import Message
 from coinbuzz.series import (
     DailyCounter,
     DailySeries,
-    DuplicateDate,
     EmptyOverlap,
     Flag,
-    MalformedRow,
-    NegativeValue,
     align,
     detect_gaps,
     load_market_csv,
@@ -159,39 +156,43 @@ def test_load_market_csv_two_rows():
     assert series[date(2015, 6, 2)] == 240.5
 
 
+# Each dated-CSV fault is a ValueError, told apart by the start of its message.
+MALFORMED_ROW, DUPLICATE_DATE, NEGATIVE_VALUE = r"^row \d+: ", "^duplicate date ", "^negative value "
+
+
 def test_load_market_csv_rejects_duplicate_date():
     src = io.StringIO("date,value\n2015-06-01,1\n2015-06-01,2\n")
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(ValueError, match=DUPLICATE_DATE):
         load_market_csv(src)
 
 
 def test_load_market_csv_rejects_negative_value():
     src = io.StringIO("date,value\n2015-06-01,-3\n")
-    with pytest.raises(NegativeValue):
+    with pytest.raises(ValueError, match=NEGATIVE_VALUE):
         load_market_csv(src)
 
 
 # Both dated-CSV readers share one reader of rows; each case is given to the
 # reader whose header it carries. A market case's id is its payload.
 MARKET_FAULTS = [
-    ("wrong,header\n2015-06-01,1\n", MalformedRow),
-    ("date,value\nnot-a-date,1\n", MalformedRow),
-    ("date,value\n2015-06-01,abc\n", MalformedRow),
-    ("date,value\n2015-06-01,nan\n", MalformedRow),
-    ("date,value\n2015-06-01,1,extra\n", MalformedRow),
-    ("", MalformedRow),
-    ("date,value\n2015-06-01,1\n\n2015-06-01,2\n", DuplicateDate),
-    ("date,value\n2015-06-01,1\n2015-06-02,-0.5\n", NegativeValue),
+    ("wrong,header\n2015-06-01,1\n", MALFORMED_ROW),
+    ("date,value\nnot-a-date,1\n", MALFORMED_ROW),
+    ("date,value\n2015-06-01,abc\n", MALFORMED_ROW),
+    ("date,value\n2015-06-01,nan\n", MALFORMED_ROW),
+    ("date,value\n2015-06-01,1,extra\n", MALFORMED_ROW),
+    ("", MALFORMED_ROW),
+    ("date,value\n2015-06-01,1\n\n2015-06-01,2\n", DUPLICATE_DATE),
+    ("date,value\n2015-06-01,1\n2015-06-02,-0.5\n", NEGATIVE_VALUE),
 ]
 DAILY_FAULTS = [
-    ("wrong,header,row\n2015-06-01,1,ok\n", MalformedRow),
-    ("date,count,flag\nnot-a-date,1,ok\n", MalformedRow),
-    ("date,count,flag\n2015-06-01,1.5,ok\n", MalformedRow),
-    ("date,count,flag\n2015-06-01,1,maybe\n", MalformedRow),
-    ("date,count,flag\n2015-06-01,1,ok,extra\n", MalformedRow),
-    ("", MalformedRow),
-    ("date,count,flag\n2015-06-01,1,ok\n\n2015-06-01,2,ok\n", DuplicateDate),
-    ("date,count,flag\n2015-06-01,1,ok\n2015-06-02,-5,ok\n", NegativeValue),
+    ("wrong,header,row\n2015-06-01,1,ok\n", MALFORMED_ROW),
+    ("date,count,flag\nnot-a-date,1,ok\n", MALFORMED_ROW),
+    ("date,count,flag\n2015-06-01,1.5,ok\n", MALFORMED_ROW),
+    ("date,count,flag\n2015-06-01,1,maybe\n", MALFORMED_ROW),
+    ("date,count,flag\n2015-06-01,1,ok,extra\n", MALFORMED_ROW),
+    ("", MALFORMED_ROW),
+    ("date,count,flag\n2015-06-01,1,ok\n\n2015-06-01,2,ok\n", DUPLICATE_DATE),
+    ("date,count,flag\n2015-06-01,1,ok\n2015-06-02,-5,ok\n", NEGATIVE_VALUE),
 ]
 
 
@@ -201,7 +202,7 @@ DAILY_FAULTS = [
     + [pytest.param(read_daily_csv, payload, error, id=f"daily:{payload}") for payload, error in DAILY_FAULTS],
 )
 def test_load_market_csv_rejects_malformed_rows(read, payload, error):
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match=error):
         read(io.StringIO(payload))
 
 
@@ -273,13 +274,13 @@ def test_daily_csv_round_trip():
 
 
 def test_read_daily_csv_rejects_bad_header():
-    with pytest.raises(MalformedRow):
+    with pytest.raises(ValueError, match=MALFORMED_ROW):
         read_daily_csv(io.StringIO("nope\n"), "s")
 
 
 def test_read_daily_csv_rejects_duplicate_date():
     payload = "date,count,flag\n2015-06-01,1,ok\n2015-06-01,2,ok\n"
-    with pytest.raises(DuplicateDate):
+    with pytest.raises(ValueError, match=DUPLICATE_DATE):
         read_daily_csv(io.StringIO(payload), "s")
 
 

@@ -29,7 +29,6 @@ from coinbuzz.series import (
     DailySeries,
     EmptyOverlap,
     Flag,
-    MalformedRow,
     _dated_rows,
     _median,
     _non_negative,
@@ -116,7 +115,7 @@ def _ref_read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> Da
         try:
             value, flags[day] = int(count), Flag(flag.strip())
         except ValueError:
-            raise MalformedRow(line_no, f"bad count or flag {[count, flag]!r:.40}") from None
+            raise ValueError(f"row {line_no}: bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)
     return _ref_filled(stream_id, counts, flags)
 

@@ -125,6 +125,19 @@ def test_bad_created_at_is_malformed():
         parse_tweet(_tweet_line(6, "x", created="June 1st 2015"))
 
 
+# A lone surrogate, which only a JSON escape yields, cannot be written as UTF-8; a surrogate pair can.
+@pytest.mark.parametrize("field", ["text", "screen_name"])
+def test_a_lone_surrogate_is_malformed(field):
+    payload = json.loads(_tweet_line(7, "Bitcoin"))
+    target = payload["user"] if field == "screen_name" else payload
+    target[field] += "\ud800"
+    line = json.dumps(payload)
+    assert "\\ud800" in line
+    with pytest.raises(MalformedRecord):
+        parse_tweet(line)
+    assert parse_tweet(line.replace("\\ud800", "\\ud83d\\ude00")).text.startswith("Bitcoin")
+
+
 # --- keyword filter ----------------------------------------------------------
 
 def test_keyword_match_ignores_case():
@@ -181,7 +194,7 @@ def test_delay_is_capped():
 
 def test_success_resets_state():
     policy = default_policies()[FailureMode.HTTP_ERROR]
-    state = BackoffState(5, FailureMode.HTTP_ERROR)
+    state = BackoffState(5)
     delay, state = next_delay(policy, state, None)
     assert delay == 0.0
     assert state == BackoffState()
