@@ -63,6 +63,16 @@ def _correlation_cell(value: float | None, error: str | None) -> str:
     return f"{value:.4f}"
 
 
+# What would break a row of each table format: a tab or `|` splits a cell, CR or LF the row.
+_CELL_BREAKERS = {"tsv": "\t\r\n", "markdown": "|\r\n"}
+
+
+def check_stream_id(stream_id: str, format: str) -> None:
+    """ValueError if `stream_id` holds a character that would break its row of a `format` table."""
+    if any(ch in stream_id for ch in _CELL_BREAKERS[format]):
+        raise ValueError(f"stream id {stream_id!r:.40} would break its row of a {format} table")
+
+
 def render_table(report: CorrelationReport, format: str = "tsv") -> str:
     """Render the summary table; correlations to 4 decimals, totals as ints."""
     if not report.rows:
@@ -71,6 +81,7 @@ def render_table(report: CorrelationReport, format: str = "tsv") -> str:
         raise ValueError(f"unknown format {format!r}")
     table = [list(TABLE_HEADERS)]
     for row in report.rows:
+        check_stream_id(row.stream_id, format)
         table.append(
             [
                 row.stream_id,

@@ -48,19 +48,15 @@ class EventKind(Enum):
 
 
 class UnparsableLine(ValueError):
-    """A log line that matches neither the chat nor the network grammar."""
+    """A log line that holds no event; `parse_log_line` says which."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 class IrcEvent(NamedTuple):
     timestamp: datetime
-    channel: str
     kind: EventKind
-    subtype: str | None
     nick: str
     text: str
 
@@ -82,19 +78,14 @@ class IrcIngestStats:
         return self.unparsable
 
 
-def parse_log_line(
-    line: str,
-    channel: str,
-    line_no: int = 0,
-    tz: tzinfo = timezone.utc,
-) -> IrcEvent | None:
+def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> IrcEvent | None:
     """Parse one log line into an IrcEvent; blank lines return None.
 
     Timestamps are interpreted in `tz` (log files rarely say) and normalized
-    to UTC. Raises UnparsableLine for anything outside the grammar.
+    to UTC. Raises UnparsableLine, naming `line_no`, for every other line
+    that holds no event: one outside the grammar, a date or time that does
+    not exist, or a time outside datetime's range once converted to UTC.
     """
-    if channel[:1] != "#":
-        _check_channel(channel)
     match = _LINE_RE.match(line)
     if match is None:
         if not line.strip():
@@ -106,14 +97,15 @@ def parse_log_line(
         ts = datetime(year, month, day, int(hh), int(mm), int(ss), 0, tz)
         if tz is not timezone.utc:
             ts = ts.astimezone(timezone.utc)
-    except ValueError as exc:
+    # OverflowError: a local time outside datetime's range once converted to UTC.
+    except (ValueError, OverflowError) as exc:
         raise UnparsableLine(line_no, str(exc)) from exc
     if nick is not None:
-        return IrcEvent(ts, channel, EventKind.CHAT, None, nick, text)
+        return IrcEvent(ts, EventKind.CHAT, nick, text)
     if word in NETWORK_SUBTYPES:
-        return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
+        return IrcEvent(ts, EventKind.NETWORK, "", rest)
     # Unknown server chatter: keep it, authored by the announcing word.
-    return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
+    return IrcEvent(ts, EventKind.CHAT, word, rest)
 
 
 @lru_cache(maxsize=64)
@@ -126,11 +118,6 @@ def _log_date(text: str) -> tuple[int, int, int]:
     if month is None:
         raise ValueError(f"unknown month abbreviation {mon!r}")
     return int(year), month, int(day)
-
-
-def _check_channel(channel: str) -> None:
-    if not channel.startswith("#"):
-        raise ValueError(f"channel must begin with '#': {channel!r:.40}")
 
 
 def resolve_tz(name: str) -> tzinfo:
@@ -162,12 +149,14 @@ def ingest_log(
 ) -> IrcIngestStats:
     """Stream a channel log's lines, emitting one Message per chat event.
 
-    A line whose time is outside datetime's range in UTC is unparsable too.
-    Lenient mode (default) skips unparsable lines and counts them; strict
-    mode raises UnparsableLine for the first. Counters always satisfy
+    `channel` must begin with "#" (ValueError), checked before the first
+    line, so an empty log is checked too. Lenient mode (default) skips and
+    counts each line that `parse_log_line` finds unparsable; strict mode
+    re-raises its UnparsableLine. Counters always satisfy
     lines_in == messages + dropped_network + unparsable + blank.
     """
-    _check_channel(channel)  # before the first line, so an empty log is checked too
+    if not channel.startswith("#"):
+        raise ValueError(f"channel must begin with '#': {channel!r:.40}")
     if stream_id is None:
         stream_id = f"irc:{channel}"
     zone = resolve_tz(tz)
@@ -176,12 +165,9 @@ def ingest_log(
     for line_no, line in enumerate(lines, start=1):
         stats.lines_in += 1
         try:
-            event = parse_log_line(line.rstrip("\r\n"), channel, line_no, zone)
-        # OverflowError: a local time outside datetime's range once converted to UTC.
-        except (UnparsableLine, OverflowError) as exc:
+            event = parse_log_line(line.rstrip("\r\n"), line_no, zone)
+        except UnparsableLine:
             if strict:
-                if isinstance(exc, OverflowError):
-                    raise UnparsableLine(line_no, str(exc)) from exc
                 raise
             stats.unparsable += 1
             continue

@@ -60,7 +60,8 @@ def from_json_line(line: str) -> Message:
     """The message on one JSONL line.
 
     ValueError unless the line is a JSON object with a string value for each
-    of `stream_id`, `ts`, `author` and `text`.
+    of `stream_id`, `ts`, `author` and `text`, and UTF-8 can write
+    `stream_id`, `author` and `text`.
     """
     record = json.loads(line)
     if not isinstance(record, dict):
@@ -68,6 +69,14 @@ def from_json_line(line: str) -> Message:
     for key in ("stream_id", "ts", "author", "text"):
         if not isinstance(record.get(key), str):
             raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
+    stream_id, author, text = record["stream_id"], record["author"], record["text"]
+    # A lone surrogate (a `\ud800` escape, say) is not text that UTF-8 can write; only non-ASCII text holds one.
+    if not (stream_id.isascii() and author.isascii() and text.isascii()):
+        for key in ("stream_id", "author", "text"):
+            try:
+                record[key].encode()
+            except UnicodeEncodeError:
+                raise ValueError(f"{key!r} holds a lone surrogate") from None
     try:
         ts = datetime.fromisoformat(record["ts"].replace("Z", "+00:00"))
     except ValueError:
@@ -75,12 +84,7 @@ def from_json_line(line: str) -> Message:
         raise ValueError(f"bad ts {record['ts']!r:.40}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return Message(
-        stream_id=record["stream_id"],
-        timestamp=ts.astimezone(timezone.utc),
-        author=record["author"],
-        text=record["text"],
-    )
+    return Message(stream_id, ts.astimezone(timezone.utc), author, text)
 
 
 def read_messages(source: IO[str]) -> Iterator[tuple[int, Message]]:

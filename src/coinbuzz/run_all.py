@@ -25,7 +25,7 @@ from typing import IO, Callable, Iterator
 
 from coinbuzz import irc, message, sanitize, series, stats, twitter
 from coinbuzz.cli import _CONFIG_KEYS, _annotator, _capture_lines, _log_lines, _output, _print_stats
-from coinbuzz.cli import emit_plot_series, render_table
+from coinbuzz.cli import check_stream_id, emit_plot_series, render_table
 
 
 def _slug(stream_id: str) -> str:
@@ -98,6 +98,7 @@ def _load_config(path: Path) -> dict:
             raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r:.40}")
         irc.resolve_tz(entry["tz"])
         stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
+        check_stream_id(stream_id, config["format"])
         other = streams.setdefault(_slug(stream_id), stream_id)
         if other != stream_id:
             raise ValueError(

@@ -839,6 +839,20 @@ def test_failed_subcommand_leaves_no_output(tmp_path, capsys, monkeypatch, argv,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
+# A lone surrogate (an unscrubbed `\ud800` escape) is no text that UTF-8 can write, and no stage writes one.
+@pytest.mark.parametrize("field", ["stream_id", "author", "text"])
+@pytest.mark.parametrize("argv", [["annotate", "--gazetteer", "gaz.tsv"], ["aggregate"]], ids=["annotate", "aggregate"])
+def test_a_messages_line_with_a_lone_surrogate_is_fatal(tmp_path, capsys, monkeypatch, argv, field):
+    monkeypatch.chdir(tmp_path)
+    bad = json.dumps({**json.loads(MESSAGE), field: "bad \ud800 x"})
+    assert "\\ud800" in bad
+    Path("gaz.tsv").write_text(GAZETTEER, encoding="utf-8")
+    Path("msgs.jsonl").write_text(MESSAGE + bad + "\n", encoding="utf-8")
+    assert main(argv + ["--in", "msgs.jsonl", "--out", "out.txt"]) == 2
+    assert capsys.readouterr().err == f"coinbuzz: error: messages line 2: {field!r} holds a lone surrogate\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gaz.tsv", "msgs.jsonl"]
+
+
 # --- run-all -----------------------------------------------------------------
 
 def _run_all_workspace(tmp_path):
@@ -1085,6 +1099,32 @@ def test_gaps_and_run_all_reject_a_gap_arg_with_one_error_line(tmp_path, capsys,
     assert gaps_err.startswith(f"coinbuzz: error: {key!r} must be ")
     assert gaps_err.endswith(f", got {named}\n")
     assert not out_dir.exists() and not flagged.exists()
+
+
+# A tab, CR or LF splits a TSV row and '|', CR or LF a Markdown row, so `report` and run-all refuse
+# a stream id that holds one, with one error line, before they write anything.
+@pytest.mark.parametrize(
+    "fmt, channel", [("tsv", "#a\tb"), ("tsv", f"#a{LONG}\nb"), ("markdown", "#a|b"), ("markdown", "#a\rb")],
+    ids=["tsv-tab", "tsv-newline-long", "markdown-bar", "markdown-cr"],
+)
+def test_report_and_run_all_refuse_a_stream_id_that_breaks_the_table(tmp_path, capsys, fmt, channel):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["irc_logs"][0]["channel"] = channel
+    config["format"] = fmt
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    run_all_err = capsys.readouterr().err
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"rows": [{**REPORT_ROW, "stream_id": f"irc:{channel}"}]}), encoding="utf-8")
+    table = tmp_path / "table.txt"
+    assert main(["report", "--in", str(report), "--format", fmt, "--out", str(table)]) == 2
+    report_out, report_err = capsys.readouterr()
+    assert report_err == run_all_err
+    assert report_err.startswith(f"coinbuzz: error: stream id {repr(f'irc:{channel}')[:40]} ")
+    assert len(report_err) < 200
+    assert report_out == ""
+    assert not out_dir.exists() and not table.exists() and not Path(f"{table}.partial").exists()
 
 
 @pytest.mark.parametrize(

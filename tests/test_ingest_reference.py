@@ -19,7 +19,7 @@ import io
 import json
 import re
 from datetime import date, datetime, timedelta, timezone
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 from zoneinfo import ZoneInfo
 
 import pytest
@@ -75,6 +75,15 @@ def _ref_event_timestamp(groups: tuple[str, ...], tz) -> datetime:
     return local.astimezone(timezone.utc)
 
 
+class _RefEvent(NamedTuple):
+    timestamp: datetime
+    channel: str
+    kind: EventKind
+    subtype: str | None
+    nick: str
+    text: str
+
+
 def _ref_parse_log_line(line: str, channel: str, line_no: int = 0, tz=timezone.utc):
     if not channel.startswith("#"):
         raise ValueError(f"channel must begin with '#': {channel!r}")
@@ -87,7 +96,7 @@ def _ref_parse_log_line(line: str, channel: str, line_no: int = 0, tz=timezone.u
             ts = _ref_event_timestamp(match.groups()[:7], tz)
         except ValueError as exc:
             raise UnparsableLine(line_no, str(exc)) from exc
-        return IrcEvent(ts, channel, EventKind.CHAT, None, match.group(8), match.group(9))
+        return _RefEvent(ts, channel, EventKind.CHAT, None, match.group(8), match.group(9))
 
     match = _REF_NETWORK_RE.match(line)
     if match:
@@ -97,9 +106,9 @@ def _ref_parse_log_line(line: str, channel: str, line_no: int = 0, tz=timezone.u
             raise UnparsableLine(line_no, str(exc)) from exc
         word, rest = match.group(8), match.group(9)
         if word in NETWORK_SUBTYPES:
-            return IrcEvent(ts, channel, EventKind.NETWORK, word, "", rest)
+            return _RefEvent(ts, channel, EventKind.NETWORK, word, "", rest)
         # Unknown server chatter: keep it, authored by the announcing word.
-        return IrcEvent(ts, channel, EventKind.CHAT, None, word, rest)
+        return _RefEvent(ts, channel, EventKind.CHAT, None, word, rest)
 
     raise UnparsableLine(line_no, "does not match chat or network grammar")
 
@@ -232,8 +241,6 @@ def _outcome(fn, *args):
     """
     try:
         return "ok", repr(fn(*args))
-    except UnparsableLine as exc:
-        return "raise", UnparsableLine, exc.line_no, exc.reason
     except (ValueError, OverflowError) as exc:
         return "raise", type(exc), str(exc)
 
@@ -353,10 +360,20 @@ any_line = st.one_of(log_line, message_text, st.text(" \t\r\n\x0b\x0c\u00a0\u202
 LOG_ZONES = (timezone.utc, ZoneInfo("America/New_York"), ZoneInfo("Asia/Tokyo"))
 
 
+def _ref_event(line: str, line_no: int, tz):
+    """`_ref_parse_log_line` under today's contract of `parse_log_line`: no channel, an event of
+    the four fields `ingest_log` reads, and UnparsableLine for a time out of range in UTC too."""
+    try:
+        event = _ref_parse_log_line(line, "#bitcoin", line_no, tz)
+    except OverflowError as exc:
+        raise UnparsableLine(line_no, str(exc)) from exc
+    return None if event is None else IrcEvent(event.timestamp, event.kind, event.nick, event.text)
+
+
 @settings(max_examples=500)
 @given(any_line, st.sampled_from(LOG_ZONES), st.integers(0, 10**6))
 def test_parse_log_line_matches_reference(line, tz, line_no):
-    _same(parse_log_line, _ref_parse_log_line, line, "#bitcoin", line_no, tz)
+    _same(parse_log_line, _ref_event, line, line_no, tz)
 
 
 def test_parse_log_line_fixed_cases():
@@ -385,9 +402,7 @@ def test_parse_log_line_fixed_cases():
         "not a log line",
     ):
         for tz in LOG_ZONES:
-            _same(parse_log_line, _ref_parse_log_line, line, "#bitcoin", 7, tz)
-    _same(parse_log_line, _ref_parse_log_line, f"{stamp} <alice>\thi", "bitcoin", 1, timezone.utc)
-    _same(parse_log_line, _ref_parse_log_line, "", "bitcoin", 1, timezone.utc)
+            _same(parse_log_line, _ref_event, line, 7, tz)
 
 
 # --- ingest_log -------------------------------------------------------------------
@@ -441,7 +456,7 @@ def _ingest_outcome(fn, lines, tz, strict):
     try:
         stats = fn(lines, lambda msg: emitted.append(repr(msg)), "#bitcoin", tz=tz, strict=strict)
     except UnparsableLine as exc:
-        return emitted, "raise", exc.line_no, exc.reason
+        return emitted, "raise", type(exc), str(exc)
     return emitted, vars(stats)
 
 

@@ -23,19 +23,17 @@ def _network_line(subtype: str) -> str:
 
 
 def test_parse_chat_line():
-    event = parse_log_line(CHAT_LINE, "#bitcoin", 1)
+    event = parse_log_line(CHAT_LINE, 1)
     assert event.kind is EventKind.CHAT
     assert event.nick == "alice"
     assert event.text == "price is moving"
-    assert event.channel == "#bitcoin"
     assert event.timestamp == datetime(2015, 6, 1, 0, 3, 12, tzinfo=timezone.utc)
 
 
 def test_parse_network_line_for_every_subtype():
     for subtype in NETWORK_SUBTYPES:
-        event = parse_log_line(_network_line(subtype), "#bitcoin", 1)
+        event = parse_log_line(_network_line(subtype), 1)
         assert event.kind is EventKind.NETWORK
-        assert event.subtype == subtype
         assert event.nick == ""
 
 
@@ -53,7 +51,7 @@ def test_network_subtypes_are_dropped_and_chat_kept():
 
 
 def test_unknown_network_word_is_surfaced_as_chat():
-    event = parse_log_line(_network_line("Away"), "#bitcoin", 1)
+    event = parse_log_line(_network_line("Away"), 1)
     assert event.kind is EventKind.CHAT
     assert event.nick == "Away"
     assert event.text == "details here"
@@ -62,31 +60,31 @@ def test_unknown_network_word_is_surfaced_as_chat():
 
 def test_garbage_line_raises():
     with pytest.raises(UnparsableLine) as err:
-        parse_log_line("garbage line", "#bitcoin", 7)
-    assert err.value.line_no == 7
+        parse_log_line("garbage line", 7)
+    assert str(err.value).startswith("line 7: ")
 
 
 def test_impossible_date_raises():
     with pytest.raises(UnparsableLine):
-        parse_log_line("[Wed Jun 31 2015] [00:00:00] <a>\thi", "#bitcoin", 1)
+        parse_log_line("[Wed Jun 31 2015] [00:00:00] <a>\thi", 1)
 
 
 def test_blank_line_is_a_skip():
-    assert parse_log_line("", "#bitcoin", 1) is None
-    assert parse_log_line("   ", "#bitcoin", 2) is None
+    assert parse_log_line("", 1) is None
+    assert parse_log_line("   ", 2) is None
 
 
 def test_timestamps_are_normalized_from_source_timezone():
     from zoneinfo import ZoneInfo
 
-    event = parse_log_line(CHAT_LINE, "#bitcoin", 1, tz=ZoneInfo("America/Toronto"))
+    event = parse_log_line(CHAT_LINE, 1, tz=ZoneInfo("America/Toronto"))
     # 00:03:12 EDT is 04:03:12 UTC.
     assert event.timestamp == datetime(2015, 6, 1, 4, 3, 12, tzinfo=timezone.utc)
 
 
 def test_channel_must_start_with_hash():
     with pytest.raises(ValueError):
-        parse_log_line(CHAT_LINE, "bitcoin", 1)
+        ingest_log([CHAT_LINE], [].append, "bitcoin")
 
 
 def _fixture_log() -> str:

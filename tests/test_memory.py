@@ -13,6 +13,9 @@ under `tracemalloc` on about 2,000 lines and on 4 times that, over the same
 days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
 64 KB.
 
+The seen-id set of `ingest-tweets`, which README names as the state that
+grows with unique ids, grows by a bounded number of bytes per extra id.
+
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -186,6 +190,41 @@ def test_streaming_stage_peak_does_not_grow_with_its_input(tmp_path, monkeypatch
     assert peaks[4] - peaks[1] < GROWTH_BOUND, f"{argv[0]} peaked at {peaks[1]:,} bytes at 1x, {peaks[4]:,} at 4x"
 
 
+# The seen-id set is the one state of `ingest-tweets` that README lets grow with its input: an int
+# and a set slot per unique id. Here (CPython 3.11) it grew by 97-101 B per extra id between 2,000
+# and 8,000 ids; README's 66-70 B per id is for 1M ids, where the set's table is fuller. The bound
+# leaves room for a table that has just grown, and a copy of the stage that also kept each message
+# it emitted grew by 286 B per id.
+ID_GROWTH_BOUND = 160  # bytes per extra unique id
+
+
+def test_the_seen_id_set_grows_only_by_its_ids(tmp_path, monkeypatch, capsys):
+    argv = ["ingest-tweets", "--in", "cap.jsonl", "--out", "out.jsonl"]
+    peaks = {}
+    for ids in (BASE_LINES, 4 * BASE_LINES):
+        workdir = tmp_path / f"ids{ids}"
+        workdir.mkdir()
+        capture = "".join(_tweet(1 + i, STREAM_DAYS[i % len(STREAM_DAYS)]) for i in range(ids))
+        (workdir / "cap.jsonl").write_text(capture, encoding="utf-8")
+        monkeypatch.chdir(workdir)
+        if ids == BASE_LINES:
+            # An untraced run first, so that neither traced run pays for what a first call caches.
+            assert main(argv) == 0
+        peaks[ids] = _traced_peak(argv)
+    per_id = (peaks[4 * BASE_LINES] - peaks[BASE_LINES]) / (3 * BASE_LINES)
+    assert per_id < ID_GROWTH_BOUND, f"{per_id:.0f} B per extra id: {peaks[BASE_LINES]:,} -> {peaks[4 * BASE_LINES]:,}"
+
+
+# Runs its arguments as a command and prints the command's exit code and max RSS (KB). A process's
+# max RSS also covers the memory of the process that spawned it, up to its exec, so pytest's own
+# peak would count; this small launcher spawns the command from a fresh address space instead, and
+# wait4 reads that one child's max RSS, where RUSAGE_CHILDREN would count earlier children too.
+_LAUNCHER = (
+    "import os, sys; pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
 def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):
     """Criterion 8's corpus and gates, through `python -m coinbuzz run-all` with a one-entry gazetteer."""
     corpus_bytes = _write_perf_corpus(tmp_path / "corpus.jsonl")
@@ -202,14 +241,16 @@ def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):
     argv = [sys.executable, "-m", "coinbuzz", "run-all", "--config", str(tmp_path / "config.json")]
     src = str(Path(__file__).resolve().parents[1] / "src")
     started = time.perf_counter()
-    # wait4 reads this one child's max RSS; RUSAGE_CHILDREN would count earlier tests' children too.
-    pid = os.posix_spawn(sys.executable, argv, dict(os.environ, PYTHONPATH=src))
-    _, status, usage = os.wait4(pid, 0)
+    launched = subprocess.run(
+        [sys.executable, "-S", "-c", _LAUNCHER, *argv],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True, check=True,
+    )
     elapsed = time.perf_counter() - started
-    assert os.waitstatus_to_exitcode(status) == 0
+    code, max_rss_kb = map(int, launched.stdout.split()[-2:])
+    assert code == 0
     mbps = corpus_bytes / (1024 * 1024) / elapsed
     assert mbps >= PERF_MIN_MBPS, f"only {mbps:.2f} MB/s through run-all"
-    assert usage.ru_maxrss < PERF_MAX_RSS_KB, f"peak RSS {usage.ru_maxrss} KB"
+    assert max_rss_kb < PERF_MAX_RSS_KB, f"peak RSS {max_rss_kb} KB"
     # About 370 MB of corpus and outputs, which pytest would keep with its last runs' temporary directories.
     shutil.rmtree(tmp_path / "out")
     (tmp_path / "corpus.jsonl").unlink()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,3 +23,12 @@ def test_format_ts_pads_the_year_to_four_digits():
 def test_json_line_round_trips(stream_id, ts, author, text):
     msg = Message(stream_id, ts.replace(microsecond=0), author, text)
     assert from_json_line(to_json_line(msg)) == msg
+
+
+def test_a_lone_surrogate_is_no_message():
+    line = '{"stream_id": "s", "ts": "2015-06-01T10:00:00Z", "author": "a", "text": "x"}'
+    for field in ("stream_id", "author", "text"):
+        with pytest.raises(ValueError, match=f"^'{field}' holds a lone surrogate$"):
+            from_json_line(line.replace(f'"{field}": "', f'"{field}": "\\ud800'))
+    # A surrogate pair escape is one character, which UTF-8 writes.
+    assert from_json_line(line.replace('"x"', '"\\ud83d\\ude00"')).text == "\U0001f600"
