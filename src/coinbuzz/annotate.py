@@ -212,18 +212,36 @@ class Gazetteer:
         return cls(entries)
 
 
+class _LowerEachSlice:
+    """A text whose slices come out lowercased one by one, for a text whose
+    lowercase is longer than itself (a U+0130 lowercases to two characters),
+    so that the offsets of the text no longer point into its lowercase."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __getitem__(self, key: slice) -> str:
+        return self.text[key].lower()
+
+
 def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer) -> list[Span]:
     """One Lookup span per maximal gazetteer match over consecutive tokens.
 
     `tokens` are spans sorted by start with non-decreasing ends, as the
     tokenizer yields them. Candidate surfaces are the raw document text
-    spanning the token run, lowercased. Longest match wins; ties break
-    leftmost; matched tokens are consumed so lookups never overlap.
+    spanning the token run, lowercased: the document is lowercased once,
+    unless that lengthens it, when each candidate is lowercased on its own.
+    Longest match wins; ties break leftmost; matched tokens are consumed so
+    lookups never overlap.
 
     A run grows one token at a time and stops as soon as the candidate is no
     surface's prefix, so a token that starts no surface costs one probe.
     """
     text = doc.text.lower()
+    if len(text) != len(doc.text):
+        text = _LowerEachSlice(doc.text)
     prefixes = gazetteer.prefixes
     not_a_prefix = _NOT_A_PREFIX
     lookups: list[Span] = []

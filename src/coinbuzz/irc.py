@@ -161,23 +161,31 @@ def ingest_log(
         stream_id = f"irc:{channel}"
     zone = resolve_tz(tz)
 
-    stats = IrcIngestStats()
+    # Counters and per-line callees in locals, the callees bound at call time so that a
+    # wrapper installed over a module function is still the one called.
+    parse, network, scrub = parse_log_line, EventKind.NETWORK, sanitize_text
+    line_no = messages = dropped_network = unparsable = blank = 0
     for line_no, line in enumerate(lines, start=1):
-        stats.lines_in += 1
         try:
-            event = parse_log_line(line.rstrip("\r\n"), line_no, zone)
+            event = parse(line.rstrip("\r\n"), line_no, zone)
         except UnparsableLine:
             if strict:
                 raise
-            stats.unparsable += 1
+            unparsable += 1
             continue
         if event is None:
-            stats.blank += 1
+            blank += 1
             continue
-        stats.parsed += 1
-        if event.kind is EventKind.NETWORK:
-            stats.dropped_network += 1
+        if event.kind is network:
+            dropped_network += 1
             continue
-        stats.messages += 1
-        emit(Message(stream_id, event.timestamp, event.nick, sanitize_text(event.text)))
+        messages += 1
+        emit(Message(stream_id, event.timestamp, event.nick, scrub(event.text)))
+    stats = IrcIngestStats()
+    stats.lines_in = line_no
+    stats.parsed = messages + dropped_network
+    stats.messages = messages
+    stats.dropped_network = dropped_network
+    stats.unparsable = unparsable
+    stats.blank = blank
     return stats

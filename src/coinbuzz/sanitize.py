@@ -11,8 +11,10 @@ and are only counted.
 The scan is stateless: a surrogate pair is just two independent escapes and
 becomes twelve spaces.
 
-`sanitize_text` applies `sanitize_line`, the one scrub rule, to a string's
-UTF-8 bytes: escapes are ASCII, so decoding and scrubbing commute.
+The rule is one pattern, `_ESCAPE`, compiled once for bytes (`sanitize_line`)
+and once for str (`sanitize_text`). Both forms agree on decoded text: the
+pattern matches ASCII alone, and UTF-8 decoding maps each ASCII byte to its
+own character, even next to bytes it cannot decode.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import re
 from typing import IO, Iterable
 
-# Valid escape (4 hex digits) first, bare malformed prefix second. The scan
-# consumes whatever it matched, so an ASCII escape is never re-entered.
-_ESCAPE_RE = re.compile(rb"\\u([0-9a-fA-F]{4})|\\u")
-
-_SIX_SPACES = b"      "
+# A valid escape of code point 0x80 or more: 0x00-0x7F are exactly "00" plus a digit 0-7 plus a hex digit.
+_ESCAPE = r"\\u(?!00[0-7])[0-9a-fA-F]{4}"
+_ESCAPE_BYTES = re.compile(_ESCAPE.encode("ascii"))
+_ESCAPE_STR = re.compile(_ESCAPE)
+# A bare prefix: a "\u" that four hex digits do not follow.
+_BARE_PREFIX = re.compile(rb"\\u(?![0-9a-fA-F]{4})")
 
 
 class SanitizeStats:
@@ -42,30 +45,21 @@ def sanitize_line(line: bytes) -> tuple[bytes, int, int]:
     """Scrub one record; returns (line, replacements, malformed_escapes).
 
     Total over arbitrary byte strings. Output byte length always equals
-    input byte length.
+    input byte length. A valid escape holds no second backslash, so each
+    "\\u" of the line starts exactly one valid escape or one bare prefix, and
+    the bare prefixes are counted apart from the scrub.
     """
-    replacements = 0
-    malformed = 0
-
-    def sub(match: re.Match[bytes]) -> bytes:
-        nonlocal replacements, malformed
-        digits = match.group(1)
-        if digits is None:
-            malformed += 1
-            return match.group(0)
-        if int(digits, 16) >= 0x80:
-            replacements += 1
-            return _SIX_SPACES
-        return match.group(0)
-
-    return _ESCAPE_RE.sub(sub, line), replacements, malformed
+    if b"\\u" not in line:
+        return line, 0, 0
+    cleaned, replacements = _ESCAPE_BYTES.subn(b"      ", line)
+    return cleaned, replacements, len(_BARE_PREFIX.findall(line))
 
 
 def sanitize_text(text: str) -> str:
-    """sanitize_line over the UTF-8 bytes of `text`; lone surrogates pass through."""
+    """`text` with the rule of `sanitize_line` applied; lone surrogates pass through."""
     if "\\u" not in text:
         return text
-    return sanitize_line(text.encode("utf-8", "surrogatepass"))[0].decode("utf-8", "surrogatepass")
+    return _ESCAPE_STR.sub("      ", text)
 
 
 def sanitize_stream(source: Iterable[bytes] | IO[bytes], sink: IO[bytes]) -> SanitizeStats:

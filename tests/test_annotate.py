@@ -141,6 +141,30 @@ def test_matched_tokens_are_consumed():
     assert [span[:3] for span in lookups] == [(LOOKUP, 0, 7), (LOOKUP, 8, 15)]
 
 
+# "İ".lower() is "i\u0307", one character longer, so the lowercase of a text holding a U+0130 no
+# longer lines up with the text's offsets; each candidate is then lowercased on its own.
+def test_lookup_after_a_dotted_capital_i():
+    doc = Document("d", "İstanbul İstanbul bitcoin")
+    lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("bitcoin", "i\u0307stanbul"))
+    assert [span[:3] for span in lookups] == [(LOOKUP, 0, 8), (LOOKUP, 9, 17), (LOOKUP, 18, 25)]
+
+
+def test_no_lookup_on_text_shifted_by_a_dotted_capital_i():
+    doc = Document("d", "İb.x")
+    assert gazetteer_lookup(doc, _tokens(doc), _gazetteer("b.")) == []
+
+
+@given(st.lists(st.text("İIib.#", min_size=1, max_size=4), min_size=1, max_size=8), st.data())
+def test_each_lookup_covers_a_surface_in_text_with_a_dotted_capital_i(words, data):
+    text = " ".join(words)
+    at = data.draw(st.integers(0, len(text)))
+    text = text[:at] + "İ" + text[at:]
+    gazetteer = _gazetteer(*data.draw(st.lists(st.sampled_from(text.split()), min_size=1, max_size=3)))
+    doc = Document("d", text)
+    for _, start, end, _ in gazetteer_lookup(doc, _tokens(doc), gazetteer):
+        assert text[start:end].lower() in gazetteer.entries
+
+
 def test_lookup_spans_hashtag_surface():
     doc = Document("d", "#bitcoin up")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("#bitcoin"))

@@ -52,21 +52,26 @@ def _ref_token_spans(text: str) -> Iterable[tuple[str, int, int]]:
 def _ref_gazetteer_lookup(
     doc: Document, tokens: Sequence[Annotation], gazetteer: Gazetteer
 ) -> list[Annotation]:
-    text = doc.text.lower()
+    lowered = doc.text.lower()
+
+    def candidate(start: int, end: int) -> str:
+        # A U+0130 lengthens the lowercase past the text's offsets: then lowercase each candidate.
+        return lowered[start:end] if len(lowered) == len(doc.text) else doc.text[start:end].lower()
+
     lookups: list[Annotation] = []
     i = 0
     n = len(tokens)
     while i < n:
         matched_j = -1
         for j in range(min(i + gazetteer.max_tokens, n) - 1, i - 1, -1):
-            surface = text[tokens[i].start:tokens[j].end]
+            surface = candidate(tokens[i].start, tokens[j].end)
             if surface in gazetteer.entries:
                 matched_j = j
                 break
         if matched_j < 0:
             i += 1
             continue
-        major, minor = gazetteer.entries[text[tokens[i].start:tokens[matched_j].end]]
+        major, minor = gazetteer.entries[candidate(tokens[i].start, tokens[matched_j].end)]
         lookups.append(
             Annotation(
                 len(lookups),

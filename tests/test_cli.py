@@ -257,6 +257,23 @@ def test_ingest_tweets_counts_a_tweet_with_a_lone_surrogate_as_malformed(tmp_pat
     assert "lines=2 parsed=1 malformed=1 " in capsys.readouterr().err
 
 
+# README calls `entities.hashtags` optional: a null or a number there is no hashtag, not a traceback.
+NULL_HASHTAGS_LINE = (
+    '{"id": 1, "created_at": "Thu Jan 01 01:27:21 +0000 2015", "user": {"screen_name": "a"}, '
+    '"text": "bitcoin x", "entities": {"hashtags": null}}'
+)
+
+
+@pytest.mark.parametrize("hashtags", ["null", "5"])
+def test_ingest_tweets_keeps_a_tweet_whose_hashtags_are_not_a_list(tmp_path, capsys, hashtags):
+    capture = tmp_path / "cap.jsonl"
+    capture.write_text(NULL_HASHTAGS_LINE.replace("null", hashtags) + "\n", encoding="utf-8")
+    out = tmp_path / "msgs.jsonl"
+    assert main(["ingest-tweets", "--in", str(capture), "--out", str(out)]) == 0
+    assert [json.loads(line)["text"] for line in out.read_text().splitlines()] == ["bitcoin x"]
+    assert "lines=1 parsed=1 malformed=0 duplicates=0 matched=1" in capsys.readouterr().err
+
+
 def test_ingest_tweets_substring_and_keyword_flags(tmp_path):
     capture = tmp_path / "cap.jsonl"
     capture.write_text(_tweet_line(1, "bitcoins plural") + "\n", encoding="utf-8")
@@ -1157,6 +1174,19 @@ def test_run_all_counts_a_capture_line_nested_past_the_recursion_limit_as_malfor
     assert (clean[0], code) == (0, 1)
     assert "run-all: twitter: lines=31 parsed=30 malformed=1 " in capsys.readouterr().err
     assert outputs == clean[1]
+
+
+@pytest.mark.parametrize("hashtags", ["null", "5"])
+def test_run_all_keeps_a_tweet_whose_hashtags_are_not_a_list(tmp_path, capsys, hashtags):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    capture = Path(json.loads(config_path.read_text())["tweet_captures"][0])
+    with open(capture, "a", encoding="utf-8") as out:
+        out.write(NULL_HASHTAGS_LINE.replace('"id": 1,', '"id": 100,').replace("null", hashtags) + "\n")
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config_path)]) == 0
+    texts = [json.loads(line)["text"] for line in (out_dir / "messages_twitter.jsonl").read_text().splitlines()]
+    assert texts.count("bitcoin x") == 1
+    assert "run-all: twitter: lines=31 parsed=31 malformed=0 " in capsys.readouterr().err
 
 
 def test_run_all_counts_a_time_out_of_range_in_utc_as_a_bad_line(tmp_path, capsys):

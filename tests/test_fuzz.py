@@ -4,9 +4,11 @@ Each file-driven subcommand and `run-all` runs in-process through `cli.main`
 on valid inputs that Hypothesis mutates byte by byte: truncations, deletions,
 invalid UTF-8, lone surrogate escapes, NUL and `\\r`, numbers past the range
 of a float or of C sizes, deep JSON nesting and dates at the edges of
-`datetime`'s range. Whatever the bytes, the exit code is 0, 1 or 2, no
-exception leaves `main`, no `.partial` file is left, exit 2 leaves no output
-file, and every `coinbuzz: error:` line is short.
+`datetime`'s range. A capture line and a messages line are also mutated in
+structure: decoded, one field set to a value of another type, re-encoded.
+Whatever the input, the exit code is 0, 1 or 2, no exception leaves `main`,
+no `.partial` file is left, exit 2 leaves no output file, and every
+`coinbuzz: error:` line is short.
 """
 from __future__ import annotations
 
@@ -116,12 +118,57 @@ def _mutate(data: bytes, op: str, at: int, length: int, token: bytes) -> bytes:
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(edits=mutations)
 def test_no_input_yields_a_traceback(name, edits):
-    inputs, argv = CASES[name]
+    inputs, _ = CASES[name]
     files = {file: text.encode("utf-8") for file, text in inputs.items()}
     names = list(files)
     for which, *edit in edits:
         file = names[which % len(names)]
         files[file] = _mutate(files[file], *edit)
+    _assert_no_traceback(name, files)
+
+
+# Structural mutations of one JSON line, which no byte edit above is likely to hit: the value at
+# one path of its first record becomes each of VALUES in turn. The paths are each top-level key
+# and, in a capture, the nested fields that `parse_tweet` reads.
+VALUES = [None, 0, 1.5, "", "x", [], {}, True]
+CAPTURE_PATHS = [(key,) for key in json.loads(CAPTURE.split("\n", 1)[0])] + [
+    ("user", "screen_name"), ("entities", "hashtags"), ("entities", "hashtags", 0), ("entities", "hashtags", 0, "text"),
+]
+MESSAGES_PATHS = [(key,) for key in json.loads(MESSAGES.split("\n", 1)[0])]
+STRUCTURAL = [
+    (name, file, path)
+    for name, file, paths in (
+        ("ingest-tweets", "cap.jsonl", CAPTURE_PATHS), ("run-all", "cap.jsonl", CAPTURE_PATHS),
+        ("annotate", "msgs.jsonl", MESSAGES_PATHS), ("aggregate", "msgs.jsonl", MESSAGES_PATHS),
+    )
+    for path in paths
+]
+
+
+def _set_path(line: str, path: tuple, value) -> str:
+    record = json.loads(line)
+    parent = record
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "name, file, path", STRUCTURAL, ids=[f"{name}-{'.'.join(map(str, path))}" for name, _, path in STRUCTURAL]
+)
+def test_no_json_structure_yields_a_traceback(name, file, path):
+    inputs, _ = CASES[name]
+    first, rest = inputs[file].split("\n", 1)
+    for value in VALUES:
+        files = {file: text.encode("utf-8") for file, text in inputs.items()}
+        files[file] = (_set_path(first, path, value) + "\n" + rest).encode("utf-8")
+        _assert_no_traceback(name, files)
+
+
+def _assert_no_traceback(name: str, files: dict[str, bytes]) -> None:
+    """Run case `name` on `files`: exit 0, 1 or 2, no exception, no `.partial` file, no output
+    file after exit 2 and short error lines."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp).resolve()
@@ -132,7 +179,7 @@ def test_no_input_yields_a_traceback(name, edits):
             # run-all reads the config's paths from the working directory.
             os.chdir(d)
             with contextlib.redirect_stderr(err):
-                code = main([str(arg) for arg in argv(d)])
+                code = main([str(arg) for arg in CASES[name][1](d)])
         finally:
             os.chdir(cwd)
         left = sorted(str(path.relative_to(d)) for path in d.rglob("*") if path.is_file())

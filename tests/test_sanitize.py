@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinbuzz.sanitize import (
@@ -194,15 +194,53 @@ def test_inputs_without_escape_prefix_are_bit_exact(data):
     assert malformed == 0
 
 
-# Lines built from escapes, partial escapes, UTF-8 fragments and raw bytes, so
-# that scrubbing and undecodable bytes meet often; "\n" ends a line, so none.
+# Lines dense in escapes: both sides of the 0x80 boundary in both hex cases, runs of "\u", an
+# escaped backslash before an escape, truncated escapes, hex digits that extend or cut one, UTF-8
+# fragments and raw bytes, so that scrubbing and undecodable bytes meet often.
 _LINE_PARTS = st.one_of(
     st.binary(max_size=8),
-    st.sampled_from([b"\\u", b"\\u00e9", b"\\u0041", b"\\u20", b"\\uD83D", b"\\", b"u", b"\xc3", b"\xa9", b"\xe2\x80"]),
+    st.sampled_from([
+        b"\\u007f", b"\\u007F", b"\\u0080", b"\\u00ff", b"\\u00FF", b"\\u00e9", b"\\u0000", b"\\u0041",
+        b"\\uD83D", b"\\uFFFF", b"\\u", b"\\u\\u", b"\\\\u00e9", b"\\u20", b"\\u00e", b"\\u0", b"\\", b"u",
+        b"0", b"7", b"8", b"F", b"g", b"\xc3", b"\xa9", b"\xe2\x80", b"\xff", b"\xed\xa0\x80",
+    ]),
 )
+# "\n" ends a line, so a line holds none.
+_LINES = st.lists(_LINE_PARTS, max_size=16).map(lambda parts: b"".join(parts).replace(b"\n", b""))
 
 
-@given(st.lists(_LINE_PARTS, max_size=12).map(lambda parts: b"".join(parts).replace(b"\n", b"")))
+@given(_LINES)
 def test_sanitize_text_of_decoded_line_equals_decoded_sanitize_line(data):
     # run-all scrubs capture lines after decoding them; `sanitize` scrubs bytes.
-    assert sanitize_text(data.decode("utf-8", "replace")) == sanitize_line(data)[0].decode("utf-8", "replace")
+    for errors in ("replace", "surrogateescape"):
+        assert sanitize_text(data.decode("utf-8", errors)) == sanitize_line(data)[0].decode("utf-8", errors)
+
+
+# The callback scan that `sanitize_line` replaced, kept verbatim as the oracle of its whole result.
+_CALLBACK_ESCAPE_RE = re.compile(rb"\\u([0-9a-fA-F]{4})|\\u")
+
+_SIX_SPACES = b"      "
+
+
+def _callback_sanitize_line(line: bytes) -> tuple[bytes, int, int]:
+    replacements = 0
+    malformed = 0
+
+    def sub(match: re.Match[bytes]) -> bytes:
+        nonlocal replacements, malformed
+        digits = match.group(1)
+        if digits is None:
+            malformed += 1
+            return match.group(0)
+        if int(digits, 16) >= 0x80:
+            replacements += 1
+            return _SIX_SPACES
+        return match.group(0)
+
+    return _CALLBACK_ESCAPE_RE.sub(sub, line), replacements, malformed
+
+
+@settings(max_examples=500)
+@given(st.lists(_LINE_PARTS, max_size=16).map(b"".join))
+def test_sanitize_line_matches_the_callback_scan(data):
+    assert sanitize_line(data) == _callback_sanitize_line(data)

@@ -53,6 +53,16 @@ def test_hashtags_are_lowercased():
     assert record.hashtags == ("bitcoin",)
 
 
+# `entities.hashtags` is optional, so a value that is not a list counts as no hashtags, as a
+# non-object `entities` does; the line stays well-formed.
+@pytest.mark.parametrize("hashtags", [None, 5, "x", {}], ids=["null", "number", "string", "object"])
+def test_hashtags_that_are_not_a_list_count_as_none(hashtags):
+    payload = json.loads(_tweet_line(2, "bitcoin x"))
+    payload["entities"]["hashtags"] = hashtags
+    record = parse_tweet(json.dumps(payload))
+    assert (record.id, record.text, record.hashtags) == (2, "bitcoin x", ())
+
+
 def test_truncated_json_is_malformed():
     with pytest.raises(MalformedRecord):
         parse_tweet('{"id": 3, "text": "Bitco')
@@ -316,6 +326,18 @@ def test_ingest_capture_counts_and_dedupes():
     assert stats.matched == 2
     assert [m.author for m in out] == ["user1", "user3"]
     assert all(m.stream_id == "twitter" for m in out)
+
+
+# A tracer replaces module functions before a run: the loop must look them up when it is called.
+def test_ingest_capture_calls_the_module_functions_of_its_call(monkeypatch):
+    from coinbuzz import twitter
+
+    calls = []
+    for name in ("parse_tweet", "matches_keywords", "sanitize_text"):
+        original = getattr(twitter, name)
+        monkeypatch.setattr(twitter, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    ingest_capture(_records(4, matching_ids=(1, 3)), [].append)
+    assert [calls.count(name) for name in ("parse_tweet", "matches_keywords", "sanitize_text")] == [4, 4, 2]
 
 
 def _counting(lines, pulled: list):
