@@ -11,10 +11,11 @@ and are only counted.
 The scan is stateless: a surrogate pair is just two independent escapes and
 becomes twelve spaces.
 
-The rule is one pattern, `_ESCAPE`, compiled once for bytes (`sanitize_line`)
-and once for str (`sanitize_text`). Both forms agree on decoded text: the
-pattern matches ASCII alone, and UTF-8 decoding maps each ASCII byte to its
-own character, even next to bytes it cannot decode.
+The rule is one pattern, `_ESCAPE`, applied by `sanitize_line`.
+`sanitize_text` applies `sanitize_line` to a string's UTF-8 bytes: the pattern
+matches ASCII alone, and UTF-8 decoding maps each ASCII byte to its own
+character, even next to bytes it cannot decode, so decoding and scrubbing
+commute.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ import re
 from typing import IO, Iterable
 
 # A valid escape of code point 0x80 or more: 0x00-0x7F are exactly "00" plus a digit 0-7 plus a hex digit.
-_ESCAPE = r"\\u(?!00[0-7])[0-9a-fA-F]{4}"
-_ESCAPE_BYTES = re.compile(_ESCAPE.encode("ascii"))
-_ESCAPE_STR = re.compile(_ESCAPE)
+_ESCAPE = re.compile(rb"\\u(?!00[0-7])[0-9a-fA-F]{4}")
 # A bare prefix: a "\u" that four hex digits do not follow.
 _BARE_PREFIX = re.compile(rb"\\u(?![0-9a-fA-F]{4})")
 
@@ -46,20 +45,23 @@ def sanitize_line(line: bytes) -> tuple[bytes, int, int]:
 
     Total over arbitrary byte strings. Output byte length always equals
     input byte length. A valid escape holds no second backslash, so each
-    "\\u" of the line starts exactly one valid escape or one bare prefix, and
-    the bare prefixes are counted apart from the scrub.
+    "\\u" of the line starts exactly one valid escape or one bare prefix:
+    when every one was scrubbed, none is bare.
     """
-    if b"\\u" not in line:
+    prefixes = line.count(b"\\u")
+    if not prefixes:
         return line, 0, 0
-    cleaned, replacements = _ESCAPE_BYTES.subn(b"      ", line)
-    return cleaned, replacements, len(_BARE_PREFIX.findall(line))
+    cleaned, replacements = _ESCAPE.subn(b"      ", line)
+    malformed = 0 if replacements == prefixes else len(_BARE_PREFIX.findall(line))
+    return cleaned, replacements, malformed
 
 
 def sanitize_text(text: str) -> str:
-    """`text` with the rule of `sanitize_line` applied; lone surrogates pass through."""
+    """sanitize_line over the UTF-8 bytes of `text`; lone surrogates pass through."""
     if "\\u" not in text:
         return text
-    return _ESCAPE_STR.sub("      ", text)
+    cleaned, replacements, _ = sanitize_line(text.encode("utf-8", "surrogatepass"))
+    return cleaned.decode("utf-8", "surrogatepass") if replacements else text
 
 
 def sanitize_stream(source: Iterable[bytes] | IO[bytes], sink: IO[bytes]) -> SanitizeStats:

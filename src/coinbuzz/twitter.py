@@ -1,17 +1,13 @@
 """Tweet capture parsing, keyword filtering, and reconnect backoff.
 
 Capture files are JSON lines, one tweet object per line, with the classic
-`created_at` wire format `Dow Mon DD HH:MM:SS +0000 YYYY`. A capture holds
-many tweets per day, so the date fields of `created_at` are read into (year,
-month, day) once per distinct day, in a small bounded cache (`_created_date`);
-each tweet still builds its own timestamp, so `datetime` checks every field.
-
-The keyword filter keeps a record when any keyword appears as a
-case-insensitive whole word in the text or equals one of its hashtags; word
-means a maximal alphanumeric run, so "bitcoins" does not match "bitcoin"
-unless substring matching is requested. The test for a keyword set is built
-once, on first use, and kept in a small bounded cache: the lowered keywords,
-their set, and one pattern that finds any of them as a whole word.
+`created_at` wire format `Dow Mon DD HH:MM:SS +0000 YYYY`. The keyword filter
+keeps a record when any keyword appears as a case-insensitive whole word in
+the text or equals one of its hashtags; word means a maximal alphanumeric run,
+so "bitcoins" does not match "bitcoin" unless substring matching is requested.
+The test for a keyword set is built once, on first use, and kept in a small
+bounded cache: the lowered keywords, their set, and one pattern that finds
+any of them as a whole word.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
 streams parse -> dedupe -> filter -> emit over the lines of a capture. The set
@@ -65,25 +61,18 @@ def _utc_offset(offset: str) -> timezone:
     return timezone(-delta if offset[0] == "-" else delta)
 
 
-@functools.lru_cache(maxsize=64)
-def _created_date(mon: str, day: str, year: str) -> tuple[int, int, int] | None:
-    """(year, month, day) of a created_at's date fields, or None for an unknown
-    month abbreviation; whether that day exists is left to `datetime`."""
-    month = MONTH_BY_ABBREV.get(mon)
-    if month is None:
-        return None
-    return int(year), month, int(day)
-
-
 def parse_created_at(value: str) -> datetime:
     match = _CREATED_AT_RE.match(value)
     if not match:
         raise ValueError(f"bad created_at: {value!r}")
     mon, day, hh, mm, ss, offset, year = match.groups()
-    date = _created_date(mon, day, year)
-    if date is None:
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
         raise ValueError(f"bad created_at month: {value!r}")
-    local = datetime(*date, int(hh), int(mm), int(ss), 0, _utc_offset(offset))
+    local = datetime(
+        int(year), month, int(day), int(hh), int(mm), int(ss),
+        tzinfo=_utc_offset(offset),
+    )
     return local.astimezone(timezone.utc)
 
 
@@ -144,7 +133,8 @@ def parse_tweet(line: str) -> TweetRecord:
             if isinstance(item, dict) and isinstance(item.get("text"), str):
                 hashtags.append(item["text"].lower())
 
-    return TweetRecord(tweet_id, created_at, screen_name, text, tuple(hashtags))
+    # tuple.__new__ builds the record without the NamedTuple's Python-level __new__ (see coinbuzz.message).
+    return tuple.__new__(TweetRecord, (tweet_id, created_at, screen_name, text, tuple(hashtags)))
 
 
 def check_keywords(keywords: Iterable[str], substring: bool = False) -> tuple[str, ...]:
@@ -312,32 +302,25 @@ def ingest_capture(
     the keywords are checked by `check_keywords` before the first line.
     """
     keywords = check_keywords(keywords, substring)
+    stats = TweetIngestStats()
     seen_ids: set[int] = set()
-    # Counters and per-line callees in locals, the callees bound at call time so that a
-    # wrapper installed over a module function is still the one called.
-    parse, matches, scrub = parse_tweet, matches_keywords, sanitize_text
-    lines_in = malformed = duplicates = matched = 0
+
     for line in lines:
         if not line.strip():
             continue
-        lines_in += 1
+        stats.lines += 1
         try:
-            tweet_id, created_at, user, text, hashtags = parse(line)
+            record = parse_tweet(line)
         except MalformedRecord:
-            malformed += 1
+            stats.malformed += 1
             continue
-        if tweet_id in seen_ids:
-            duplicates += 1
+        stats.parsed += 1
+        if record.id in seen_ids:
+            stats.duplicates += 1
             continue
-        seen_ids.add(tweet_id)
-        if not matches(text, hashtags, keywords, substring):
+        seen_ids.add(record.id)
+        if not matches_keywords(record.text, record.hashtags, keywords, substring):
             continue
-        matched += 1
-        emit(Message("twitter", created_at, user, scrub(text)))
-    stats = TweetIngestStats()
-    stats.lines = lines_in
-    stats.parsed = lines_in - malformed
-    stats.malformed = malformed
-    stats.duplicates = duplicates
-    stats.matched = matched
+        stats.matched += 1
+        emit(tuple.__new__(Message, ("twitter", record.created_at, record.user, sanitize_text(record.text))))
     return stats

@@ -52,26 +52,21 @@ def _ref_token_spans(text: str) -> Iterable[tuple[str, int, int]]:
 def _ref_gazetteer_lookup(
     doc: Document, tokens: Sequence[Annotation], gazetteer: Gazetteer
 ) -> list[Annotation]:
-    lowered = doc.text.lower()
-
-    def candidate(start: int, end: int) -> str:
-        # A U+0130 lengthens the lowercase past the text's offsets: then lowercase each candidate.
-        return lowered[start:end] if len(lowered) == len(doc.text) else doc.text[start:end].lower()
-
+    text = doc.text
     lookups: list[Annotation] = []
     i = 0
     n = len(tokens)
     while i < n:
         matched_j = -1
         for j in range(min(i + gazetteer.max_tokens, n) - 1, i - 1, -1):
-            surface = candidate(tokens[i].start, tokens[j].end)
+            surface = text[tokens[i].start:tokens[j].end].lower()
             if surface in gazetteer.entries:
                 matched_j = j
                 break
         if matched_j < 0:
             i += 1
             continue
-        major, minor = gazetteer.entries[candidate(tokens[i].start, tokens[matched_j].end)]
+        major, minor = gazetteer.entries[text[tokens[i].start:tokens[matched_j].end].lower()]
         lookups.append(
             Annotation(
                 len(lookups),

@@ -101,18 +101,6 @@ def _fixture_log() -> str:
     return "\n".join(lines) + "\n"
 
 
-# A tracer replaces module functions before a run: the loop must look them up when it is called.
-def test_ingest_log_calls_the_module_functions_of_its_call(monkeypatch):
-    from coinbuzz import irc
-
-    calls = []
-    for name in ("parse_log_line", "sanitize_text"):
-        original = getattr(irc, name)
-        monkeypatch.setattr(irc, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-    ingest_log(io.StringIO(_fixture_log()), [].append, "#bitcoin")
-    assert (calls.count("parse_log_line"), calls.count("sanitize_text")) == (13, 5)
-
-
 def test_ingest_filters_network_messages():
     messages = []
     stats = ingest_log(io.StringIO(_fixture_log()), messages.append, "#bitcoin")

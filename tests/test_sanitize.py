@@ -88,6 +88,17 @@ def test_sanitize_text_mirrors_byte_behaviour():
     assert sanitize_text("plain") == "plain"
 
 
+# `perfbench/traced.py` counts the scrub by wrapping the module's `sanitize_line`, and `run-all`
+# scrubs through `sanitize_text`: each text that holds a "\u" is scrubbed by that name.
+def test_sanitize_text_scrubs_through_the_module_sanitize_line(monkeypatch):
+    from coinbuzz import sanitize
+
+    seen = []
+    monkeypatch.setattr(sanitize, "sanitize_line", lambda line, _f=sanitize_line: seen.append(line) or _f(line))
+    assert [sanitize.sanitize_text(t) for t in ("caf\\u00e9", "\\u0041", "plain")] == ["caf      ", "\\u0041", "plain"]
+    assert seen == [b"caf\\u00e9", b"\\u0041"]
+
+
 def test_stream_counts_lines_and_replacements():
     src = io.BytesIO(b'{"t":"a\\u2026b"}\n{"t":"plain"}\n{"t":"c"}\n')
     dst = io.BytesIO()

@@ -328,18 +328,6 @@ def test_ingest_capture_counts_and_dedupes():
     assert all(m.stream_id == "twitter" for m in out)
 
 
-# A tracer replaces module functions before a run: the loop must look them up when it is called.
-def test_ingest_capture_calls_the_module_functions_of_its_call(monkeypatch):
-    from coinbuzz import twitter
-
-    calls = []
-    for name in ("parse_tweet", "matches_keywords", "sanitize_text"):
-        original = getattr(twitter, name)
-        monkeypatch.setattr(twitter, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-    ingest_capture(_records(4, matching_ids=(1, 3)), [].append)
-    assert [calls.count(name) for name in ("parse_tweet", "matches_keywords", "sanitize_text")] == [4, 4, 2]
-
-
 def _counting(lines, pulled: list):
     """Yield lines, recording in `pulled` each one handed out."""
     for line in lines:
