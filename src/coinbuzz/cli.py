@@ -228,16 +228,10 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
                 continue
             seen_streams.add(msg.stream_id)
             counter.add(msg)
-    if args.stream_id:
-        stream_id = args.stream_id
-    elif len(seen_streams) == 1:
-        stream_id = seen_streams.pop()
-    elif not seen_streams:
-        stream_id = ""
-    else:
-        raise ValueError(
-            f"input mixes streams {sorted(seen_streams)!r:.40}; pick one with --stream-id"
-        )
+    # With --stream-id only that stream is counted, so the set holds at most it.
+    if len(seen_streams) > 1:
+        raise ValueError(f"input mixes streams {sorted(seen_streams)!r:.40}; pick one with --stream-id")
+    stream_id = args.stream_id or next(iter(seen_streams), "")
     with _output(args.outfile) as out:
         days = series_mod.write_daily_csv(counter.build(stream_id), out)
     print(f"aggregate: stream={stream_id or '(empty)'} days={days}", file=sys.stderr)

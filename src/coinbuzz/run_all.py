@@ -165,20 +165,18 @@ def run(config_path: str) -> int:
             _print_stats(f"run-all: {stream_id}", ingest_stats)
 
         # Aggregate, flag gaps, and persist one series CSV per stream.
-        all_series = []
+        by_id: dict[str, series.DailySeries] = {}
         for stream_id in sorted(counters):
-            flagged = series.detect_gaps(counters[stream_id].build(stream_id), config["theta"], config["k"])
-            all_series.append(flagged)
+            by_id[stream_id] = series.detect_gaps(counters[stream_id].build(stream_id), config["theta"], config["k"])
             series_out = stack.enter_context(_output(out_dir / f"series_{_slug(stream_id)}.csv"))
-            series.write_daily_csv(flagged, series_out)
+            series.write_daily_csv(by_id[stream_id], series_out)
 
-        report = stats.correlation_report(all_series, price, volume, config["exclude_outages"])
+        report = stats.correlation_report(list(by_id.values()), price, volume, config["exclude_outages"])
         stack.enter_context(_output(out_dir / "report.json")).write(stats.report_to_json(report) + "\n")
         suffix = "md" if config["format"] == "markdown" else "tsv"
         stack.enter_context(_output(out_dir / f"report.{suffix}")).write(render_table(report, config["format"]))
         partial = partial or any(row.has_error for row in report.rows)
 
-        by_id = {s.stream_id: s for s in all_series}
         for plot in config["plots"]:
             stream_id = plot["series"]
             metric = plot["metric"]

@@ -214,11 +214,10 @@ _DAILY_HEADER = ("date", "count", "flag")
 
 
 def write_daily_csv(series: DailySeries, out: IO[str]) -> int:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_DAILY_HEADER)
+    out.write(",".join(_DAILY_HEADER) + "\n")
     rows = 0
     for rows, (day, count, flag) in enumerate(series.days(), start=1):
-        writer.writerow([day.isoformat(), count, flag.value])
+        out.write(f"{day.isoformat()},{count},{flag.value}\n")
     return rows
 
 

@@ -6,8 +6,8 @@ keeps a record when any keyword appears as a case-insensitive whole word in
 the text or equals one of its hashtags; word means a maximal alphanumeric run,
 so "bitcoins" does not match "bitcoin" unless substring matching is requested.
 The test for a keyword set is built once, on first use, and kept in a small
-bounded cache: the lowered keywords, their set, and one pattern that finds
-any of them as a whole word.
+bounded cache: one set of the lowered keywords, read for the text and the
+hashtags alike, and one pattern that finds any of them as a whole word.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
 streams parse -> dedupe -> filter -> emit over the lines of a capture. The set
@@ -150,23 +150,18 @@ def check_keywords(keywords: Iterable[str], substring: bool = False) -> tuple[st
     return keywords
 
 
-class _KeywordPlan(NamedTuple):
-    wanted: tuple[str, ...]  # lowered, leading '#' dropped
-    tags: frozenset[str]
-    words: re.Pattern[str] | None  # word mode: the keywords that are one whole word
-
-
 @functools.lru_cache(maxsize=8)
-def _keyword_plan(keywords: tuple[str, ...], substring: bool) -> _KeywordPlan:
-    wanted = tuple(kw.lower().lstrip("#") for kw in keywords)
+def _keyword_plan(keywords: tuple[str, ...], substring: bool) -> tuple[frozenset[str], re.Pattern[str] | None]:
+    wanted = frozenset(kw.lower().lstrip("#") for kw in keywords)
     if not wanted:
         raise ValueError("keywords must be non-empty")
-    # A keyword that is not one maximal word run can equal no word of a text.
-    words = [re.escape(kw) for kw in dict.fromkeys(wanted) if _WORD_RE.fullmatch(kw)]
+    # A keyword that is not one maximal word run can equal no word of a text. Sorted, so that the
+    # pattern is the same under every hash seed; word lookarounds bound each alternative, so order is moot.
+    words = [re.escape(kw) for kw in sorted(wanted) if _WORD_RE.fullmatch(kw)]
     pattern = None
     if words and not substring:
         pattern = re.compile(r"(?<![^\W_])(?:" + "|".join(words) + r")(?![^\W_])")
-    return _KeywordPlan(wanted, frozenset(wanted), pattern)
+    return wanted, pattern
 
 
 def matches_keywords(
@@ -176,15 +171,15 @@ def matches_keywords(
     substring: bool = False,
 ) -> bool:
     """True if any keyword matches the text (word or substring) or a hashtag."""
-    plan = _keyword_plan(tuple(keywords), substring)
+    wanted, words = _keyword_plan(tuple(keywords), substring)
     lowered = text.lower()
     # Every word is a substring, so no keyword can be a word of a text that
     # does not contain it: only then is the word search needed.
-    if any(map(lowered.__contains__, plan.wanted)):
-        if substring or (plan.words is not None and plan.words.search(lowered)):
+    if any(map(lowered.__contains__, wanted)):
+        if substring or (words is not None and words.search(lowered)):
             return True
     for tag in hashtags:
-        if tag.lower() in plan.tags:
+        if tag.lower() in wanted:
             return True
     return False
 

@@ -428,6 +428,30 @@ def test_aggregate_rejects_mixed_streams_without_selector(tmp_path):
     assert main(["aggregate", "--in", str(msgs), "--out", str(out), "--stream-id", "a"]) == 0
 
 
+# Every way `aggregate` names its stream: the CSV it writes and its stderr line.
+@pytest.mark.parametrize(
+    "streams, selector, csv, line",
+    [
+        ("ab", "a", "date,count,flag\n2015-06-01,1,ok\n", "aggregate: stream=a days=1\n"),
+        ("ab", "z", "date,count,flag\n", "aggregate: stream=z days=0\n"),
+        ("bb", None, "date,count,flag\n2015-06-01,2,ok\n", "aggregate: stream=b days=1\n"),
+        ("", None, "date,count,flag\n", "aggregate: stream=(empty) days=0\n"),
+        ("ab", None, None, "coinbuzz: error: input mixes streams ['a', 'b']; pick one with --stream-id\n"),
+    ],
+    ids=["given-present", "given-absent", "one-stream", "empty", "mixed"],
+)
+def test_aggregate_names_its_stream(tmp_path, capsys, streams, selector, csv, line):
+    msgs, out = tmp_path / "msgs.jsonl", tmp_path / "series.csv"
+    msgs.write_text(
+        "".join(f'{{"stream_id":"{s}","ts":"2015-06-01T00:00:00Z","author":"x","text":"t"}}\n' for s in streams),
+        encoding="utf-8",
+    )
+    argv = ["aggregate", "--in", str(msgs), "--out", str(out)] + (["--stream-id", selector] if selector else [])
+    assert main(argv) == (0 if csv is not None else 2)
+    assert capsys.readouterr().err == line
+    assert (out.read_text() if out.exists() else None) == csv
+
+
 def _write_market(path, values, start=START):
     rows = ["date,value"]
     for i, v in enumerate(values):
