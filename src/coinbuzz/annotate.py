@@ -162,13 +162,19 @@ class AnnotatedDocument:
 _NOT_A_PREFIX = object()
 
 
+def _fold(text: str) -> str:
+    """`text` lowercased, with each final sigma as a plain one: `lower()` depends
+    on context only for `Σ`, so a text then folds the same whole as in pieces."""
+    return text.lower().replace("ς", "σ")
+
+
 class Gazetteer:
     """Case-insensitive surface-form lookup with entity categories.
 
     File format: one entry per line, `surface<TAB>major<TAB>minor`.
 
-    `Gazetteer(entries)` is the one constructor. It lowercases each surface
-    (a later surface wins over an earlier one that lowercases the same),
+    `Gazetteer(entries)` is the one constructor. It folds each surface with
+    `_fold` (a later surface wins over an earlier one that folds the same),
     rejects an empty one, and derives from the entries:
     - `max_tokens`, the most tokens any surface scans to (at least 1);
     - `prefixes`, which maps every non-empty prefix of every surface to its
@@ -183,7 +189,7 @@ class Gazetteer:
         self.max_tokens = 1
         self.prefixes: dict[str, tuple[str, str] | None] = {}
         for surface, (major, minor) in entries.items():
-            surface = surface.lower()
+            surface = _fold(surface)
             if not surface:
                 raise ValueError("empty gazetteer surface form")
             self.entries[surface] = (major, minor)
@@ -213,9 +219,9 @@ class Gazetteer:
 
 
 class _LowerEachSlice:
-    """A text whose slices come out lowercased one by one, for a text whose
-    lowercase is longer than itself (a U+0130 lowercases to two characters),
-    so that the offsets of the text no longer point into its lowercase."""
+    """A text whose slices come out folded one by one, for a text whose fold
+    is longer than itself (a U+0130 lowercases to two characters), so that
+    the offsets of the text no longer point into its fold."""
 
     __slots__ = ("text",)
 
@@ -223,7 +229,7 @@ class _LowerEachSlice:
         self.text = text
 
     def __getitem__(self, key: slice) -> str:
-        return self.text[key].lower()
+        return _fold(self.text[key])
 
 
 def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer) -> list[Span]:
@@ -231,15 +237,15 @@ def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer
 
     `tokens` are spans sorted by start with non-decreasing ends, as the
     tokenizer yields them. Candidate surfaces are the raw document text
-    spanning the token run, lowercased: the document is lowercased once,
-    unless that lengthens it, when each candidate is lowercased on its own.
+    spanning the token run, folded as the surfaces are: the document is folded
+    once, unless that lengthens it, when each candidate is folded on its own.
     Longest match wins; ties break leftmost; matched tokens are consumed so
     lookups never overlap.
 
     A run grows one token at a time and stops as soon as the candidate is no
     surface's prefix, so a token that starts no surface costs one probe.
     """
-    text = doc.text.lower()
+    text = _fold(doc.text)
     if len(text) != len(doc.text):
         text = _LowerEachSlice(doc.text)
     prefixes = gazetteer.prefixes

@@ -144,6 +144,12 @@ def resolve_tz(name: str) -> tzinfo:
         raise ValueError(f"unknown time zone {name!r:.40}") from None
 
 
+def check_channel(channel: str) -> None:
+    """ValueError unless `channel` begins with '#'."""
+    if not channel.startswith("#"):
+        raise ValueError(f"'channel' must begin with '#', got {channel!r:.40}")
+
+
 def ingest_log(
     lines: Iterable[str],
     emit: Callable[[Message], None],
@@ -155,14 +161,13 @@ def ingest_log(
 ) -> IrcIngestStats:
     """Stream a channel log's lines, emitting one Message per chat event.
 
-    `channel` must begin with "#" (ValueError), checked before the first
-    line, so an empty log is checked too. Lenient mode (default) skips and
-    counts each line that `parse_log_line` finds unparsable; strict mode
-    re-raises its UnparsableLine. Counters always satisfy
+    `channel` must pass `check_channel`, checked before the first line, so
+    an empty log is checked too. Lenient mode (default) skips and counts
+    each line that `parse_log_line` finds unparsable; strict mode re-raises
+    its UnparsableLine. Counters always satisfy
     lines_in == messages + dropped_network + unparsable + blank.
     """
-    if not channel.startswith("#"):
-        raise ValueError(f"channel must begin with '#': {channel!r:.40}")
+    check_channel(channel)
     if stream_id is None:
         stream_id = f"irc:{channel}"
     zone = resolve_tz(tz)

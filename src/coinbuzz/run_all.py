@@ -94,8 +94,7 @@ def _load_config(path: Path) -> dict:
     # by its slug, so two ids may not share one.
     streams = {"twitter": "twitter"} if config["tweet_captures"] else {}
     for entry in config["irc_logs"]:
-        if not entry["channel"].startswith("#"):
-            raise ValueError(f"irc_logs entry key 'channel' must start with '#', got {entry['channel']!r:.40}")
+        irc.check_channel(entry["channel"])
         irc.resolve_tz(entry["tz"])
         stream_id = entry["stream_id"] = entry["stream_id"] or f"irc:{entry['channel']}"
         check_stream_id(stream_id, config["format"])

@@ -165,6 +165,29 @@ def test_each_lookup_covers_a_surface_in_text_with_a_dotted_capital_i(words, dat
         assert text[start:end].lower() in gazetteer.entries
 
 
+# "ΑΣ".lower() is "ας" but "ΑΣ.Β".lower() is "ασ.β": a final sigma folds to a plain one, so a
+# surface matches the same text wherever it stands, and with or without a U+0130 before it.
+@pytest.mark.parametrize(
+    "text, surface, expected",
+    [
+        ("ΑΣ.Β", "ΑΣ", [(0, 2)]),
+        ("ΑΣ Β ΑΣ.Β ας ασ", "ας", [(0, 2), (5, 7), (10, 12), (13, 15)]),
+        ("ΑΣ.Β ", "ΑΣ.Β", [(0, 4)]),
+        ("İ ΑΣ.Β", "ΑΣ.Β", [(2, 6)]),
+        ("İ ΟΔΟΣ.Β", "οδος", [(2, 6)]),
+    ],
+    ids=["sigma-before-dot", "every-sigma", "surface-with-dot", "after-dotted-i", "final-in-surface"],
+)
+def test_lookup_folds_a_final_sigma(text, surface, expected):
+    doc = Document("d", text)
+    assert [span[1:3] for span in gazetteer_lookup(doc, _tokens(doc), _gazetteer(surface))] == expected
+
+
+def test_surfaces_that_differ_by_a_final_sigma_are_one_entry():
+    gazetteer = Gazetteer.from_entries({"ας": ("a", "final"), "ΑΣ": ("b", "capital"), "ασ": ("c", "plain")})
+    assert gazetteer.entries == {"ασ": ("c", "plain")}
+
+
 def test_lookup_spans_hashtag_surface():
     doc = Document("d", "#bitcoin up")
     lookups = gazetteer_lookup(doc, _tokens(doc), _gazetteer("#bitcoin"))

@@ -49,6 +49,11 @@ def _ref_token_spans(text: str) -> Iterable[tuple[str, int, int]]:
         yield _REF_GROUP_TYPE[match.lastgroup], match.start(), match.end()
 
 
+def _ref_fold(run: str) -> str:
+    """A run of text as the gazetteer compares it: lowercased alone, final sigma as a plain one."""
+    return run.lower().replace("\u03c2", "\u03c3")
+
+
 def _ref_gazetteer_lookup(
     doc: Document, tokens: Sequence[Annotation], gazetteer: Gazetteer
 ) -> list[Annotation]:
@@ -59,14 +64,14 @@ def _ref_gazetteer_lookup(
     while i < n:
         matched_j = -1
         for j in range(min(i + gazetteer.max_tokens, n) - 1, i - 1, -1):
-            surface = text[tokens[i].start:tokens[j].end].lower()
+            surface = _ref_fold(text[tokens[i].start:tokens[j].end])
             if surface in gazetteer.entries:
                 matched_j = j
                 break
         if matched_j < 0:
             i += 1
             continue
-        major, minor = gazetteer.entries[text[tokens[i].start:tokens[matched_j].end].lower()]
+        major, minor = gazetteer.entries[_ref_fold(text[tokens[i].start:tokens[matched_j].end])]
         lookups.append(
             Annotation(
                 len(lookups),
@@ -125,12 +130,16 @@ def _reference(doc: Document, gazetteer: Gazetteer | None) -> str:
 # Words chosen so that lowercasing matters: U+0130 (dotted capital I) lowers
 # to two characters and shifts every later offset, the Kelvin sign U+212A
 # lowers to ASCII "k" and so turns "\u212aab://x" into a URL only after
-# lowering, and U+00DF (sharp s) has no one-character uppercase form.
+# lowering, U+00DF (sharp s) has no one-character uppercase form, and a
+# capital sigma lowercases to a final sigma (U+03C2) only where no cased letter
+# follows it, so "\u0391\u03a3." and "\u0391\u03a3.\u0392" lowercase its run differently.
 WORDS = (
     "bitcoin", "Bitcoin", "BITCOIN", "cash", "to", "the", "moon", "btc", "#btc", "#BTC",
     "@al", "http://x.io", "kab://x", "\u212aab://x", "\u212a", "K", "k",
     "\u0130stanbul", "istanbul", "i\u0307stanbul", "\u0130", "stra\u00dfe", "STRASSE",
-    "\u00df", "\u1e9e", "caf\u00e9", "!", "\u2014", "up!", "a_b", "#", "",
+    "\u00df", "\u1e9e", "caf\u00e9", "!", "\u2014", "up!", "a_b",
+    "\u0391\u03a3", "\u03b1\u03c2", "\u03b1\u03c3", "\u03a3", "\u03c2", "\u03c3", "\u0391\u03a3.\u0392",
+    "\u039f\u0394\u039f\u03a3", ".", "\u0130\u03a3", "#", "",
 )
 SEPARATORS = (" ", "  ", "\t", "\n", "", " \u00a0")  # U+00A0 is whitespace to the tokenizer
 

@@ -772,7 +772,7 @@ REPORT_ROW = {
         ),
         pytest.param(
             ["parse-irc", "--channel", "nohash", "--in", "chan.log"], {"chan.log": ""},
-            "channel must begin with '#'", id="parse-irc.channel-empty-log",
+            "'channel' must begin with '#', got ", id="parse-irc.channel-empty-log",
         ),
         pytest.param(
             ["plot-series", "--series", "series.csv", "--market", "volume.csv"],
@@ -781,7 +781,7 @@ REPORT_ROW = {
         ),
         pytest.param(
             ["parse-irc", "--channel", LONG, "--in", "chan.log"], {"chan.log": IRC_LOG},
-            "channel must begin with '#'", id="parse-irc.channel-long",
+            "'channel' must begin with '#', got ", id="parse-irc.channel-long",
         ),
         pytest.param(
             ["parse-irc", "--channel", "#x", "--tz", LONG, "--in", "chan.log"], {"chan.log": IRC_LOG},
@@ -1140,6 +1140,23 @@ def test_gaps_and_run_all_reject_a_gap_arg_with_one_error_line(tmp_path, capsys,
     assert gaps_err.startswith(f"coinbuzz: error: {key!r} must be ")
     assert gaps_err.endswith(f", got {named}\n")
     assert not out_dir.exists() and not flagged.exists()
+
+
+# `parse-irc` and run-all hold one rule for a channel, so a channel that breaks it gives one error line.
+@pytest.mark.parametrize("channel", ["c", "", LONG], ids=["no-hash", "empty", "long"])
+def test_parse_irc_and_run_all_reject_a_channel_with_one_error_line(tmp_path, capsys, channel):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    config = json.loads(config_path.read_text())
+    config["irc_logs"][0]["channel"] = channel
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    run_all_err = capsys.readouterr().err
+    messages = tmp_path / "messages.jsonl"
+    argv = ["parse-irc", "--channel", channel, "--in", config["irc_logs"][0]["path"], "--out", str(messages)]
+    assert main(argv) == 2
+    parse_irc_err = capsys.readouterr().err
+    assert parse_irc_err == run_all_err == f"coinbuzz: error: 'channel' must begin with '#', got {channel!r:.40}\n"
+    assert not out_dir.exists() and not messages.exists()
 
 
 # A tab, CR or LF splits a TSV row and '|', CR or LF a Markdown row, so `report` and run-all refuse
