@@ -10,9 +10,10 @@ bounded cache: one set of the lowered keywords, read for the text and the
 hashtags alike, and one pattern that finds any of them as a whole word.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
-streams parse -> dedupe -> filter -> emit over the lines of a capture. The set
-of seen tweet ids is the only state that grows with the input: it is exact,
-so no duplicate is ever let through.
+streams parse -> dedupe -> filter -> emit over the lines of a capture. The
+seen tweet ids are the only state that grows with the input: they are held
+exactly, so no duplicate is ever let through, in a sorted int64 array at
+about 8 bytes an id, beside a set of the ids added since its last merge.
 
 The backoff schedule models the reconnect delays of a live source: an
 exponential backoff per failure mode, with a cap and bounded deterministic
@@ -24,6 +25,8 @@ from __future__ import annotations
 import functools
 import json
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
@@ -283,6 +286,62 @@ class TweetIngestStats:
         return self.malformed
 
 
+# The recent ids are merged into the array once they number max(_MERGE_FLOOR, len(array) >> _MERGE_SHIFT):
+# the set they sit in costs about 90 B an id, the array 8 B, and each merge copies the array at most once.
+_MERGE_FLOOR = 4096
+_MERGE_SHIFT = 5
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+class _SeenIds:
+    """An exact set of tweet ids whose `add` is True only for an id not added before.
+
+    `merged` is a sorted int64 array, `recent` the ids added since its last
+    merge, and `wide` the ids outside int64, which `parse_tweet` also accepts.
+    """
+
+    def __init__(self) -> None:
+        self.merged = array("q")
+        self.recent: set[int] = set()
+        self.wide: set[int] = set()
+        self.limit = _MERGE_FLOOR
+
+    def add(self, tweet_id: int) -> bool:
+        recent, merged = self.recent, self.merged
+        if tweet_id in recent or tweet_id in self.wide:
+            return False
+        # Below the array's first id, bisect_left gives 0; that covers the ids under int64 too.
+        if merged and tweet_id <= merged[-1] and merged[bisect_left(merged, tweet_id)] == tweet_id:
+            return False
+        recent.add(tweet_id)
+        if len(recent) >= self.limit:
+            self._merge()
+        return True
+
+    def _merge(self) -> None:
+        ids = sorted(self.recent)
+        self.recent.clear()
+        lo, hi = bisect_left(ids, _INT64_MIN), bisect_right(ids, _INT64_MAX)
+        self.wide.update(ids[:lo], ids[hi:])
+        new = array("q", ids[lo:hi])
+        del ids  # the boxed ids go before the array is copied
+        old = self.merged
+        if not new or not old or new[0] > old[-1]:
+            old.extend(new)
+        else:
+            # The old array's runs between the new ids' insertion points, copied through a byte view.
+            merged, start = array("q"), 0
+            with memoryview(old).cast("B") as view:
+                for tweet_id in new:
+                    end = bisect_left(old, tweet_id, start)
+                    merged.frombytes(view[start * 8:end * 8])
+                    merged.append(tweet_id)
+                    start = end
+                merged.frombytes(view[start * 8:])
+            self.merged = merged
+        self.limit = max(_MERGE_FLOOR, len(self.merged) >> _MERGE_SHIFT)
+
+
 def ingest_capture(
     lines: Iterable[str],
     emit: Callable[[Message], None],
@@ -298,7 +357,7 @@ def ingest_capture(
     """
     keywords = check_keywords(keywords, substring)
     stats = TweetIngestStats()
-    seen_ids: set[int] = set()
+    seen_ids = _SeenIds()
 
     for line in lines:
         if not line.strip():
@@ -310,10 +369,9 @@ def ingest_capture(
             stats.malformed += 1
             continue
         stats.parsed += 1
-        if record.id in seen_ids:
+        if not seen_ids.add(record.id):
             stats.duplicates += 1
             continue
-        seen_ids.add(record.id)
         if not matches_keywords(record.text, record.hashtags, keywords, substring):
             continue
         stats.matched += 1

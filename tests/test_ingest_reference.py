@@ -5,7 +5,8 @@ record through `json.dumps`), `message.format_ts` (the UTC fields one by
 one), `irc.parse_log_line` (a chat regex, then a network regex, blank lines
 tested first, the date fields read on every line), `irc.ingest_log` (a loop
 over that `parse_log_line`), `twitter.matches_keywords` (every text split into words),
-`twitter.parse_created_at` (a new `timezone` per call), `sanitize.
+`twitter.parse_created_at` (a new `timezone` per call), `twitter.ingest_capture`
+(the seen ids in a `set`), `sanitize.
 sanitize_text` (always a regex pass) and `sanitize.sanitize_stream` (each
 line's body scrubbed apart from its terminator). The shipped functions must
 give the same result, or raise the same exception with the same message, on
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinbuzz import DEFAULT_KEYWORDS, twitter
 from coinbuzz.irc import (
     NETWORK_SUBTYPES,
     EventKind,
@@ -38,7 +40,15 @@ from coinbuzz.irc import (
 )
 from coinbuzz.message import MONTH_BY_ABBREV, Message, format_ts, to_json_line
 from coinbuzz.sanitize import SanitizeStats, sanitize_line, sanitize_stream, sanitize_text
-from coinbuzz.twitter import MalformedRecord, matches_keywords, parse_created_at, parse_tweet
+from coinbuzz.twitter import (
+    MalformedRecord,
+    TweetIngestStats,
+    check_keywords,
+    ingest_capture,
+    matches_keywords,
+    parse_created_at,
+    parse_tweet,
+)
 
 # --- reference implementation (verbatim apart from names) ---------------------
 
@@ -170,6 +180,32 @@ def _ref_matches_keywords(
         if any(kw in words for kw in wanted):
             return True
     return any(kw in tags for kw in wanted)
+
+
+def _ref_ingest_capture(lines, emit, *, keywords=DEFAULT_KEYWORDS, substring=False):
+    keywords = check_keywords(keywords, substring)
+    stats = TweetIngestStats()
+    seen_ids: set[int] = set()
+
+    for line in lines:
+        if not line.strip():
+            continue
+        stats.lines += 1
+        try:
+            record = parse_tweet(line)
+        except MalformedRecord:
+            stats.malformed += 1
+            continue
+        stats.parsed += 1
+        if record.id in seen_ids:
+            stats.duplicates += 1
+            continue
+        seen_ids.add(record.id)
+        if not matches_keywords(record.text, record.hashtags, keywords, substring):
+            continue
+        stats.matched += 1
+        emit(Message("twitter", record.created_at, record.user, sanitize_text(record.text)))
+    return stats
 
 
 _REF_CREATED_AT_RE = re.compile(
@@ -565,6 +601,73 @@ def test_matches_keywords_takes_any_iterable_of_keywords():
                 assert matches_keywords(text, tags, (w for w in words), substring) == want
     with pytest.raises(ValueError, match="keywords must be non-empty"):
         matches_keywords("bitcoin", (), (w for w in ()))
+
+
+# --- ingest_capture ---------------------------------------------------------------------
+
+# The int64 edges, ids just and far outside them, ids near a tweet id's size, and small ids that repeat.
+capture_ids = st.lists(
+    st.one_of(
+        st.sampled_from((-(2**63), 2**63 - 1, 2**63, -(2**63) - 1, 10**30, -(10**30), 0)),
+        st.integers(2**63 - 3, 2**63 + 2),
+        st.integers(-(2**63) - 2, -(2**63) + 3),
+        st.integers(6 * 10**17, 6 * 10**17 + 30),
+        st.integers(-30, 30),
+    ),
+    max_size=60,
+)
+
+
+def _capture(ids: Iterable[int]) -> list[str]:
+    """One line per id; a line's text and minute follow its position, so repeats of an id differ."""
+    lines = []
+    for i, tweet_id in enumerate(ids):
+        key = "id_str" if tweet_id >= 0 and i % 3 == 0 else "id"
+        record = {key: str(tweet_id) if key == "id_str" else tweet_id,
+                  "created_at": f"Mon Jun 01 10:{i % 60:02d}:00 +0000 2015",
+                  "user": {"screen_name": f"u{i}"}, "text": "quiet" if i % 4 == 3 else f"bitcoin {i}"}
+        lines.append(json.dumps(record) + "\n")
+    return lines
+
+
+def _capture_outcome(fn, lines):
+    emitted: list[str] = []
+    stats = fn(lines, lambda msg: emitted.append(repr(msg)))
+    return emitted, vars(stats)
+
+
+def _same_capture(lines, floor, shift):
+    """ingest_capture, with its merge floor and shift set, against the set-based reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twitter, "_MERGE_FLOOR", floor)
+        patch.setattr(twitter, "_MERGE_SHIFT", shift)
+        new = _capture_outcome(ingest_capture, lines)
+    assert new == _capture_outcome(_ref_ingest_capture, lines)
+
+
+@settings(max_examples=400)
+@given(capture_ids, st.sampled_from(("drawn", "ascending", "descending")), st.integers(2, 4), st.integers(0, 2),
+       st.data())
+def test_ingest_capture_matches_reference(ids, order, floor, shift, data):
+    if order != "drawn":
+        ids = sorted(ids, reverse=order == "descending")
+    # Repeats after the last line too, so that an id merged early comes back after later merges.
+    repeats = data.draw(st.lists(st.sampled_from(ids), max_size=20)) if ids else []
+    _same_capture(_capture(ids + repeats), floor, shift)
+
+
+def test_ingest_capture_fixed_cases():
+    shuffled = [(i * 7_919) % 1_000 for i in range(1_000)]
+    for ids in (
+        list(range(200, 0, -1)) + list(range(0, 201)),
+        shuffled + shuffled[::-1],
+        [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 10**30] * 3,
+    ):
+        for floor, shift in ((2, 0), (3, 1), (4, 2)):
+            _same_capture(_capture(ids), floor, shift)
+    # At the shipped floor and shift, with out-of-order merges.
+    ids = [6 * 10**17 + (i * 7_919) % 10_000 for i in range(10_000)]
+    _same_capture(_capture(ids + ids[:2_000]), twitter._MERGE_FLOOR, twitter._MERGE_SHIFT)
 
 
 # --- parse_created_at -------------------------------------------------------------------

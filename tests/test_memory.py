@@ -14,7 +14,8 @@ days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
 64 KB.
 
 The seen-id set of `ingest-tweets`, which README names as the state that
-grows with unique ids, grows by a bounded number of bytes per extra id.
+grows with unique ids, grows by a bounded number of bytes per extra id, and
+`ingest_capture` holds those ids at about 8 bytes each.
 
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
@@ -213,6 +214,30 @@ def test_the_seen_id_set_grows_only_by_its_ids(tmp_path, monkeypatch, capsys):
         peaks[ids] = _traced_peak(argv)
     per_id = (peaks[4 * BASE_LINES] - peaks[BASE_LINES]) / (3 * BASE_LINES)
     assert per_id < ID_GROWTH_BOUND, f"{per_id:.0f} B per extra id: {peaks[BASE_LINES]:,} -> {peaks[4 * BASE_LINES]:,}"
+
+
+# `ingest_capture` holds its seen ids in a sorted int64 array beside a set of the ids added since the
+# last merge. Here (CPython 3.11) its traced peak grew by 8.7 B per extra id from 20,000 to 80,000
+# ascending 18-digit ids; with the ids in a set it grew by 92.6 B.
+SEEN_ID_BOUND = 24  # bytes per extra unique id
+
+
+def _ingest_peak(ids: int) -> int:
+    lines = map(_tweet(0, FIRST).replace('"0"', '"%d"').__mod__, range(6 * 10**17, 6 * 10**17 + ids))
+    tracemalloc.start()
+    try:
+        twitter.ingest_capture(lines, lambda msg: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_the_seen_ids_cost_about_8_bytes_each():
+    _ingest_peak(100)  # a first run fills the caches, such as the keyword plan and the UTC offset
+    small, large = _ingest_peak(20_000), _ingest_peak(80_000)
+    per_id = (large - small) / 60_000
+    assert per_id < SEEN_ID_BOUND, f"{per_id:.1f} B per extra id: {small:,} -> {large:,}"
 
 
 # Runs its arguments as a command and prints the command's exit code and max RSS (KB). A process's
