@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+import string
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from coinbuzz.annotate import (
     AnnotatedDocument,
     Document,
     Gazetteer,
+    _fold,
     gazetteer_lookup,
     run_pipeline,
 )
@@ -212,6 +215,47 @@ def test_gazetteer_load_rejects_bad_line(tmp_path):
 def test_gazetteer_rejects_empty_surface():
     with pytest.raises(ValueError):
         Gazetteer.from_entries({"": ("a", "b")})
+
+
+def test_gazetteer_load_names_the_line_that_is_not_utf8(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gaz.tsv").write_bytes(b"bitcoin\tcrypto\tcoin\nbtc\xff\tcrypto\tticker\n")
+    with pytest.raises(ValueError) as raised:
+        Gazetteer.load("gaz.tsv")
+    assert str(raised.value) == "'gaz.tsv':2: not UTF-8"
+
+
+def test_entries_of_a_category_share_one_tuple():
+    gazetteer = Gazetteer.from_entries({"bitcoin": ("crypto", "coin"), "btc": ("crypto", "coin"), "x": ("a", "b")})
+    assert gazetteer.entries["bitcoin"] is gazetteer.entries["btc"]
+    assert gazetteer.entries == {"bitcoin": ("crypto", "coin"), "btc": ("crypto", "coin"), "x": ("a", "b")}
+
+
+# A lookup probes the fold of a text up to one of its token ends, so a surface's prefixes are kept
+# only at its own token ends and, inside a URL, where a text's token can end: at every character.
+def test_prefixes_end_at_token_ends_and_anywhere_in_a_url():
+    gazetteer = Gazetteer.from_entries({"Bitcoin cash!": ("crypto", "coin"), "see kab://x": ("url", "odd")})
+    assert gazetteer.prefixes == {
+        "bitcoin": None, "bitcoin cash": None, "bitcoin cash!": ("crypto", "coin"),
+        "see": None, "see k": None, "see ka": None, "see kab": None, "see kab:": None, "see kab:/": None,
+        "see kab://": None, "see kab://x": ("url", "odd"),
+    }
+    # A match of the URL can span up to one text token per character: `\u212aab://x` is five.
+    assert gazetteer.max_tokens == 8
+
+
+# The facts about folding that `Gazetteer.prefixes` rests on, for every code point that folding
+# changes in this interpreter's Unicode version: a text's token ends stay token ends of its fold
+# unless U+0130 splits a token or a Kelvin sign, folded to `k`, begins a URL scheme.
+def test_folding_changes_a_token_class_only_where_gazetteer_prefixes_allows():
+    space, alnum = re.compile(r"\s"), re.compile(r"[^\W_]")
+    folded = [(c, f) for c, f in ((c, _fold(c)) for c in map(chr, range(sys.maxunicode + 1))) if f != c]
+    assert [c for c, f in folded if any(bool(space.match(x)) != bool(space.match(c)) for x in f)] == []
+    assert [c for c, f in folded if any(bool(alnum.match(x)) != bool(alnum.match(c)) for x in f)] == ["\u0130"]
+    assert [c for c, f in folded if set(f) & set("#@:/")] == []
+    # The `i` of U+0130's fold is followed by U+0307, which no URL scheme holds.
+    gains_a_letter = {c: f for c, f in folded if c not in string.ascii_letters and set(f) & set(string.ascii_letters)}
+    assert gains_a_letter == {"\u0130": "i\u0307", "\u212a": "k"}
 
 
 # --- pipeline ----------------------------------------------------------------

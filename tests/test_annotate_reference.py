@@ -14,7 +14,8 @@ import json
 import re
 from typing import Iterable, Mapping, Sequence
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coinbuzz.annotate import (
@@ -152,18 +153,24 @@ def _texts() -> st.SearchStrategy[str]:
 
 
 # Surface words that are one token once lowercased, so that one-word
-# surfaces give max_tokens == 1.
+# surfaces each scan to one token.
 ONE_TOKEN_WORDS = tuple(w for w in WORDS if len(list(_ref_token_spans(w.lower()))) == 1)
+
+CATEGORIES = st.tuples(st.sampled_from(("crypto", "place", "\u00df\"")), st.sampled_from(("coin", "x", "\\")))
+
+
+def _surfaces(max_words: int) -> st.SearchStrategy[str]:
+    words = ONE_TOKEN_WORDS if max_words == 1 else WORDS[:-1]
+    return st.lists(st.sampled_from(words), min_size=1, max_size=max_words).map(" ".join)
+
+
+def _entries(max_words: int) -> st.SearchStrategy[dict[str, tuple[str, str]]]:
+    entries = st.dictionaries(_surfaces(max_words), CATEGORIES, max_size=12)
+    return entries.filter(lambda e: all(s.strip() for s in e))
 
 
 def _gazetteers(max_words: int) -> st.SearchStrategy[Gazetteer]:
-    words = ONE_TOKEN_WORDS if max_words == 1 else WORDS[:-1]
-    surface = st.lists(st.sampled_from(words), min_size=1, max_size=max_words).map(" ".join)
-    categories = st.tuples(
-        st.sampled_from(("crypto", "place", "\u00df\"")), st.sampled_from(("coin", "x", "\\"))
-    )
-    entries = st.dictionaries(surface, categories, max_size=12)
-    return entries.filter(lambda e: all(s.strip() for s in e)).map(Gazetteer.from_entries)
+    return _entries(max_words).map(Gazetteer.from_entries)
 
 
 def _check(doc_id: str, text: str, gazetteer: Gazetteer) -> None:
@@ -175,7 +182,7 @@ def _check(doc_id: str, text: str, gazetteer: Gazetteer) -> None:
 @settings(max_examples=300)
 @given(st.text(max_size=6), _texts(), _gazetteers(1))
 def test_matches_reference_with_single_token_gazetteer(doc_id, text, gazetteer):
-    assert gazetteer.max_tokens == 1
+    assert all(len(list(_ref_token_spans(surface))) == 1 for surface in gazetteer.entries)
     _check(doc_id, text, gazetteer)
 
 
@@ -204,7 +211,7 @@ def test_matches_reference_on_fixed_cases():
             "! up": ("x", "punctuation first token"),
         }
     )
-    assert gazetteer.max_tokens == 3
+    assert gazetteer.max_tokens == 7  # "kab://x" is one URL of 7 characters
     for text in (
         "",
         "   ",
@@ -227,12 +234,37 @@ def test_matches_reference_when_lowercasing_retokenizes():
     gazetteer = Gazetteer.from_entries(
         {"kab://x": ("url", "odd"), "to the moon and back": ("m", "phrase")}
     )
-    assert gazetteer.max_tokens == 5
+    assert gazetteer.max_tokens == 7
     text = "\u212aab://x to the moon and back"
     adoc = run_pipeline(Document("d", text), gazetteer)
     lookups = [(ann.start, ann.end) for ann in adoc.annotations if ann.type == LOOKUP]
     assert lookups == [(0, 7), (8, len(text))]
     _check("d", text, gazetteer)
+
+
+# The text is five tokens and the surface's fold one URL, so a match spans more tokens than the
+# surface scans to: "\u212aab://x" folds to "kab://x", and "\u0130ab://x" to "i\u0307ab://x", whose
+# U+0307 splits off the URL "ab://x".
+@pytest.mark.parametrize("surface, text", [("kab://x", "\u212aab://x"), ("\u0130ab://x", "\u0130ab://x")],
+                         ids=["kelvin-sign", "dotted-capital-i"])
+def test_a_one_entry_gazetteer_matches_a_url_that_folding_joins(surface, text):
+    gazetteer = Gazetteer.from_entries({surface: ("url", "odd")})
+    adoc = run_pipeline(Document("d", text), gazetteer)
+    assert [(ann.start, ann.end) for ann in adoc.annotations if ann.type == LOOKUP] == [(0, 7)]
+    _check("d", text, gazetteer)
+
+
+# An entry that occurs nowhere in a text takes no part in its lookups: no bound on how many
+# tokens a match spans may depend on the other entries.
+@settings(max_examples=300)
+@given(_texts(), _entries(3), _surfaces(6))
+@example("\u212aab://x", {"kab://x": ("url", "odd")}, "to the moon and back")
+@example("\u0130ab://x", {"\u0130ab://x": ("url", "odd")}, "to the moon and back")
+def test_an_entry_that_occurs_nowhere_in_a_text_changes_none_of_its_lookups(text, entries, extra):
+    assume(extra.strip() and _ref_fold(extra) not in _ref_fold(text))
+    doc = Document("d", text)
+    annotated = run_pipeline(doc, Gazetteer.from_entries(entries)).to_json()
+    assert run_pipeline(doc, Gazetteer.from_entries({**entries, extra: ("extra", "x")})).to_json() == annotated
 
 
 def test_cli_annotate_builds_no_annotation_object(tmp_path, monkeypatch):

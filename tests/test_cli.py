@@ -894,6 +894,23 @@ def test_a_messages_line_with_a_lone_surrogate_is_fatal(tmp_path, capsys, monkey
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gaz.tsv", "msgs.jsonl"]
 
 
+# A gazetteer byte that is not UTF-8 is named by the gazetteer's path and line, in `annotate` and run-all alike.
+def test_annotate_and_run_all_name_the_gazetteer_line_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path("gaz.tsv").write_bytes(b"bitcoin\tcrypto\tcoin\n\n#btc\tcrypto\ttag\xff\n")
+    config = json.loads(config_path.read_text())
+    config["gazetteer"] = "gaz.tsv"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    run_all_err = capsys.readouterr().err
+    Path("msgs.jsonl").write_text(MESSAGE, encoding="utf-8")
+    assert main(["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl", "--out", "out.jsonl"]) == 2
+    annotate_err = capsys.readouterr().err
+    assert annotate_err == run_all_err == "coinbuzz: error: 'gaz.tsv':3: not UTF-8\n"
+    assert list(out_dir.iterdir()) == [] and not Path("out.jsonl").exists()
+
+
 # --- run-all -----------------------------------------------------------------
 
 def _run_all_workspace(tmp_path):

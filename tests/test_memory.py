@@ -15,7 +15,8 @@ days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
 
 The seen-id set of `ingest-tweets`, which README names as the state that
 grows with unique ids, grows by a bounded number of bytes per extra id, and
-`ingest_capture` holds those ids at about 8 bytes each.
+`ingest_capture` holds those ids at about 8 bytes each. The gazetteer, held
+whole by `annotate`, costs about 200 bytes per entry.
 
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -238,6 +240,41 @@ def test_the_seen_ids_cost_about_8_bytes_each():
     small, large = _ingest_peak(20_000), _ingest_peak(80_000)
     per_id = (large - small) / 60_000
     assert per_id < SEEN_ID_BOUND, f"{per_id:.1f} B per extra id: {small:,} -> {large:,}"
+
+
+# A Gazetteer holds each entry's folded surface, a slot in `entries` and in `prefixes`, and a key in
+# `prefixes` per further token end of the surface. Here (CPython 3.11) it held 195 B more per extra
+# generated entry from 2,000 to 8,000 entries; with a key per character prefix it held 864 B more.
+GAZETTEER_ENTRY_BOUND = 400  # bytes per extra entry
+
+
+def _gazetteer_held(entries: dict[str, tuple[str, str]]) -> int:
+    tracemalloc.start()
+    try:
+        gazetteer = annotate.Gazetteer(entries)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gazetteer.entries) == len(entries)
+    return held
+
+
+def test_the_gazetteer_costs_about_200_bytes_an_entry():
+    rng = random.Random(1)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+
+    def entries(count: int) -> dict[str, tuple[str, str]]:
+        """`count` distinct surfaces of 1-3 words, each of 3-9 letters, in 8 categories."""
+        out: dict[str, tuple[str, str]] = {}
+        while len(out) < count:
+            words = ("".join(rng.choices(letters, k=rng.randint(3, 9))) for _ in range(rng.randint(1, 3)))
+            category = rng.randrange(8)
+            out[" ".join(words)] = (f"major{category % 4}", f"minor{category}")
+        return out
+
+    small, large = _gazetteer_held(entries(2_000)), _gazetteer_held(entries(8_000))
+    per_entry = (large - small) / 6_000
+    assert per_entry < GAZETTEER_ENTRY_BOUND, f"{per_entry:.0f} B per extra entry: {small:,} -> {large:,}"
 
 
 # Runs its arguments as a command and prints the command's exit code and max RSS (KB). A process's
