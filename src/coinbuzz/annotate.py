@@ -230,6 +230,8 @@ class Gazetteer:
     @classmethod
     def load(cls, path: str | Path) -> "Gazetteer":
         entries = {}
+        # One tuple, and one pair of strings, per category while the file is read.
+        categories: dict[tuple[str, str], tuple[str, str]] = {}
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
@@ -240,7 +242,8 @@ class Gazetteer:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"{str(path)!r:.40}:{line_no}: expected surface<TAB>major<TAB>minor")
-                entries[parts[0]] = (parts[1], parts[2])
+                category = (parts[1], parts[2])
+                entries[parts[0]] = categories.setdefault(category, category)
         return cls(entries)
 
 

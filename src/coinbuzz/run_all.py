@@ -103,11 +103,14 @@ def _load_config(path: Path) -> dict:
             raise ValueError(
                 f"stream ids {other!r:.40} and {stream_id!r:.40} would share the files of {_slug(stream_id)!r:.40}"
             )
-    for n, plot in enumerate(config["plots"]):
-        if plot["series"] not in streams.values():
+    produced = set(streams.values())
+    plotted = set()
+    for plot in config["plots"]:
+        if plot["series"] not in produced:
             raise ValueError(f"plots entry names a stream the config does not produce: {plot['series']!r:.40}")
-        if plot in config["plots"][:n]:
+        if (plot["series"], plot["metric"]) in plotted:
             raise ValueError(f"'plots' lists series {plot['series']!r:.40} with metric {plot['metric']!r} twice")
+        plotted.add((plot["series"], plot["metric"]))
     return config
 
 

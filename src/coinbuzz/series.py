@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from bisect import bisect_left, insort
 from collections import deque
 from datetime import date
 from enum import Enum
@@ -111,24 +112,28 @@ def detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySer
     check_gap_args(theta, k)
     flags: dict[date, Flag] = {}
     # A day that `counts` lacks is an outage, so the window holds only days of `counts`.
+    # `healthy` holds the window in arrival order, `ordered` the same counts sorted.
     healthy: deque[int] = deque(maxlen=min(k, len(series.counts)))
+    ordered: list[int] = []
     for day in sorted(series.counts):
         count = series.counts[day]
         outage = count == 0
-        if not outage and healthy:
-            outage = count < theta * _median(healthy)
+        if not outage and ordered:
+            outage = count < theta * _median(ordered)
         if outage:
             flags[day] = Flag.OUTAGE
         else:
             flags[day] = Flag.OK
+            if len(healthy) == healthy.maxlen:
+                del ordered[bisect_left(ordered, healthy[0])]
             healthy.append(count)
+            insort(ordered, count)
     return DailySeries(series.stream_id, dict(series.counts), flags, Flag.OUTAGE)
 
 
-def _median(values: Iterable[int]) -> float:
-    """The median as `statistics.median` computes it: the middle value, or
-    the mean of the two middle values of an even count."""
-    ordered = sorted(values)
+def _median(ordered: list[int]) -> float:
+    """The median of sorted values as `statistics.median` computes it: the
+    middle value, or the mean of the two middle values of an even count."""
     mid = len(ordered) // 2
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 

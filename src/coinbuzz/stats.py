@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from datetime import date
 from typing import IO, Collection, Mapping, NamedTuple, Sequence
 
@@ -17,9 +18,6 @@ from coinbuzz.series import DailySeries, EmptyOverlap, align
 
 POLICY_ALL_DAYS = "all-days"
 POLICY_EXCLUDE_OUTAGES = "exclude-outages"
-
-# Absorbs floating-point excursions just past +/-1 before clamping.
-_CLAMP_TOLERANCE = 1e-12
 
 
 class TooFewPoints(Exception):
@@ -30,42 +28,43 @@ class ConstantSeries(Exception):
     pass
 
 
-def _scaled(values: Sequence[float]) -> list[float]:
-    """`values` times the power of two that brings the largest magnitude into
-    [0.5, 1), or unchanged when all are 0. Exact, as long as nothing underflows."""
-    _, e = math.frexp(max(map(abs, values)))
-    return [math.ldexp(v, -e) for v in values]
+def _integers(values: Sequence[float]) -> list[int]:
+    """Each value times 2**shift, exactly, for the least shift that makes all of them integers."""
+    ratios = [v.as_integer_ratio() for v in values]  # each denominator is a power of two
+    shift = max(d.bit_length() for _, d in ratios)
+    return [n << (shift - d.bit_length()) for n, d in ratios]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson r via the two-pass definition with exact summation.
+    """Pearson r, within 1 ulp of its exact value.
 
     Requires len(x) == len(y) >= 3 and non-constant inputs; n = 2 always
-    yields +/-1 and is statistically vacuous. The result is clamped to
-    [-1, 1].
+    yields +/-1 and is statistically vacuous.
 
-    Each series is first scaled by a power of two, so no sum or square can
-    overflow; r does not depend on the scale of either input.
+    Each series is written exactly as integers over one power of two, so the
+    covariance and both variances are exact integers: ConstantSeries exactly
+    when a series is constant, r exactly +/-1 for exact linear dependence,
+    and r independent of the scale of either input.
     """
     n = len(x)
+    if len(y) != n:
+        raise ValueError(f"x has {n} values and y {len(y)}")
     if n < 3:
         raise TooFewPoints(f"{n} points, need at least 3")
-    x = _scaled(x)
-    y = _scaled(y)
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    dx = [xi - mean_x for xi in x]
-    dy = [yi - mean_y for yi in y]
-    sxx = math.fsum(d * d for d in dx)
-    syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
+    x = _integers(x)
+    y = _integers(y)
+    sx, sy = sum(x), sum(y)
+    cov = n * sum(map(operator.mul, x, y)) - sx * sy
+    var_x = n * sum(v * v for v in x) - sx * sx
+    var_y = n * sum(v * v for v in y) - sy * sy
+    if var_x == 0 or var_y == 0:
         raise ConstantSeries("zero variance")
-    # Single sqrt keeps exact linear dependence at exactly +/-1.
-    denom = math.sqrt(sxx * syy)
-    r = math.fsum(a * b for a, b in zip(dx, dy)) / denom
-    if abs(r) > 1.0 + _CLAMP_TOLERANCE:
-        raise AssertionError(f"pearson out of range: {r}")
-    return max(-1.0, min(1.0, r))
+    # r**2 = cov**2 / (var_x * var_y) <= 1; one integer square root of it,
+    # scaled by 4**e, gives |r| * 2**e to at least 64 bits.
+    square, den = cov * cov, var_x * var_y
+    e = max(0, den.bit_length() - square.bit_length()) // 2 + 65
+    r = math.isqrt((square << 2 * e) // den) / (1 << e)
+    return -r if cov < 0 else r
 
 
 class ReportRow(NamedTuple):

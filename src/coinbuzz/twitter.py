@@ -23,7 +23,6 @@ jitter.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from array import array
 from bisect import bisect_left, bisect_right
@@ -32,7 +31,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
 from coinbuzz import DEFAULT_KEYWORDS
-from coinbuzz.message import MONTH_BY_ABBREV, Message
+from coinbuzz.message import MONTH_BY_ABBREV, Message, loads_line
 from coinbuzz.sanitize import sanitize_text
 
 # Maximal alphanumeric runs; underscore counts as punctuation, not word.
@@ -82,7 +81,7 @@ def parse_created_at(value: str) -> datetime:
 def parse_tweet(line: str) -> TweetRecord:
     """Extract a TweetRecord from one sanitized JSON capture line."""
     try:
-        record = json.loads(line)
+        record = loads_line(line)
     # RecursionError: JSON nested past the recursion limit. ValueError: a JSONDecodeError,
     # or a number of more digits than int() converts.
     except (ValueError, RecursionError) as exc:

@@ -411,9 +411,8 @@ def _write_perf_corpus(path: Path) -> int:
     return total
 
 
-def test_criterion_8_throughput_and_bounded_memory(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus_bytes = _write_perf_corpus(corpus)
+def test_criterion_8_throughput_and_bounded_memory(tmp_path, perf_corpus):
+    corpus, corpus_bytes = perf_corpus
     assert corpus_bytes >= PERF_TARGET_BYTES
 
     driver = tmp_path / "driver.py"

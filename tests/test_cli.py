@@ -555,6 +555,19 @@ def test_correlate_price_of_the_volume_times_2_700_gives_r_volume(tmp_path):
     assert row["r_price"] == row["r_volume"]
 
 
+# The mean of three 0.2s is not 0.2 in floats; the price series is constant all the same.
+def test_correlate_reports_a_constant_price_of_0_2_as_undefined(tmp_path, capsys):
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text("date,count,flag\n" + "".join(f"{START + timedelta(days=i)},{i + 1},ok\n" for i in range(3)), encoding="utf-8")
+    _write_market(tmp_path / "price.csv", [0.2] * 3)
+    _write_market(tmp_path / "volume.csv", [2] * 3)
+    argv = ["correlate", "--series", f"s={series_csv}", "--price", str(tmp_path / "price.csv"),
+            "--volume", str(tmp_path / "volume.csv"), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    assert main(["report", "--in", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "s\t6\tn/a(ConstantSeries)\tn/a(ConstantSeries)\t3\tall-days"
+
+
 def test_plot_series_command(tmp_path):
     series_csv = tmp_path / "series.csv"
     with open(series_csv, "w", encoding="utf-8", newline="") as fh:

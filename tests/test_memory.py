@@ -16,7 +16,8 @@ days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
 The seen-id set of `ingest-tweets`, which README names as the state that
 grows with unique ids, grows by a bounded number of bytes per extra id, and
 `ingest_capture` holds those ids at about 8 bytes each. The gazetteer, held
-whole by `annotate`, costs about 200 bytes per entry.
+whole by `annotate`, costs about 200 bytes per entry, and reading it from its
+file peaks less than 140 bytes per entry above that.
 
 `run-all` meets criterion 8's throughput and RSS gates on its 100 MB corpus,
 run as a child process like the shipped command.
@@ -35,7 +36,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
-from test_acceptance import PERF_MAX_RSS_KB, PERF_MIN_MBPS, _write_perf_corpus
+from test_acceptance import PERF_MAX_RSS_KB, PERF_MIN_MBPS
 
 # The stage modules are imported here, so that `cli.main` imports none of them under the trace.
 from coinbuzz import annotate, irc, message, sanitize, series, stats, twitter  # noqa: F401
@@ -277,6 +278,33 @@ def test_the_gazetteer_costs_about_200_bytes_an_entry():
     assert per_entry < GAZETTEER_ENTRY_BOUND, f"{per_entry:.0f} B per extra entry: {small:,} -> {large:,}"
 
 
+# `Gazetteer.load` reads the whole file before the constructor shares each category's tuple. Reading
+# one shared tuple and pair of strings per category peaked here (CPython 3.11) 88 B an entry above
+# what the gazetteer held, at 2,000 and 8,000 entries; a fresh tuple per line peaked 199-240 B above.
+GAZETTEER_LOAD_PEAK_BOUND = 140  # bytes per entry above what the loaded gazetteer holds
+
+
+def test_loading_a_gazetteer_peaks_little_above_what_it_holds(tmp_path):
+    rng = random.Random(2)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    surfaces = set()
+    while len(surfaces) < 8_000:
+        surfaces.add(" ".join("".join(rng.choices(letters, k=rng.randint(3, 9))) for _ in range(rng.randint(1, 3))))
+    lines = [f"{surface}\tmajor{n % 4}\tminor{n % 8}\n" for n, surface in enumerate(sorted(surfaces))]
+    path = tmp_path / "gazetteer.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    annotate.Gazetteer.load(path)  # a first run fills the caches, such as the scan pattern's
+    tracemalloc.start()
+    try:
+        gazetteer = annotate.Gazetteer.load(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gazetteer.entries) == len(lines)
+    per_entry = (peak - held) / len(lines)
+    assert per_entry < GAZETTEER_LOAD_PEAK_BOUND, f"peaked {per_entry:.0f} B an entry above {held:,} B held"
+
+
 # Runs its arguments as a command and prints the command's exit code and max RSS (KB). A process's
 # max RSS also covers the memory of the process that spawned it, up to its exec, so pytest's own
 # peak would count; this small launcher spawns the command from a fresh address space instead, and
@@ -287,15 +315,15 @@ _LAUNCHER = (
 )
 
 
-def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):
+def test_run_all_meets_criterion_8_on_its_corpus(tmp_path, perf_corpus):
     """Criterion 8's corpus and gates, through `python -m coinbuzz run-all` with a one-entry gazetteer."""
-    corpus_bytes = _write_perf_corpus(tmp_path / "corpus.jsonl")
+    corpus, corpus_bytes = perf_corpus
     # Criterion 8's corpus spans 2015-06-01 to 2015-06-14.
     market = "date,value\n" + "".join(f"2015-06-{day:02d},{100 + day * day}\n" for day in range(1, 15))
     (tmp_path / "market.csv").write_text(market, encoding="utf-8")
     (tmp_path / "gazetteer.tsv").write_text("bitcoin\tcrypto\tcoin\n", encoding="utf-8")
     config = {
-        "out_dir": str(tmp_path / "out"), "tweet_captures": [str(tmp_path / "corpus.jsonl")],
+        "out_dir": str(tmp_path / "out"), "tweet_captures": [str(corpus)],
         "price_csv": str(tmp_path / "market.csv"), "volume_csv": str(tmp_path / "market.csv"),
         "gazetteer": str(tmp_path / "gazetteer.tsv"),
     }
@@ -313,6 +341,5 @@ def test_run_all_meets_criterion_8_on_its_corpus(tmp_path):
     mbps = corpus_bytes / (1024 * 1024) / elapsed
     assert mbps >= PERF_MIN_MBPS, f"only {mbps:.2f} MB/s through run-all"
     assert max_rss_kb < PERF_MAX_RSS_KB, f"peak RSS {max_rss_kb} KB"
-    # About 370 MB of corpus and outputs, which pytest would keep with its last runs' temporary directories.
+    # About 270 MB of outputs, which pytest would keep with its last runs' temporary directories.
     shutil.rmtree(tmp_path / "out")
-    (tmp_path / "corpus.jsonl").unlink()

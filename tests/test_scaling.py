@@ -1,0 +1,68 @@
+"""Time grows linearly with the input where a stage once grew faster.
+
+Each case runs at n and at 4n and compares the best of three
+`time.process_time` readings: linear growth gives a ratio near 4, quadratic
+near 16, and the bound is 8.
+
+- `gaps` keeps its window of healthy days sorted as days enter and leave it,
+  where it sorted the whole window for every day (O(n * k log k), here with
+  k = n / 8).
+- `run-all` checks each plot of its config against sets of the streams and
+  of the plots before it, where it scanned lists of both.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import time
+from datetime import date, timedelta
+from pathlib import Path
+from typing import Callable
+
+from coinbuzz import run_all, series
+
+GROWTH_BOUND = 8
+
+
+def _best_of_3(run: Callable[[], object]) -> float:
+    times = []
+    for _ in range(3):
+        started = time.process_time()
+        run()
+        times.append(time.process_time() - started)
+    return min(times)
+
+
+def _growth(case: Callable[[int], Callable[[], object]], n: int) -> float:
+    small, large = case(n), case(4 * n)
+    small()  # fills the caches a first run fills
+    return _best_of_3(large) / _best_of_3(small)
+
+
+def _gaps(n: int) -> Callable[[], object]:
+    rng = random.Random(n)
+    counts = {date(2000, 1, 1) + timedelta(days=i): rng.randint(1, 1000) for i in range(n)}
+    daily = series.DailySeries("s", counts)
+    return lambda: series.detect_gaps(daily, 0.1, n // 8)
+
+
+def test_gaps_grows_linearly_with_its_days():
+    ratio = _growth(_gaps, 4_000)
+    assert ratio < GROWTH_BOUND, f"4x the days took {ratio:.1f}x the time"
+
+
+def test_run_all_config_check_grows_linearly_with_its_plots(tmp_path):
+    def case(plots: int) -> Callable[[], object]:
+        channels = [f"#c{i}" for i in range(plots // 2)]
+        config = {
+            "price_csv": "price.csv", "volume_csv": "volume.csv",
+            "irc_logs": [{"path": "chat.log", "channel": channel} for channel in channels],
+            "plots": [{"series": f"irc:{channel}", "metric": m} for channel in channels for m in ("price", "volume")],
+        }
+        path = tmp_path / f"config_{plots}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return lambda: run_all._load_config(Path(path))
+
+    ratio = _growth(case, 2_000)
+    assert ratio < GROWTH_BOUND, f"4x the plots took {ratio:.1f}x the time"

@@ -1,7 +1,8 @@
 """Differential tests: the series layer against verbatim copies of its filled version.
 
 The references below are the original `series._filled` (two dicts over every
-day of the span, the interior days zero-filled and OK), `series.detect_gaps`,
+day of the span, the interior days zero-filled and OK), `series.detect_gaps`
+with its `_median` (which sorted the window for every day),
 `series.align` (an inner join of two date maps), `series.write_daily_csv`,
 `series.read_daily_csv` (which filled the holes of its CSV),
 `cli.emit_plot_series`, and `stats._correlate` and `stats.correlation_report`
@@ -17,7 +18,7 @@ import io
 from collections import deque
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import IO, Collection, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from coinbuzz.series import (
     EmptyOverlap,
     Flag,
     _dated_rows,
-    _median,
     _non_negative,
     detect_gaps,
     read_daily_csv,
@@ -64,6 +64,12 @@ def _ref_filled(stream_id: str, counts: dict[date, int], flags: dict[date, Flag]
     return DailySeries(stream_id, filled_counts, filled_flags)
 
 
+def _ref_median(values: Iterable[int]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _ref_detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> DailySeries:
     if not (0.0 < theta < 1.0):
         raise ValueError("theta must be in (0, 1)")
@@ -75,7 +81,7 @@ def _ref_detect_gaps(series: DailySeries, theta: float = 0.1, k: int = 7) -> Dai
         count = series.counts[day]
         outage = count == 0
         if not outage and healthy:
-            outage = count < theta * _median(healthy)
+            outage = count < theta * _ref_median(healthy)
         if outage:
             flags[day] = Flag.OUTAGE
         else:

@@ -4,6 +4,8 @@ import io
 import math
 import random
 from datetime import date, timedelta
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -53,6 +55,11 @@ def test_hand_computed_case():
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         pearson([1, 2], [3, 4])
+
+
+def test_series_of_two_lengths_are_refused():
+    with pytest.raises(ValueError, match="^x has 3 values and y 7$"):
+        pearson([1, 2, 3], [0.2] * 7)
 
 
 def test_constant_series():
@@ -156,6 +163,66 @@ def test_r_does_not_depend_on_the_scale_of_either_input(pair, k, j):
     x, y = pair
     scaled = _outcome([math.ldexp(v, k) for v in x], [math.ldexp(v, j) for v in y])
     assert scaled == _outcome(x, y)
+
+
+def _exact_r(x, y) -> Decimal | None:
+    """r from the definition over exact fractions, its root taken to 80 digits; None when undefined."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    sxx = sum((a - mean_x) ** 2 for a in x)
+    syy = sum((b - mean_y) ** 2 for b in y)
+    if sxx == 0 or syy == 0:
+        return None
+    square = sxy * sxy / (sxx * syy)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        root = (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+        return root if sxy >= 0 else -root
+
+
+def _series(values):
+    return st.integers(min_value=3, max_value=30).flatmap(lambda n: st.tuples(*[st.lists(values, min_size=n, max_size=n)] * 2))
+
+
+_any_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Large offsets with small spreads: the mean of such a series does not round back to itself.
+_offset_series = st.integers(min_value=3, max_value=30).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 50), min_size=n, max_size=n),
+        st.sampled_from([0.0, 1e9, 1e12, 1e14, 1e15, 3e15]).flatmap(
+            lambda base: st.lists(st.integers(-8, 8).map(lambda j: base + j / 4), min_size=n, max_size=n)
+        ),
+    )
+)
+# A constant series of a value whose sum over n days is rounded, against another series.
+_constant_series = st.integers(min_value=3, max_value=30).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from([0.1, 0.2, 0.7, 1 / 3, 1e-300, 5e-324, 1.7e308]).map(lambda v: [v] * n),
+        st.lists(_any_finite, min_size=n, max_size=n),
+    )
+)
+
+
+@given(_series(_any_finite) | _offset_series | _constant_series | _constant_series.map(lambda p: p[::-1]))
+def test_r_is_within_2_ulp_of_the_exact_r_and_undefined_exactly_for_a_constant_series(pair):
+    x, y = pair
+    exact = _exact_r(x, y)
+    assert (exact is None) == (len(set(x)) == 1 or len(set(y)) == 1)
+    if exact is None:
+        with pytest.raises(ConstantSeries):
+            pearson(x, y)
+        return
+    r = pearson(x, y)
+    assert abs(Decimal(r) - exact) <= 2 * Decimal(math.ulp(float(exact))), (r, exact)
+
+
+def test_a_constant_series_whose_mean_is_rounded_is_constant():
+    for v in (0.1, 0.2, 0.7, 1 / 3):
+        with pytest.raises(ConstantSeries):
+            pearson([v] * 3, [1, 2, 3])
+        with pytest.raises(ConstantSeries):
+            pearson([1, 2, 3, 5, 8, 13, 21], [v] * 7)
 
 
 # --- report assembly ---------------------------------------------------------
