@@ -13,11 +13,15 @@ discarded. Other log dialects are future adapters; lines that do not match
 the grammar are counted and either skipped (lenient, the default) or abort
 the run (strict).
 
-A log holds many lines per day, so the date text of a line is read into
-(year, month, day) once per distinct text, in a small bounded cache
-(`_log_date`). Each line builds its own timestamp, so `datetime` and the
-zone check every field and resolve every DST fold and gap; no UTC offset is
-cached, as one date can have two.
+A log holds many lines per day, so the date text of a line is turned into
+its `YYYY-MM-DDT` prefix once per distinct text, in a small bounded cache
+(`_iso_day`). Each line builds its own timestamp: `datetime.fromisoformat`
+reads the prefix and the line's time as UTC, and in another zone the line's
+own offset there is taken off, so every DST fold and gap is resolved per
+line; no UTC offset is cached, as one date can have two. A time that
+`fromisoformat` rejects, such as one written in non-ASCII digits or at hour
+24, is read field by field by `datetime`, which gives the value or the error
+it always gave.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ NETWORK_SUBTYPES = frozenset(
     {"Join", "Topic", "Quit", "Mode", "Created", "Part", "Nick", "Notice"}
 )
 
-# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `_log_date` reads.
+# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `_iso_day` reads.
 _STAMP = r"\[\w{3} (\w{3} \d{1,2} \d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
 # Chat (groups 5-6: nick, text) is tried before network (groups 7-8: word, rest).
 _LINE_RE = re.compile(_STAMP + r" (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
@@ -98,10 +102,25 @@ def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> Ir
         raise UnparsableLine(line_no, "does not match chat or network grammar")
     date_text, hh, mm, ss, nick, text, word, rest = match.groups()
     try:
-        year, month, day = _log_date(date_text)
-        ts = datetime(year, month, day, int(hh), int(mm), int(ss), 0, tz)
-        if tz is not timezone.utc:
-            ts = ts.astimezone(timezone.utc)
+        iso_day = _iso_day(date_text)
+        ts = None
+        # fromisoformat reads ASCII digits only; what it rejects, `datetime` reads below, with the value or
+        # the error it always gave. The hour test keeps 24:00, which a later fromisoformat may accept, there too.
+        if hh < "24":
+            try:
+                ts = datetime.fromisoformat(f"{iso_day}{hh}:{mm}:{ss}+00:00")
+                if tz is not timezone.utc:
+                    # The local time less its offset in `tz`, as astimezone(timezone.utc) takes it: a zone's
+                    # utcoffset reads the wall time and fold alone. This skips replace(tzinfo=tz), whose
+                    # keyword parsing costs more than the rest of the conversion on CPython 3.11.
+                    ts -= tz.utcoffset(ts)
+            except ValueError:
+                ts = None
+        if ts is None:  # the month is known: `_iso_day` raised otherwise
+            mon, day, year = date_text.split(" ")
+            ts = datetime(int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss), 0, tz)
+            if tz is not timezone.utc:
+                ts = ts.astimezone(timezone.utc)
     # OverflowError: a local time outside datetime's range once converted to UTC.
     except (ValueError, OverflowError) as exc:
         raise UnparsableLine(line_no, str(exc)) from exc
@@ -115,15 +134,15 @@ def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> Ir
 
 
 @lru_cache(maxsize=64)
-def _log_date(text: str) -> tuple[int, int, int]:
-    """(year, month, day) of a log's date text such as "Jan 1 2015"; whether
-    that day exists is left to `datetime`. ValueError for an unknown month
-    abbreviation."""
+def _iso_day(text: str) -> str:
+    """The `YYYY-MM-DDT` prefix of a log's date text such as "Jan 1 2015", its
+    digits as written; whether that day exists is left to the parse.
+    ValueError for an unknown month abbreviation."""
     mon, day, year = text.split(" ")
     month = MONTH_BY_ABBREV.get(mon)
     if month is None:
         raise ValueError(f"unknown month abbreviation {mon!r}")
-    return int(year), month, int(day)
+    return f"{year}-{month:02d}-{day:0>2}T"
 
 
 def resolve_tz(name: str) -> tzinfo:

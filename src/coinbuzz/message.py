@@ -129,10 +129,15 @@ def from_json_line(line: str) -> Message:
 
 def read_messages(source: IO[str]) -> Iterator[tuple[int, Message]]:
     """(line number from 1, message) for each non-blank line of `source`; a
-    line that holds no message raises ValueError naming its number."""
+    line that holds no message raises ValueError naming its number.
+
+    A line of whitespace alone is blank, as in a tweet capture. Otherwise
+    only JSON whitespace may pad a message, as it may pad a tweet: a line
+    padded with any other space, such as a vertical tab or U+00A0, holds no
+    message."""
     for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if line:
+        line = line.strip(" \t\n\r")
+        if line and not line.isspace():
             try:
                 msg = from_json_line(line)
             # A `ts` out of datetime's range overflows; JSON nested past the recursion limit recurses.

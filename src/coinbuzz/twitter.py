@@ -7,7 +7,14 @@ the text or equals one of its hashtags; word means a maximal alphanumeric run,
 so "bitcoins" does not match "bitcoin" unless substring matching is requested.
 The test for a keyword set is built once, on first use, and kept in a small
 bounded cache: one set of the lowered keywords, read for the text and the
-hashtags alike, and one pattern that finds any of them as a whole word.
+hashtags alike, and one pattern that finds any of them as a whole word. The
+pattern names each keyword before the lookbehind that tests the character
+before it, so `re` scans for the keywords' first characters rather than
+testing a lookbehind at every position of the text.
+
+A `created_at` is read by `datetime.fromisoformat`, as ISO text built from its
+fields; one that `fromisoformat` rejects is read field by field, with the
+value or error that reading always gave.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
 streams parse -> dedupe -> filter -> emit over the lines of a capture. The
@@ -63,16 +70,29 @@ def _utc_offset(offset: str) -> timezone:
     return timezone(-delta if offset[0] == "-" else delta)
 
 
+# The two digits of each month, for the ISO text of a created_at.
+_MONTH_DIGITS = {mon: f"{month:02d}" for mon, month in MONTH_BY_ABBREV.items()}
+
+
 def parse_created_at(value: str) -> datetime:
     match = _CREATED_AT_RE.match(value)
     if not match:
         raise ValueError(f"bad created_at: {value!r}")
     mon, day, hh, mm, ss, offset, year = match.groups()
-    month = MONTH_BY_ABBREV.get(mon)
+    month = _MONTH_DIGITS.get(mon)
     if month is None:
         raise ValueError(f"bad created_at month: {value!r}")
+    # fromisoformat reads ASCII digits only, and the offset as `+HH:MM` (3.10 rejects `+HHMM`); what it rejects,
+    # `datetime` reads below, with the value or the error it always gave. The hour test keeps 24:00, which a
+    # later fromisoformat may accept, there too.
+    if hh < "24":
+        iso = f"{year}-{month}-{day}T{hh}:{mm}:{ss}{offset[:3]}:{offset[3:]}"
+        try:
+            return datetime.fromisoformat(iso).astimezone(timezone.utc)
+        except ValueError:
+            pass
     local = datetime(
-        int(year), month, int(day), int(hh), int(mm), int(ss),
+        int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss),
         tzinfo=_utc_offset(offset),
     )
     return local.astimezone(timezone.utc)
@@ -159,10 +179,12 @@ def _keyword_plan(keywords: tuple[str, ...], substring: bool) -> tuple[frozenset
         raise ValueError("keywords must be non-empty")
     # A keyword that is not one maximal word run can equal no word of a text. Sorted, so that the
     # pattern is the same under every hash seed; word lookarounds bound each alternative, so order is moot.
+    # Each keyword comes before the lookbehind that tests the character before it, so that the
+    # pattern starts with literals, which `re` scans for instead of trying the lookbehind everywhere.
     words = [re.escape(kw) for kw in sorted(wanted) if _WORD_RE.fullmatch(kw)]
     pattern = None
     if words and not substring:
-        pattern = re.compile(r"(?<![^\W_])(?:" + "|".join(words) + r")(?![^\W_])")
+        pattern = re.compile("(?:" + "|".join(rf"{kw}(?<![^\W_]{kw})" for kw in words) + r")(?![^\W_])")
     return wanted, pattern
 
 
@@ -175,11 +197,11 @@ def matches_keywords(
     """True if any keyword matches the text (word or substring) or a hashtag."""
     wanted, words = _keyword_plan(tuple(keywords), substring)
     lowered = text.lower()
-    # Every word is a substring, so no keyword can be a word of a text that
-    # does not contain it: only then is the word search needed.
-    if any(map(lowered.__contains__, wanted)):
-        if substring or (words is not None and words.search(lowered)):
+    if substring:
+        if any(map(lowered.__contains__, wanted)):
             return True
+    elif words is not None and words.search(lowered):
+        return True
     for tag in hashtags:
         if tag.lower() in wanted:
             return True

@@ -11,7 +11,10 @@ sanitize_text` (always a regex pass) and `sanitize.sanitize_stream` (each
 line's body scrubbed apart from its terminator). The shipped functions must
 give the same result, or raise the same exception with the same message, on
 every input. `irc` and `message` keep per-day caches from one call to the
-next, so their tests also feed whole sequences of lines and timestamps.
+next, so their tests also feed whole sequences of lines and timestamps. The
+timestamp inputs hold digits other than ASCII ones, day 00 and hour 24,
+which `datetime.fromisoformat` rejects and the shipped parsers must then
+read field by field, as the references always do.
 """
 
 from __future__ import annotations
@@ -373,17 +376,19 @@ def test_to_json_line_fixed_cases():
 
 MONTHS = tuple(MONTH_BY_ABBREV) + ("Foo", "jun", "JUN")
 WORDS = tuple(NETWORK_SUBTYPES) + ("Away", "join", "Kick", "_", "A1", "")
+# Digits other than ASCII ones (Arabic-Indic and full-width): `\d` and int() read them, fromisoformat does not.
+ARABIC_01, FULL_12, ARABIC_59 = "\u0660\u0661", "\uff11\uff12", "\u0665\u0669"
 log_line = st.builds(
     lambda dow, mon, day, year, hh, mm, ss, body, end: (
         f"[{dow} {mon} {day} {year}] [{hh}:{mm}:{ss}] {body}{end}"
     ),
     st.sampled_from(("Mon", "Sun", "Xyz", "Mo", "M\u00f6n")),
     st.sampled_from(MONTHS),
-    st.sampled_from(("1", "01", "9", "29", "30", "31", "32", "0", "00", "123")),
-    st.sampled_from(("2015", "2016", "0001", "9999", "0000", "201")),
-    st.sampled_from(("00", "09", "23", "24", "7")),
-    st.sampled_from(("00", "59", "60")),
-    st.sampled_from(("00", "59", "60", "61")),
+    st.sampled_from(("1", "01", "9", "29", "30", "31", "32", "0", "00", "123", ARABIC_01, FULL_12, "\u0661")),
+    st.sampled_from(("2015", "2016", "0001", "9999", "0000", "201", "\uff12\uff10\uff11\uff15")),
+    st.sampled_from(("00", "09", "23", "24", "7", ARABIC_01, FULL_12, "2\u0663")),
+    st.sampled_from(("00", "59", "60", ARABIC_59)),
+    st.sampled_from(("00", "59", "60", "61", ARABIC_59, FULL_12)),
     st.one_of(
         st.builds(lambda nick, text: f"<{nick}>\t{text}", special_text, message_text),
         st.builds(lambda word, rest: f"*** {word}: {rest}", st.sampled_from(WORDS), message_text),
@@ -393,7 +398,7 @@ log_line = st.builds(
     st.sampled_from(("", "\r", "\n", " ", "\r\n", "\n\n")),
 )
 any_line = st.one_of(log_line, message_text, st.text(" \t\r\n\x0b\x0c\u00a0\u2028", max_size=4))
-LOG_ZONES = (timezone.utc, ZoneInfo("America/New_York"), ZoneInfo("Asia/Tokyo"))
+LOG_ZONES = (timezone.utc, ZoneInfo("America/New_York"), ZoneInfo("Asia/Tokyo"), timezone(timedelta(hours=-3, minutes=-30)))
 
 
 def _ref_event(line: str, line_no: int, tz):
@@ -426,6 +431,14 @@ def test_parse_log_line_fixed_cases():
         "[Mon Feb 30 2015] [00:03:12] <alice>\tno such day",
         "[Mon Jun 1 2015] [24:00:00] *** Quit: no such hour",
         "[Mon Jun 1 0001] [00:00:00] <alice>\tbefore UTC's year 1 in Tokyo",
+        "[Mon Jan 1 0001] [00:00:00] *** Quit: before UTC's year 1 in Tokyo",
+        "[Fri Dec 31 9999] [23:59:59] <alice>\tafter UTC's year 9999 west of it",
+        f"[Mon Jun {ARABIC_01} 2015] [{FULL_12}:{ARABIC_59}:{ARABIC_59}] <alice>\tdigits fromisoformat rejects",
+        f"[Mon Feb 29 \uff12\uff10\uff11\uff16] [00:00:00] <alice>\tfull-width leap year",
+        "[Mon Jun 00 2015] [00:03:12] <alice>\tday zero",
+        "[Mon Jun 1 2015] [24:00:00] <alice>\thour 24",
+        "[Mon Jun 1 2015] [23:60:00] <alice>\tminute 60",
+        "[Mon Jun 1 2015] [23:59:60] <alice>\tleap second",
         "",
         " ",
         "\t \u00a0",
@@ -451,13 +464,13 @@ LOG_DATES = (
     "Mar 8 2015", "Nov 1 2015", "Mar 29 2015", "Oct 25 2015", "Apr 5 2015", "Oct 4 2015",
     "Sep 11 1948", "May 7 1950", "Dec 31 1969", "Jan 1 1970", "Nov 18 1883", "Jan 1 1895",
     "Jan 1 0001", "Jan 01 0001", "Dec 31 9999", "Feb 29 2016", "Feb 29 2015", "Jun 31 2015",
-    "Jan 0 2015", "Jan 1 0000", "Foo 1 2015", "jun 1 2015",
+    "Jan 0 2015", "Jan 1 0000", "Foo 1 2015", "jun 1 2015", f"Jun {FULL_12} 2015", f"Mar {ARABIC_01} 2015",
 )
 log_time = st.builds(
     lambda hh, mm, ss: f"{hh}:{mm}:{ss}",
-    st.sampled_from(("00", "01", "02", "03", "12", "23", "24")),
-    st.sampled_from(("00", "29", "30", "59", "60")),
-    st.sampled_from(("00", "59", "60")),
+    st.sampled_from(("00", "01", "02", "03", "12", "23", "24", ARABIC_01, FULL_12)),
+    st.sampled_from(("00", "29", "30", "59", "60", ARABIC_59)),
+    st.sampled_from(("00", "59", "60", ARABIC_59)),
 )
 log_body = st.one_of(
     st.builds(lambda text: f"<alice>\t{text}", special_text),
@@ -538,12 +551,22 @@ keyword_text = st.lists(
     ),
     max_size=8,
 ).map(lambda parts: "".join(w + sep for w, sep in parts))
-keywords = st.lists(st.sampled_from(KEYWORD_WORDS[:-1]), max_size=4)
+# Words that share prefixes, also as a text's first or last word: the pattern tests the character
+# before a keyword only once the keyword has matched, and a text's ends have no character beyond them.
+PREFIX_WORDS = ("b", "bi", "bit", "bitc", "bitcoin", "bitcoins", "btc", "btcusd", "\u00e9", "\u00e9t\u00e9")
+edge_text = st.builds(
+    lambda first, middle, last: first + middle + last,
+    st.sampled_from(PREFIX_WORDS + ("x", "_", "")), keyword_text, st.sampled_from(PREFIX_WORDS + ("x", "_", "")),
+)
+keywords = st.one_of(
+    st.lists(st.sampled_from(KEYWORD_WORDS[:-1]), max_size=4),
+    st.lists(st.sampled_from(PREFIX_WORDS), min_size=1, max_size=4),
+)
 hashtags = st.lists(st.sampled_from(KEYWORD_WORDS), max_size=3)
 
 
 @settings(max_examples=500)
-@given(keyword_text, hashtags, keywords, st.booleans())
+@given(st.one_of(keyword_text, edge_text), hashtags, keywords, st.booleans())
 def test_matches_keywords_matches_reference(text, tags, wanted, substring):
     _same(matches_keywords, _ref_matches_keywords, text, tags, wanted, substring)
 
@@ -584,6 +607,18 @@ def test_matches_keywords_fixed_cases():
         ("btcusd at 250", (), ("btc", "btcusd")),
         ("btc-usd", (), ("btcusd", "btc")),
         ("btc_usd", (), ("btcusd",)),
+        ("bitcoin", (), ("bitcoin",)),
+        ("bitcoin up", (), ("bitcoin",)),
+        ("up bitcoin", (), ("bitcoin",)),
+        ("xbitcoin", (), ("bitcoin",)),
+        ("bitcoinx", (), ("bitcoin",)),
+        ("_bitcoin_", (), ("bitcoin",)),
+        ("bitcoins", (), ("bit", "bitcoin", "bitcoins")),
+        ("bitcoin", (), ("b", "bi", "bit", "bitc")),
+        ("a bitc", (), ("bitcoin", "bitc")),
+        ("bitbitc", (), ("bit", "bitc")),
+        ("\u00e9t\u00e9", (), ("\u00e9",)),
+        ("\u00e9 t\u00e9", (), ("\u00e9", "\u00e9t\u00e9")),
     ):
         for substring in (False, True):
             _same(matches_keywords, _ref_matches_keywords, text, tags, wanted, substring)
@@ -673,19 +708,21 @@ def test_ingest_capture_fixed_cases():
 # --- parse_created_at -------------------------------------------------------------------
 
 OFFSETS = ("+0000", "-0000", "+0530", "-0500", "+2359", "-2359", "+2400", "-2400",
-           "+9999", "+0060", "-0099", "0000", "+000")
+           "+9999", "+0060", "-0099", "0000", "+000", f"+{ARABIC_01}{FULL_12}", f"-{FULL_12}{ARABIC_59}")
+# Each field also in digits that fromisoformat rejects, and a trailing newline, which `$` accepts.
 created_at = st.builds(
-    lambda dow, mon, day, hh, mm, ss, offset, year: (
-        f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}"
+    lambda dow, mon, day, hh, mm, ss, offset, year, end: (
+        f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}{end}"
     ),
     st.sampled_from(("Mon", "Sun", "Xy")),
     st.sampled_from(MONTHS),
-    st.sampled_from(("01", "1", "29", "31", "32", "00")),
-    st.sampled_from(("00", "23", "24")),
-    st.sampled_from(("00", "59", "60")),
-    st.sampled_from(("00", "59", "60")),
+    st.sampled_from(("01", "1", "29", "31", "32", "00", ARABIC_01, FULL_12)),
+    st.sampled_from(("00", "23", "24", ARABIC_01, FULL_12, "2\u0663")),
+    st.sampled_from(("00", "59", "60", ARABIC_59)),
+    st.sampled_from(("00", "59", "60", ARABIC_59, FULL_12)),
     st.one_of(st.sampled_from(OFFSETS), st.from_regex(r"[+-][0-9]{4}", fullmatch=True)),
-    st.sampled_from(("2015", "0001", "9999", "0000")),
+    st.sampled_from(("2015", "2016", "0001", "9999", "0000", "\uff12\uff10\uff11\uff16", "\u0662\u0660\u0661\u0665")),
+    st.sampled_from(("", "", "\n", "\n\n", " ")),
 )
 
 
@@ -705,6 +742,11 @@ def test_parse_created_at_fixed_cases():
             f"Fri Dec 31 23:59:59 {offset} 9999",
             f"Mon Foo 01 00:00:00 {offset} 2015",
             f"Mon Feb 30 00:00:00 {offset} 2015",
+            f"Mon Feb 29 23:59:59 {offset} 2016",
+            f"Mon Jun 01 23:30:00 {offset} 2015\n",
+            f"Mon Jun {ARABIC_01} {FULL_12}:{ARABIC_59}:{ARABIC_59} {offset} \uff12\uff10\uff11\uff15",
+            f"Mon Jun 00 00:00:00 {offset} 2015",
+            f"Mon Jun 01 24:00:00 {offset} 2015",
         ):
             _same(parse_created_at, _ref_parse_created_at, value)
     assert parse_created_at("Mon Jun 01 23:30:00 -0000 2015").tzinfo is timezone.utc

@@ -157,6 +157,40 @@ def test_a_messages_line_with_leading_spaces_reads_as_without(tmp_path, capsys, 
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv", _STAGES, ids=["annotate", "aggregate"])
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("\x0b" + _MESSAGE, "Expecting value: line 1 column 1 (char 0)"),
+        ("\u3000" + _MESSAGE, "Expecting value: line 1 column 1 (char 0)"),
+        (_MESSAGE + "\xa0", "Extra data: line 1 column 91 (char 90)"),
+        (" " + _MESSAGE + "\u2028\t", "Extra data: line 1 column 91 (char 90)"),
+    ],
+    ids=["vertical-tab", "ideographic-space", "no-break-space", "line-separator"],
+)
+def test_a_messages_line_padded_with_other_than_json_whitespace_is_fatal(tmp_path, capsys, monkeypatch, argv, line, error):
+    """Only JSON whitespace pads a message, as only it pads a tweet (see the test below)."""
+    monkeypatch.chdir(tmp_path)
+    Path("gaz.tsv").write_text("bitcoin\tcrypto\tcoin\n", encoding="utf-8")
+    Path("msgs.jsonl").write_text(_MESSAGE + "\n" + line + "\n", encoding="utf-8")
+    assert main(argv + ["--in", "msgs.jsonl", "--out", "out.txt"]) == 2
+    assert capsys.readouterr().err == f"coinbuzz: error: messages line 2: {error}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gaz.tsv", "msgs.jsonl"]
+
+
+@pytest.mark.parametrize("blank", [" \t", "\x0b", "\xa0\u2028", "\u3000\r"], ids=["json", "vertical-tab", "nbsp", "ideographic"])
+def test_a_line_of_whitespace_alone_is_blank_in_messages_and_captures(tmp_path, capsys, monkeypatch, blank):
+    monkeypatch.chdir(tmp_path)
+    tweet = '{"id": 1, "created_at": "Mon Jun 01 10:00:00 +0000 2015", "user": {"screen_name": "u"}, "text": "bitcoin"}'
+    Path("cap.jsonl").write_text(tweet + "\n" + blank + "\n", encoding="utf-8")
+    assert main(["ingest-tweets", "--in", "cap.jsonl", "--out", "msgs.jsonl"]) == 0
+    assert capsys.readouterr().err == "ingest-tweets: lines=1 parsed=1 malformed=0 duplicates=0 matched=1\n"
+    with open("msgs.jsonl", "a", encoding="utf-8") as out:
+        out.write(blank + "\n")
+    assert main(["aggregate", "--in", "msgs.jsonl", "--out", "daily.csv"]) == 0
+    assert capsys.readouterr().err == "aggregate: stream=twitter days=1\n"
+
+
 def test_ingest_tweets_reads_crlf_and_trailing_space_lines(tmp_path, capsys):
     tweet = '{"id": %d, "created_at": "Mon Jun 01 10:00:00 +0000 2015", "user": {"screen_name": "u"}, "text": "bitcoin"}'
     # JSON whitespace after a tweet is no data; a vertical tab is not JSON whitespace.

@@ -9,6 +9,9 @@ near 16, and the bound is 8.
   k = n / 8).
 - `run-all` checks each plot of its config against sets of the streams and
   of the plots before it, where it scanned lists of both.
+- The streaming ingest of tweets and IRC lines keeps bounded per-day caches
+  and a seen-id array that it merges now and then; each line here falls on
+  a day of its own, so every per-day cache misses.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable
 
-from coinbuzz import run_all, series
+import pytest
+
+from coinbuzz import irc, run_all, series, twitter
+from coinbuzz.message import MONTH_BY_ABBREV
 
 GROWTH_BOUND = 8
 
@@ -66,3 +72,33 @@ def test_run_all_config_check_grows_linearly_with_its_plots(tmp_path):
 
     ratio = _growth(case, 2_000)
     assert ratio < GROWTH_BOUND, f"4x the plots took {ratio:.1f}x the time"
+
+
+def _days(n: int) -> list[tuple[str, int, int]]:
+    """(month abbreviation, day, year) of n consecutive days."""
+    months = list(MONTH_BY_ABBREV)
+    days = (date(1990, 1, 1) + timedelta(days=i) for i in range(n))
+    return [(months[day.month - 1], day.day, day.year) for day in days]
+
+
+def test_ingest_capture_grows_linearly_with_its_lines():
+    def case(n: int) -> Callable[[], object]:
+        lines = [
+            json.dumps({"id": 10**17 + i, "created_at": f"Mon {mon} {day:02d} 10:00:00 -0500 {year}",
+                        "user": {"screen_name": "u"}, "text": f"bitcoin {i}"})
+            for i, (mon, day, year) in enumerate(_days(n))
+        ]
+        return lambda: twitter.ingest_capture(lines, lambda msg: None)
+
+    ratio = _growth(case, 2_000)
+    assert ratio < GROWTH_BOUND, f"4x the tweets took {ratio:.1f}x the time"
+
+
+@pytest.mark.parametrize("tz", ["UTC", "America/New_York"])
+def test_ingest_log_grows_linearly_with_its_lines(tz):
+    def case(n: int) -> Callable[[], object]:
+        lines = [f"[Mon {mon} {day} {year}] [10:00:00] <alice>\tbitcoin\n" for mon, day, year in _days(n)]
+        return lambda: irc.ingest_log(lines, lambda msg: None, "#bitcoin", tz=tz)
+
+    ratio = _growth(case, 4_000)
+    assert ratio < GROWTH_BOUND, f"4x the log lines took {ratio:.1f}x the time"
