@@ -106,10 +106,11 @@ def from_json_line(line: str) -> Message:
     record = loads_line(line)
     if not isinstance(record, dict):
         raise ValueError(f"a message must be a JSON object, got {record!r:.40}")
-    for key in ("stream_id", "ts", "author", "text"):
-        if not isinstance(record.get(key), str):
-            raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
-    stream_id, author, text = record["stream_id"], record["author"], record["text"]
+    stream_id, ts, author, text = record.get("stream_id"), record.get("ts"), record.get("author"), record.get("text")
+    if not (isinstance(stream_id, str) and isinstance(ts, str) and isinstance(author, str) and isinstance(text, str)):
+        for key in ("stream_id", "ts", "author", "text"):  # the first field that is not a string
+            if not isinstance(record.get(key), str):
+                raise ValueError(f"a message needs a string {key!r}, got {record.get(key)!r:.40}")
     # A lone surrogate (a `\ud800` escape, say) is not text that UTF-8 can write; only non-ASCII text holds one.
     if not (stream_id.isascii() and author.isascii() and text.isascii()):
         for key in ("stream_id", "author", "text"):
@@ -118,13 +119,16 @@ def from_json_line(line: str) -> Message:
             except UnicodeEncodeError:
                 raise ValueError(f"{key!r} holds a lone surrogate") from None
     try:
-        ts = datetime.fromisoformat(record["ts"].replace("Z", "+00:00"))
+        timestamp = datetime.fromisoformat(ts.replace("Z", "+00:00"))
     except ValueError:
         # fromisoformat's own message quotes the whole value.
-        raise ValueError(f"bad ts {record['ts']!r:.40}") from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return tuple.__new__(Message, (stream_id, ts.astimezone(timezone.utc), author, text))
+        raise ValueError(f"bad ts {ts!r:.40}") from None
+    # fromisoformat gives every `...Z` or zero offset the timezone.utc singleton, which needs no conversion.
+    if timestamp.tzinfo is None:
+        timestamp = timestamp.replace(tzinfo=timezone.utc)
+    elif timestamp.tzinfo is not timezone.utc:
+        timestamp = timestamp.astimezone(timezone.utc)
+    return tuple.__new__(Message, (stream_id, timestamp, author, text))
 
 
 def read_messages(source: IO[str]) -> Iterator[tuple[int, Message]]:

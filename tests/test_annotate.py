@@ -377,6 +377,21 @@ def test_add_rejects_out_of_bounds_span():
         adoc.add(TOKEN, 2, 1)
 
 
+@pytest.mark.parametrize("start, end", [(True, 2), (0, 2.0), (False, True), (0, 2.5)])
+def test_add_rejects_offsets_that_are_not_ints(start, end):
+    adoc = AnnotatedDocument(Document("d", "abc"))
+    with pytest.raises(ValueError, match="offsets must be ints"):
+        adoc.add(TOKEN, start, end)
+    assert adoc.spans == []
+
+
+def test_from_json_rejects_offsets_that_are_not_json_integers():
+    # Accepted, `"start":true,"end":2.0` would be written back as `"start":True,"end":2.0`, which is not JSON.
+    payload = '{"doc_id":"d","text":"abc","annotations":[{"id":0,"type":"Token","start":true,"end":2.0,"features":{}}]}'
+    with pytest.raises(ValueError, match="offsets must be ints"):
+        AnnotatedDocument.from_json(payload)
+
+
 def test_serialization_round_trip_is_bit_exact():
     adoc = _sample_adoc()
     payload = adoc.to_json()

@@ -227,6 +227,51 @@ def test_matches_reference_on_fixed_cases():
         _check("doc:1", text, gazetteer)
 
 
+# `to_json` reads each id and offset below 1,024 from a table and formats the others with `str`.
+@pytest.mark.parametrize(
+    "text",
+    [
+        "bitcoin cash " * 80,  # 1,040 characters
+        "x" * 1023,  # the longest text whose offsets the table holds
+        "x" * 1024,
+        "!" * 1023,  # 1,023 spans, ending at offset 1,023
+        "a!" * 520,  # 1,040 tokens and 520 lookups
+        "bitcoin http://x.io/" + "b" * 1100 + " bitcoin cash",  # a URL token of 1,112 characters
+    ],
+    ids=["long-text", "1023-characters", "1024-characters", "1023-spans", "many-spans", "long-url"],
+)
+def test_matches_reference_past_the_decimal_table(text):
+    gazetteer = Gazetteer.from_entries(
+        {"bitcoin": ("crypto", "coin"), "bitcoin cash": ("crypto", "coin"), "a": ("x", "y")}
+    )
+    _check("doc:1", text, gazetteer)
+
+
+@pytest.mark.parametrize("spans", [1024, 1025])
+def test_matches_reference_with_ids_past_the_decimal_table(spans):
+    adoc = AnnotatedDocument(Document("d", "abc"))
+    for ann_id in range(spans):
+        adoc.add("Token", ann_id % 4, 3)
+    assert adoc.to_json() == _ref_to_json(adoc)
+
+
+def test_matches_reference_on_added_types_and_feature_maps():
+    adoc = AnnotatedDocument(Document("d", "Bitcoin cash"))
+    adoc.add("Custom", 0, 7)
+    adoc.add("Sentence \"1\"\u00e9", 0, 12, {"kind": "sentence"})
+    adoc.add(LOOKUP, 0, 12, {"major_type": "crypto", "minor_type": "coin"})
+    adoc.add(LOOKUP, 0, 7, {"minor_type": "coin", "major_type": "crypto"})  # the same map in another key order
+    adoc.add(LOOKUP, 8, 12, {"major_type": "crypto", "minor_type": "coin"})
+    adoc.add("Count", 0, 7, {"n": "1"})
+    adoc.add("Count", 0, 7, {"n": 1})  # equal to no str map: an int value
+    adoc.add("Count", 8, 12, {"n": 1.5, "ok": True, "none": None})
+    adoc.add("List", 0, 12, {"tokens": ["Bitcoin", "cash"]})  # a list value, which cannot be hashed
+    adoc.add("Keyed", 0, 12, {1: "one", "two": "2"})  # a key that is not a str
+    for _ in range(2):  # the second time from the memo of feature-map texts
+        assert adoc.to_json() == _ref_to_json(adoc)
+        json.loads(adoc.to_json())
+
+
 def test_matches_reference_when_lowercasing_retokenizes():
     # "\u212aab://x" is a Token and four punctuation Tokens, but its lowercase
     # form is one URL, so the surface's own token boundaries say nothing

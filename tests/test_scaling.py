@@ -12,6 +12,9 @@ near 16, and the bound is 8.
 - The streaming ingest of tweets and IRC lines keeps bounded per-day caches
   and a seen-id array that it merges now and then; each line here falls on
   a day of its own, so every per-day cache misses.
+- `run_pipeline(...).to_json()` reads the ids and offsets below 1,024 from a
+  table and formats the rest with `str`; one document of n tokens, with n
+  past the table, takes both.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Callable
 import pytest
 
 from coinbuzz import irc, run_all, series, twitter
+from coinbuzz.annotate import Document, Gazetteer, run_pipeline
 from coinbuzz.message import MONTH_BY_ABBREV
 
 GROWTH_BOUND = 8
@@ -102,3 +106,18 @@ def test_ingest_log_grows_linearly_with_its_lines(tz):
 
     ratio = _growth(case, 4_000)
     assert ratio < GROWTH_BOUND, f"4x the log lines took {ratio:.1f}x the time"
+
+
+def test_annotate_grows_linearly_with_its_tokens():
+    gazetteer = Gazetteer(
+        {"bitcoin": ("crypto", "coin"), "bitcoin cash": ("crypto", "coin"), "#btc": ("crypto", "tag")}
+    )
+    words = ("bitcoin", "cash", "to", "the", "moon", "#btc", "@al", "http://x.io/a", "!")
+
+    def case(n: int) -> Callable[[], object]:
+        rng = random.Random(n)
+        doc = Document("d", " ".join(rng.choices(words, k=n)))
+        return lambda: run_pipeline(doc, gazetteer).to_json()
+
+    ratio = _growth(case, 5_000)
+    assert ratio < GROWTH_BOUND, f"4x the tokens took {ratio:.1f}x the time"
