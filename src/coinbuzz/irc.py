@@ -11,17 +11,7 @@ line whose word is outside that set is surfaced as a chat event authored by
 that word, so unknown server chatter is kept visible rather than silently
 discarded. Other log dialects are future adapters; lines that do not match
 the grammar are counted and either skipped (lenient, the default) or abort
-the run (strict).
-
-A log holds many lines per day, so the date text of a line is turned into
-its `YYYY-MM-DDT` prefix once per distinct text, in a small bounded cache
-(`_iso_day`). Each line builds its own timestamp: `datetime.fromisoformat`
-reads the prefix and the line's time as UTC, and in another zone the line's
-own offset there is taken off, so every DST fold and gap is resolved per
-line; no UTC offset is cached, as one date can have two. A time that
-`fromisoformat` rejects, such as one written in non-ASCII digits or at hour
-24, is read field by field by `datetime`, which gives the value or the error
-it always gave.
+the run (strict). Each line's timestamp is read by `message.utc_time`.
 """
 
 from __future__ import annotations
@@ -29,10 +19,9 @@ from __future__ import annotations
 import re
 from datetime import datetime, timezone, tzinfo
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from coinbuzz.message import MONTH_BY_ABBREV, Message
+from coinbuzz.message import Message, utc_time
 from coinbuzz.sanitize import sanitize_text
 
 # The eight housekeeping subtypes filtered out of every channel log.
@@ -40,7 +29,7 @@ NETWORK_SUBTYPES = frozenset(
     {"Join", "Topic", "Quit", "Mode", "Created", "Part", "Nick", "Notice"}
 )
 
-# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `_iso_day` reads.
+# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `utc_time` reads.
 _STAMP = r"\[\w{3} (\w{3} \d{1,2} \d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
 # Chat (groups 5-6: nick, text) is tried before network (groups 7-8: word, rest).
 _LINE_RE = re.compile(_STAMP + r" (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
@@ -102,25 +91,7 @@ def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> Ir
         raise UnparsableLine(line_no, "does not match chat or network grammar")
     date_text, hh, mm, ss, nick, text, word, rest = match.groups()
     try:
-        iso_day = _iso_day(date_text)
-        ts = None
-        # fromisoformat reads ASCII digits only; what it rejects, `datetime` reads below, with the value or
-        # the error it always gave. The hour test keeps 24:00, which a later fromisoformat may accept, there too.
-        if hh < "24":
-            try:
-                ts = datetime.fromisoformat(f"{iso_day}{hh}:{mm}:{ss}+00:00")
-                if tz is not timezone.utc:
-                    # The local time less its offset in `tz`, as astimezone(timezone.utc) takes it: a zone's
-                    # utcoffset reads the wall time and fold alone. This skips replace(tzinfo=tz), whose
-                    # keyword parsing costs more than the rest of the conversion on CPython 3.11.
-                    ts -= tz.utcoffset(ts)
-            except ValueError:
-                ts = None
-        if ts is None:  # the month is known: `_iso_day` raised otherwise
-            mon, day, year = date_text.split(" ")
-            ts = datetime(int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss), 0, tz)
-            if tz is not timezone.utc:
-                ts = ts.astimezone(timezone.utc)
+        ts = utc_time(date_text, hh, mm, ss, tz)
     # OverflowError: a local time outside datetime's range once converted to UTC.
     except (ValueError, OverflowError) as exc:
         raise UnparsableLine(line_no, str(exc)) from exc
@@ -131,18 +102,6 @@ def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> Ir
         return tuple.__new__(IrcEvent, (ts, _NETWORK, "", rest))
     # Unknown server chatter: keep it, authored by the announcing word.
     return tuple.__new__(IrcEvent, (ts, _CHAT, word, rest))
-
-
-@lru_cache(maxsize=64)
-def _iso_day(text: str) -> str:
-    """The `YYYY-MM-DDT` prefix of a log's date text such as "Jan 1 2015", its
-    digits as written; whether that day exists is left to the parse.
-    ValueError for an unknown month abbreviation."""
-    mon, day, year = text.split(" ")
-    month = MONTH_BY_ABBREV.get(mon)
-    if month is None:
-        raise ValueError(f"unknown month abbreviation {mon!r}")
-    return f"{year}-{month:02d}-{day:0>2}T"
 
 
 def resolve_tz(name: str) -> tzinfo:

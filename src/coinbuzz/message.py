@@ -8,6 +8,16 @@ schema is `{"stream_id": ..., "ts": "YYYY-MM-DDTHH:MM:SSZ", "author": ...,
 bounded cache (`_iso_day`), and the `HH:MM:SS` rest from a table of two-digit
 strings.
 
+Each stream writes its date and time in its own way, a tweet's `created_at`
+and an IRC stamp, and `utc_time` reads both: a wire date such as "Jan 1 2015"
+becomes its `YYYY-MM-DDT` prefix once per distinct text, in a small bounded
+cache (`_wire_day`), `datetime.fromisoformat` reads that prefix and the time
+as UTC, and in another zone the time's own offset there is taken off, so each
+DST fold and gap resolves per time; no offset is cached, as one date can have
+two. A time that `fromisoformat` rejects, such
+as one written in non-ASCII digits or at hour 24, is read field by field by
+`datetime`, which gives the value or the error it always gave.
+
 Each per-record JSON line, a message or a tweet, is decoded by `loads_line`:
 json's C scanner, called directly, takes a line that is one JSON value with at
 most JSON whitespace after it, and `json.loads` decodes every other line. So
@@ -22,7 +32,7 @@ The per-record paths build a Message, and the other NamedTuple records, as
 from __future__ import annotations
 
 import json
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timezone, tzinfo
 from functools import lru_cache
 from json.decoder import WHITESPACE
 from json.encoder import encode_basestring
@@ -85,6 +95,42 @@ def format_ts(ts: datetime) -> str:
     if ts.tzinfo is not timezone.utc:
         ts = ts.astimezone(timezone.utc)
     return f"{_iso_day(ts.date())}{_TWO_DIGITS[ts.hour]}:{_TWO_DIGITS[ts.minute]}:{_TWO_DIGITS[ts.second]}Z"
+
+
+@lru_cache(maxsize=64)
+def _wire_day(date_text: str) -> str:
+    """The `YYYY-MM-DDT` prefix of a wire date such as "Jan 1 2015", its
+    digits as written; whether that day exists is left to the parse.
+    ValueError for an unknown month abbreviation."""
+    mon, day, year = date_text.split(" ")
+    month = MONTH_BY_ABBREV.get(mon)
+    if month is None:
+        raise ValueError(f"unknown month abbreviation {mon!r}")
+    return f"{year}-{month:02d}-{day:0>2}T"
+
+
+def utc_time(date_text: str, hh: str, mm: str, ss: str, tz: tzinfo) -> datetime:
+    """The UTC instant of the wall time `hh:mm:ss` on `date_text` ("Jan 1 2015") in `tz`.
+
+    ValueError for an unknown month or a date or time that does not exist;
+    OverflowError for a time outside datetime's range once converted to UTC.
+    """
+    prefix = _wire_day(date_text)
+    # fromisoformat reads ASCII digits only; what it rejects, `datetime` reads below, with the value or the
+    # error it always gave. The hour test keeps 24:00, which a later fromisoformat may accept, there too.
+    if hh < "24":
+        try:
+            ts = datetime.fromisoformat(f"{prefix}{hh}:{mm}:{ss}+00:00")
+        except ValueError:
+            pass
+        else:
+            # The wall time less its offset in `tz`, as astimezone(timezone.utc) takes it: a zone's utcoffset
+            # reads the wall time and fold alone. This skips replace(tzinfo=tz), whose keyword parsing costs
+            # more than the rest of the conversion on CPython 3.11.
+            return ts if tz is timezone.utc else ts - tz.utcoffset(ts)
+    mon, day, year = date_text.split(" ")  # the month is known: `_wire_day` raised otherwise
+    local = datetime(int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss), 0, tz)
+    return local.astimezone(timezone.utc)
 
 
 def to_json_line(msg: Message) -> str:

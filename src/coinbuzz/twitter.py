@@ -12,9 +12,7 @@ pattern names each keyword before the lookbehind that tests the character
 before it, so `re` scans for the keywords' first characters rather than
 testing a lookbehind at every position of the text.
 
-A `created_at` is read by `datetime.fromisoformat`, as ISO text built from its
-fields; one that `fromisoformat` rejects is read field by field, with the
-value or error that reading always gave.
+A `created_at` is read by `message.utc_time` in the fixed zone of its offset.
 
 Live network capture is out of scope. One ingestion loop, `ingest_capture`,
 streams parse -> dedupe -> filter -> emit over the lines of a capture. The
@@ -38,14 +36,15 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
 from coinbuzz import DEFAULT_KEYWORDS
-from coinbuzz.message import MONTH_BY_ABBREV, Message, loads_line
+from coinbuzz.message import MONTH_BY_ABBREV, Message, loads_line, utc_time
 from coinbuzz.sanitize import sanitize_text
 
 # Maximal alphanumeric runs; underscore counts as punctuation, not word.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Group 1 is the month and day, such as "Jun 01", which with the year is the date text `utc_time` reads.
 _CREATED_AT_RE = re.compile(
-    r"^\w{3} (\w{3}) (\d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-]\d{4}) (\d{4})$"
+    r"^\w{3} (\w{3} \d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-]\d{4}) (\d{4})$"
 )
 
 
@@ -62,40 +61,24 @@ class TweetRecord(NamedTuple):
     hashtags: tuple[str, ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _utc_offset(offset: str) -> timezone:
     """The fixed zone of a `+HHMM`/`-HHMM` offset; raises ValueError for
-    24 hours or more. The cache holds at most the 2 * 10**4 such strings."""
+    24 hours or more. Its digits may be any of Unicode's decimal digits, which
+    `int()` reads, so the distinct offsets are not few; the cache keeps the
+    64 used last."""
     delta = timedelta(hours=int(offset[1:3]), minutes=int(offset[3:5]))
     return timezone(-delta if offset[0] == "-" else delta)
-
-
-# The two digits of each month, for the ISO text of a created_at.
-_MONTH_DIGITS = {mon: f"{month:02d}" for mon, month in MONTH_BY_ABBREV.items()}
 
 
 def parse_created_at(value: str) -> datetime:
     match = _CREATED_AT_RE.match(value)
     if not match:
         raise ValueError(f"bad created_at: {value!r}")
-    mon, day, hh, mm, ss, offset, year = match.groups()
-    month = _MONTH_DIGITS.get(mon)
-    if month is None:
+    mon_day, hh, mm, ss, offset, year = match.groups()
+    if mon_day[:3] not in MONTH_BY_ABBREV:
         raise ValueError(f"bad created_at month: {value!r}")
-    # fromisoformat reads ASCII digits only, and the offset as `+HH:MM` (3.10 rejects `+HHMM`); what it rejects,
-    # `datetime` reads below, with the value or the error it always gave. The hour test keeps 24:00, which a
-    # later fromisoformat may accept, there too.
-    if hh < "24":
-        iso = f"{year}-{month}-{day}T{hh}:{mm}:{ss}{offset[:3]}:{offset[3:]}"
-        try:
-            return datetime.fromisoformat(iso).astimezone(timezone.utc)
-        except ValueError:
-            pass
-    local = datetime(
-        int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss),
-        tzinfo=_utc_offset(offset),
-    )
-    return local.astimezone(timezone.utc)
+    return utc_time(f"{mon_day} {year}", hh, mm, ss, _utc_offset(offset))
 
 
 def parse_tweet(line: str) -> TweetRecord:

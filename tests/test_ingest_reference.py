@@ -14,7 +14,9 @@ every input. `irc` and `message` keep per-day caches from one call to the
 next, so their tests also feed whole sequences of lines and timestamps. The
 timestamp inputs hold digits other than ASCII ones, day 00 and hour 24,
 which `datetime.fromisoformat` rejects and the shipped parsers must then
-read field by field, as the references always do.
+read field by field, as the references always do. One more property holds
+the two timestamp readers to one rule: a tweet and an IRC line of the same
+wall time and offset give the same instant, or both raise.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import IO, Iterable, NamedTuple
 from zoneinfo import ZoneInfo
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinbuzz import DEFAULT_KEYWORDS, twitter
@@ -709,11 +711,9 @@ def test_ingest_capture_fixed_cases():
 
 OFFSETS = ("+0000", "-0000", "+0530", "-0500", "+2359", "-2359", "+2400", "-2400",
            "+9999", "+0060", "-0099", "0000", "+000", f"+{ARABIC_01}{FULL_12}", f"-{FULL_12}{ARABIC_59}")
-# Each field also in digits that fromisoformat rejects, and a trailing newline, which `$` accepts.
-created_at = st.builds(
-    lambda dow, mon, day, hh, mm, ss, offset, year, end: (
-        f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}{end}"
-    ),
+# The fields of a created_at: weekday, month, day, hour, minute, second, offset and year, each also in
+# digits that fromisoformat rejects.
+CREATED_AT_FIELDS = (
     st.sampled_from(("Mon", "Sun", "Xy")),
     st.sampled_from(MONTHS),
     st.sampled_from(("01", "1", "29", "31", "32", "00", ARABIC_01, FULL_12)),
@@ -722,6 +722,13 @@ created_at = st.builds(
     st.sampled_from(("00", "59", "60", ARABIC_59, FULL_12)),
     st.one_of(st.sampled_from(OFFSETS), st.from_regex(r"[+-][0-9]{4}", fullmatch=True)),
     st.sampled_from(("2015", "2016", "0001", "9999", "0000", "\uff12\uff10\uff11\uff16", "\u0662\u0660\u0661\u0665")),
+)
+# Those fields and a trailing newline, which `$` accepts.
+created_at = st.builds(
+    lambda dow, mon, day, hh, mm, ss, offset, year, end: (
+        f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}{end}"
+    ),
+    *CREATED_AT_FIELDS,
     st.sampled_from(("", "", "\n", "\n\n", " ")),
 )
 
@@ -758,6 +765,33 @@ def test_parse_created_at_fixed_cases():
         for _ in range(2):
             with pytest.raises(MalformedRecord):
                 parse_tweet(line)
+
+
+def _instant(parse, *args) -> str:
+    """The repr of the UTC time that `parse` reads, or "raise" for a ValueError or an OverflowError."""
+    try:
+        result = parse(*args)
+    except (ValueError, OverflowError):
+        return "raise"
+    return repr(result if isinstance(result, datetime) else result.timestamp)
+
+
+@settings(max_examples=500)
+@given(*CREATED_AT_FIELDS)
+def test_a_tweet_and_a_log_line_of_one_wall_time_give_one_instant(dow, mon, day, hh, mm, ss, offset, year):
+    """A tweet at offset O and an IRC line of the same wall time read in timezone(O) give the same instant,
+    or both raise: the two streams share one timestamp rule."""
+    # A tweet writes its day in two digits and its offset as `[+-]HHMM`; a log line may write a one-digit day.
+    assume(len(day) == 2 and re.fullmatch(r"[+-]\d{4}", offset))
+    tweet = _instant(parse_created_at, f"{dow} {mon} {day} {hh}:{mm}:{ss} {offset} {year}")
+    delta = timedelta(hours=int(offset[1:3]), minutes=int(offset[3:5]))
+    try:
+        zone = timezone(-delta if offset[0] == "-" else delta)
+    except ValueError:  # 24 hours or more: no zone has this offset, and no tweet reads it
+        assert tweet == "raise"
+        return
+    line = f"[{dow} {mon} {day} {year}] [{hh}:{mm}:{ss}] <alice>\tbitcoin"
+    assert tweet == _instant(parse_log_line, line, 0, zone)
 
 
 # --- sanitize_text -------------------------------------------------------------------

@@ -11,7 +11,9 @@ The streaming stages hold nothing that grows with their input: `parse-irc`,
 `annotate`, `aggregate`, `ingest-tweets` and `run-all` each run in-process
 under `tracemalloc` on about 2,000 lines and on 4 times that, over the same
 days, ids and gazetteer, and the 4x peak may exceed the 1x peak by less than
-64 KB.
+64 KB. `ingest-tweets` runs a second time on a capture that writes each
+line's `+0000` in its own mix of non-ASCII zeros, so that a cache keyed by
+the offset as written would grow with the lines.
 
 The seen-id set of `ingest-tweets`, which README names as the state that
 grows with unique ids, grows by a bounded number of bytes per extra id, and
@@ -32,6 +34,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import unicodedata
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -151,6 +154,21 @@ def _run_all_inputs(lines: int) -> dict[str, str]:
     }
 
 
+# The zeros among Unicode's decimal digits other than "0", which `\d` and int() read as 0.
+NON_ASCII_ZEROS = [chr(c) for c in range(0x80, sys.maxunicode + 1) if unicodedata.decimal(chr(c), None) == 0]
+
+
+def _capture_of_zero_offsets(lines: int) -> str:
+    """The `ingest-tweets` capture with line i's `+0000` written in the non-ASCII zeros that spell i in base
+    len(NON_ASCII_ZEROS), so that no two lines write their offset alike."""
+    base = len(NON_ASCII_ZEROS)
+    rows = []
+    for i in range(lines):
+        zeros = "".join(NON_ASCII_ZEROS[i // base**k % base] for k in range(4))
+        rows.append(_tweet(1 + i % BASE_LINES, STREAM_DAYS[i % len(STREAM_DAYS)]).replace("+0000", f"+{zeros}"))
+    return "".join(rows)
+
+
 # Each stage's argv and its inputs at a number of lines. The capture repeats
 # the ids of its first BASE_LINES tweets, so the seen-id set does not grow.
 STREAM_CASES = {
@@ -164,6 +182,8 @@ STREAM_CASES = {
                       lambda lines: {"cap.jsonl": "".join(
                           _tweet(1 + i % BASE_LINES, STREAM_DAYS[i % len(STREAM_DAYS)]) for i in range(lines)
                       )}),
+    "ingest-tweets-zero-offsets": (["ingest-tweets", "--in", "cap.jsonl", "--out", "out.jsonl"],
+                                   lambda lines: {"cap.jsonl": _capture_of_zero_offsets(lines)}),
     "run-all": (["run-all", "--config", "config.json"], _run_all_inputs),
 }
 

@@ -12,6 +12,11 @@ near 16, and the bound is 8.
 - The streaming ingest of tweets and IRC lines keeps bounded per-day caches
   and a seen-id array that it merges now and then; each line here falls on
   a day of its own, so every per-day cache misses.
+- `sanitize_stream` scrubs each line with one pattern pass, on many short
+  lines and on one line of many escapes, valid, ASCII-range and bare ones.
+- `aggregate` (through `cli.main`, as the subcommand runs) reads each
+  message, counts it by its day and writes the daily CSV; each message
+  falls on a day of its own, so the counter and the CSV grow with it.
 - `run_pipeline(...).to_json()` reads the ids and offsets below 1,024 from a
   table and formats the rest with `str`; one document of n tokens, with n
   past the table, takes both.
@@ -19,6 +24,7 @@ near 16, and the bound is 8.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -30,7 +36,9 @@ import pytest
 
 from coinbuzz import irc, run_all, series, twitter
 from coinbuzz.annotate import Document, Gazetteer, run_pipeline
+from coinbuzz.cli import main
 from coinbuzz.message import MONTH_BY_ABBREV
+from coinbuzz.sanitize import sanitize_stream
 
 GROWTH_BOUND = 8
 
@@ -106,6 +114,39 @@ def test_ingest_log_grows_linearly_with_its_lines(tz):
 
     ratio = _growth(case, 4_000)
     assert ratio < GROWTH_BOUND, f"4x the log lines took {ratio:.1f}x the time"
+
+
+# A valid escape, an ASCII-range one, a bare prefix, a surrogate pair and plain text, as capture lines hold them.
+ESCAPES = (rb"\u00e9", rb"\u0041", rb"\u12", rb"\ud83d\ude00", b"bitcoin ")
+
+
+@pytest.mark.parametrize("shape", ["lines", "one line"])
+def test_sanitize_stream_grows_linearly_with_its_input(shape):
+    def case(n: int) -> Callable[[], object]:
+        rng = random.Random(n)
+        if shape == "lines":
+            lines = [b'{"text": "' + b"".join(rng.choices(ESCAPES, k=4)) + b'"}\n' for _ in range(n)]
+        else:
+            lines = [b'{"text": "' + b"".join(rng.choices(ESCAPES, k=n)) + b'"}\n']
+        return lambda: sanitize_stream(lines, io.BytesIO())
+
+    ratio = _growth(case, 20_000)
+    assert ratio < GROWTH_BOUND, f"4x the input took {ratio:.1f}x the time"
+
+
+def test_aggregate_grows_linearly_with_its_messages(tmp_path, capsys):
+    def case(n: int) -> Callable[[], object]:
+        path = tmp_path / f"messages_{n}.jsonl"
+        with path.open("w", encoding="utf-8") as out:
+            for i in range(n):
+                day = date(1990, 1, 1) + timedelta(days=i)
+                out.write(json.dumps({"stream_id": "twitter", "ts": f"{day}T10:00:00Z", "author": "u",
+                                      "text": f"bitcoin {i}"}) + "\n")
+        argv = ["aggregate", "--in", str(path), "--out", str(tmp_path / f"daily_{n}.csv")]
+        return lambda: main(argv)
+
+    ratio = _growth(case, 5_000)
+    assert ratio < GROWTH_BOUND, f"4x the messages took {ratio:.1f}x the time"
 
 
 def test_annotate_grows_linearly_with_its_tokens():
