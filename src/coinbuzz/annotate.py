@@ -119,16 +119,22 @@ def _annotation(ann_id: int, span: Span) -> Annotation:
 class AnnotatedDocument:
     """A document plus its stand-off annotations, queryable by type and span.
 
-    `spans` holds one `(type, start, end, features or None)` tuple per annotation, in id order,
-    with int offsets `0 <= start <= end <= len(text)`, as `add` checks; `to_json` relies on it."""
+    The store holds one `(type, start, end, features or None)` tuple per annotation, in id order,
+    with int offsets `0 <= start <= end <= len(text)`. `to_json` relies on that, so only `add`,
+    which checks it, and `run_pipeline`, whose spans hold it by construction, write the store."""
 
     def __init__(self, doc: Document):
         self.doc = doc
-        self.spans: list[Span] = []
+        self._spans: list[Span] = []
+
+    @property
+    def spans(self) -> list[Span]:
+        """A new list of the stored span tuples: adding to it adds no span."""
+        return list(self._spans)
 
     @property
     def annotations(self) -> list[Annotation]:
-        return [_annotation(ann_id, span) for ann_id, span in enumerate(self.spans)]
+        return [_annotation(ann_id, span) for ann_id, span in enumerate(self._spans)]
 
     def add(self, type: str, start: int, end: int, features: dict[str, str] | None = None) -> Annotation:
         # Exactly int (`type` names the parameter here): to_json would write a bool or a float as no JSON integer.
@@ -136,8 +142,8 @@ class AnnotatedDocument:
             raise ValueError(f"span offsets must be ints, got {start!r:.40} and {end!r:.40}")
         if not (0 <= start <= end <= len(self.doc.text)):
             raise ValueError(f"span [{start},{end}) outside text of length {len(self.doc.text)}")
-        self.spans.append((type, start, end, dict(features) if features else None))
-        return _annotation(len(self.spans) - 1, self.spans[-1])
+        self._spans.append((type, start, end, dict(features) if features else None))
+        return _annotation(len(self._spans) - 1, self._spans[-1])
 
     def annotations_in(
         self,
@@ -156,21 +162,21 @@ class AnnotatedDocument:
             if not (0 <= a <= b <= len(self.doc.text)):
                 raise ValueError(f"window [{a},{b}) outside text")
         hits = []
-        for ann_id, (type, start, end, _) in enumerate(self.spans):
+        for ann_id, (type, start, end, _) in enumerate(self._spans):
             if wanted is not None and type not in wanted:
                 continue
             if window is None or (start <= a < end if a == b else start < b and a < end):
                 hits.append((start, end, ann_id))
         hits.sort()
-        return [_annotation(ann_id, self.spans[ann_id]) for _, _, ann_id in hits]
+        return [_annotation(ann_id, self._spans[ann_id]) for _, _, ann_id in hits]
 
     def to_json(self) -> str:
         """One JSON line: doc_id, text and every annotation in id order.
 
-        Each span's offsets lie in `[0, len(text)]`, as `add` checks, so each
+        Each span's offsets lie in `[0, len(text)]`, as the store holds, so each
         number is below 1,024 in a document of fewer than 1,024 characters and
         at most 1,024 spans, and comes from `_DECIMALS`; past it, from `str`."""
-        text, spans = self.doc.text, self.spans
+        text, spans = self.doc.text, self._spans
         decimals = _DECIMALS if len(text) < len(_DECIMALS) and len(spans) <= len(_DECIMALS) else _ANY_DECIMALS
         types = _TYPE_FRAGMENTS
         annotations = ",".join([
@@ -347,7 +353,7 @@ def run_pipeline(doc: Document, gazetteer: Gazetteer | None = None) -> Annotated
     # skipped; they are disjoint and in text order, as gazetteer_lookup wants.
     index_type = _INDEX_TYPE
     adoc = AnnotatedDocument(doc)
-    spans = adoc.spans
+    spans = adoc._spans
     spans.extend([
         (index_type[match.lastindex], match.start(), match.end(), None)
         for match in _SCAN_RE.finditer(doc.text)

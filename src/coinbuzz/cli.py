@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -150,6 +150,18 @@ def _output(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
+@contextmanager
+def _output_or_stdout(path: str) -> Iterator[IO[str]]:
+    """`_output(path)`, or stdout when `path` is empty, flushed when the block
+    completes: writing to a closed pipe fails there if not before."""
+    if path:
+        with _output(path) as out:
+            yield out
+    else:
+        yield sys.stdout
+        sys.stdout.flush()
+
+
 def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
     """Every line of the tweet captures in turn; a line ends at "\\n" only, as `sanitize` frames it."""
     for path in paths:
@@ -271,7 +283,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     report = stats_mod.correlation_report(
         daily, price, volume, exclude_outages=args.exclude_outages
     )
-    with _output(args.outfile) if args.outfile else nullcontext(sys.stdout) as out:
+    with _output_or_stdout(args.outfile) as out:
         out.write(stats_mod.report_to_json(report) + "\n")
     return 1 if any(row.has_error for row in report.rows) else 0
 
@@ -281,7 +293,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     with open(args.infile, "r", encoding="utf-8") as src:
         report = stats_mod.report_from_json(src)
-    with _output(args.outfile) if args.outfile else nullcontext(sys.stdout) as out:
+    with _output_or_stdout(args.outfile) as out:
         out.write(render_table(report, args.format))
     return 0
 
@@ -422,6 +434,15 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command `argv` names and return its exit code. A command that
+    writes to stdout flushes it before it returns, so a closed pipe is a
+    fatal error (exit 2) like any other. `--help` and a usage error raise
+    `SystemExit`.
+
+    `coinbuzz.__main__.entry`, which the console script and `python -m
+    coinbuzz` run, then runs the atexit handlers and exits without
+    interpreter teardown; an in-process caller gets the code back instead.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

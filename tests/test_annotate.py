@@ -461,3 +461,14 @@ def test_add_copies_the_features_it_stores():
     features["kind"] = "changed"
     ann.features["kind"] = "changed too"
     assert adoc.spans == [(TOKEN, 0, 5, {"kind": "word"})]
+
+
+@pytest.mark.parametrize("span", [(TOKEN, -1, 2, None), (TOKEN, 0, 5000, None), (TOKEN, 3, 1, None)])
+def test_only_add_and_run_pipeline_write_the_span_store(span):
+    # A span past add's check written to the store would reach to_json: `"start":-1` as `"start":1023`.
+    adoc = run_pipeline(Document("d", "hello world"))
+    before = adoc.to_json()
+    adoc.spans.append(span)
+    adoc.spans[0] = span
+    assert adoc.to_json() == before
+    assert len(adoc.spans) == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -602,6 +603,110 @@ def test_missing_input_is_fatal(tmp_path):
     out = tmp_path / "x.jsonl"
     code = main(["parse-irc", "--channel", "#x", "--in", str(tmp_path / "absent.log"), "--out", str(out)])
     assert code == 2
+
+
+# --- the process exit --------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COINBUZZ = ["-m", "coinbuzz"]
+# The console script's import of the function that `python -m coinbuzz` runs.
+ENTRY = "from coinbuzz.__main__ import entry; entry()"
+# The interpreter's own exit after `main`, with its teardown.
+NORMAL_EXIT = ["-c", "import sys; from coinbuzz.cli import main; sys.exit(main())"]
+
+
+def _process(args: list[str], cwd: Path, stdout=subprocess.PIPE, unbuffered: bool = False,
+             stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """`python args...` with coinbuzz from src/, its stdout block-buffered unless `unbuffered`."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, cwd=cwd, env=env, timeout=60)
+
+
+def _stdout_commands(tmp_path: Path, streams: int) -> dict[str, list[str]]:
+    """argv of `correlate` and `report` without --out in `tmp_path`, over a report with a row
+    for each of `streams` streams over one series."""
+    (tmp_path / "series.csv").write_text(
+        "".join(["date,count,flag\n"] + [f"2015-06-0{d},{d * d},ok\n" for d in range(1, 7)]), encoding="utf-8"
+    )
+    _write_market(tmp_path / "price.csv", [230.0, 228.0, 231.0, 229.0, 233.0, 232.0])
+    _write_market(tmp_path / "volume.csv", [10.0, 20.0, 35.0, 40.0, 52.0, 61.0])
+    correlate = ["correlate", "--price", "price.csv", "--volume", "volume.csv"]
+    for i in range(streams):
+        correlate += ["--series", f"stream-{i:03d}=series.csv"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path)
+        assert main([*correlate, "--out", "report.json"]) == 0
+    return {"correlate": correlate, "report": ["report", "--in", "report.json", "--format", "markdown"]}
+
+
+# One row fits the 8 KiB of stdout's buffer, which holds it until a flush; 200 rows do not.
+@pytest.mark.parametrize("streams", [1, 200])
+@pytest.mark.parametrize("command", ["correlate", "report"])
+def test_block_buffered_stdout_reaches_a_pipe_whole(tmp_path, command, streams):
+    argv = _stdout_commands(tmp_path, streams)[command]
+    proc = _process([*COINBUZZ, *argv], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path)
+        assert main([*argv, "--out", "expected"]) == 0
+    assert (len(proc.stdout) > 8192) == (streams == 200)
+    assert proc.stdout == (tmp_path / "expected").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["sanitize", "correlate", "report"])
+def test_a_closed_stdout_is_one_fatal_error(tmp_path, command, unbuffered):
+    # Each output fits stdout's buffer, so a buffered one first fails when it is flushed.
+    argv = ["sanitize"] if command == "sanitize" else _stdout_commands(tmp_path, 1)[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _process([*COINBUZZ, *argv], tmp_path, stdout=write_end, unbuffered=unbuffered,
+                        stdin=b'{"text":"caf\\u00e9"}\n')
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "coinbuzz: error: [Errno 32] Broken pipe\n")
+
+
+# Exits 0, 1 and 2, of commands that write to stdout or stderr.
+EXITS = {
+    0: ["report", "--in", "report.json"],
+    1: ["parse-irc", "--channel", "#x", "--in", "chan.log", "--out", "messages.jsonl"],
+    2: ["aggregate", "--in", "absent.jsonl", "--out", "series.csv"],
+}
+
+
+def _exit_workspace(tmp_path: Path) -> None:
+    (tmp_path / "chan.log").write_text(IRC_LOG + "garbage\n", encoding="utf-8")
+    (tmp_path / "report.json").write_text(json.dumps({"rows": [REPORT_ROW]}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("code", sorted(EXITS))
+def test_an_atexit_handler_runs_and_the_exit_code_is_mains(tmp_path, code):
+    _exit_workspace(tmp_path)
+    # The handler prints after main has flushed stdout, so only a flush after the handlers writes it.
+    register = "import atexit; atexit.register(print, 'handler ran'); "
+    proc = _process(["-c", register + ENTRY, *EXITS[code]], tmp_path)
+    assert proc.returncode == code
+    assert proc.stdout.endswith(b"handler ran\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["gaps", "--help"], 0), (["gaps"], 64), (["no-such-command"], 64),
+     *((argv, code) for code, argv in EXITS.items())],
+    ids=["help", "subcommand-help", "missing-option", "unknown-command", "exit-0", "exit-1", "exit-2"],
+)
+def test_the_exit_gives_the_code_and_bytes_of_a_normal_exit(tmp_path, argv, code):
+    _exit_workspace(tmp_path)
+    entry = _process([*COINBUZZ, *argv], tmp_path)
+    normal = _process([*NORMAL_EXIT, *argv], tmp_path)
+    assert entry.returncode == code
+    assert (entry.returncode, entry.stdout, entry.stderr) == (normal.returncode, normal.stdout, normal.stderr)
 
 
 # --- every output appears whole or not at all -------------------------------
