@@ -15,21 +15,28 @@ the command is left.
 Each subcommand's handler imports the stage modules it runs; at load time
 this module imports only the standard library and the package's defaults, so
 a subcommand starts without loading the stages it does not use.
+
+A command line of the form `<command> (--flag value | --switch)*` is read
+from the table `_COMMANDS` without argparse; argparse is imported only to
+print `--help`, to report a usage error or to read any other form, such as
+`--in=x` or an abbreviated flag, from a parser built from the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from coinbuzz import DEFAULT_KEYWORDS
 
 if TYPE_CHECKING:
+    import argparse
+
     from coinbuzz.message import Message
     from coinbuzz.series import DailySeries
     from coinbuzz.stats import CorrelationReport
@@ -45,14 +52,6 @@ TABLE_HEADERS = (
 
 # Every input fault (a bad line, row, date or report) is a ValueError.
 _FATAL = (OSError, ValueError)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with the conventional 64 exit code for usage errors."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
 
 
 # --- rendering ---------------------------------------------------------------
@@ -118,20 +117,41 @@ def emit_plot_series(
 
 # --- subcommand handlers -----------------------------------------------------
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
+def _cmd_sanitize(args: SimpleNamespace) -> int:
     from coinbuzz.sanitize import sanitize_stream
 
-    stats = sanitize_stream(sys.stdin.buffer, sys.stdout.buffer)
-    sys.stdout.buffer.flush()
+    src, dst = _stdio("stdin").buffer, _stdio("stdout").buffer
+    stats = sanitize_stream(src, dst)
+    dst.flush()
     if args.stats:
         _print_stats("sanitize", stats)
     return 0
 
 
+def _stdio(name: str) -> IO[str]:
+    """`sys.stdin` or `sys.stdout`; OSError when the process started with that
+    descriptor closed, as Python then sets it to None."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
+def _stderr_line(line: str) -> None:
+    """Print `line` to stderr. A stderr that is closed or fails to write loses
+    the line and changes neither the exit code nor any output file (`print`
+    would write to stdout when stderr is None)."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _print_stats(label: str, stats: object) -> None:
     """One `label: key=value ...` stderr line with every counter of `stats`."""
     counters = " ".join(f"{key}={value}" for key, value in vars(stats).items())
-    print(f"{label}: {counters}", file=sys.stderr)
+    _stderr_line(f"{label}: {counters}")
 
 
 @contextmanager
@@ -158,8 +178,9 @@ def _output_or_stdout(path: str) -> Iterator[IO[str]]:
         with _output(path) as out:
             yield out
     else:
-        yield sys.stdout
-        sys.stdout.flush()
+        out = _stdio("stdout")
+        yield out
+        out.flush()
 
 
 def _capture_lines(paths: Iterable[str]) -> Iterator[str]:
@@ -185,14 +206,14 @@ def _ingest_file(label: str, lines: Iterable[str], outfile: str, ingest: Callabl
     return 1 if stats.skipped else 0
 
 
-def _cmd_parse_irc(args: argparse.Namespace) -> int:
+def _cmd_parse_irc(args: SimpleNamespace) -> int:
     from coinbuzz import irc as irc_mod
 
     ingest = functools.partial(irc_mod.ingest_log, channel=args.channel, strict=args.strict, tz=args.tz)
     return _ingest_file("parse-irc", _log_lines(args.infile), args.outfile, ingest)
 
 
-def _cmd_ingest_tweets(args: argparse.Namespace) -> int:
+def _cmd_ingest_tweets(args: SimpleNamespace) -> int:
     from coinbuzz import twitter as twitter_mod
 
     keywords = [kw.strip() for kw in args.keywords.split(",") if kw.strip()]
@@ -215,7 +236,7 @@ def _annotator(gazetteer_path: str) -> Callable[[Message, int], str]:
     return annotated_line
 
 
-def _cmd_annotate(args: argparse.Namespace) -> int:
+def _cmd_annotate(args: SimpleNamespace) -> int:
     from coinbuzz import message as message_mod
 
     annotated_line = _annotator(args.gazetteer)
@@ -224,11 +245,11 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         for line_no, msg in message_mod.read_messages(src):
             out.write(annotated_line(msg, line_no))
             docs += 1
-    print(f"annotate: documents={docs}", file=sys.stderr)
+    _stderr_line(f"annotate: documents={docs}")
     return 0
 
 
-def _cmd_aggregate(args: argparse.Namespace) -> int:
+def _cmd_aggregate(args: SimpleNamespace) -> int:
     from coinbuzz import message as message_mod
     from coinbuzz import series as series_mod
 
@@ -246,11 +267,11 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     stream_id = args.stream_id or next(iter(seen_streams), "")
     with _output(args.outfile) as out:
         days = series_mod.write_daily_csv(counter.build(stream_id), out)
-    print(f"aggregate: stream={stream_id or '(empty)'} days={days}", file=sys.stderr)
+    _stderr_line(f"aggregate: stream={stream_id or '(empty)'} days={days}")
     return 0
 
 
-def _cmd_gaps(args: argparse.Namespace) -> int:
+def _cmd_gaps(args: SimpleNamespace) -> int:
     from coinbuzz import series as series_mod
 
     daily = series_mod.read_daily_csv(args.infile)
@@ -259,7 +280,7 @@ def _cmd_gaps(args: argparse.Namespace) -> int:
         days = series_mod.write_daily_csv(flagged, out)
     # Every day that the series lacks is an outage, so only its OK days are not.
     outages = days - list(flagged.flags.values()).count(series_mod.Flag.OK)
-    print(f"gaps: days={days} outages={outages}", file=sys.stderr)
+    _stderr_line(f"gaps: days={days} outages={outages}")
     return 0
 
 
@@ -270,7 +291,7 @@ def _parse_series_arg(value: str) -> tuple[str, str]:
     return stream_id, path
 
 
-def _cmd_correlate(args: argparse.Namespace) -> int:
+def _cmd_correlate(args: SimpleNamespace) -> int:
     from coinbuzz import series as series_mod
     from coinbuzz import stats as stats_mod
 
@@ -288,7 +309,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 1 if any(row.has_error for row in report.rows) else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: SimpleNamespace) -> int:
     from coinbuzz import stats as stats_mod
 
     with open(args.infile, "r", encoding="utf-8") as src:
@@ -298,14 +319,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plot_series(args: argparse.Namespace) -> int:
+def _cmd_plot_series(args: SimpleNamespace) -> int:
     from coinbuzz import series as series_mod
 
     daily = series_mod.read_daily_csv(args.series)
     market = series_mod.load_market_csv(args.market)
     with _output(args.outfile) as out:
         rows = emit_plot_series(daily, market, out)
-    print(f"plot-series: rows={rows}", file=sys.stderr)
+    _stderr_line(f"plot-series: rows={rows}")
     return 0
 
 
@@ -328,97 +349,146 @@ _CONFIG_KEYS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _cmd_run_all(args: argparse.Namespace) -> int:
+def _cmd_run_all(args: SimpleNamespace) -> int:
     from coinbuzz.run_all import run
 
     return run(args.config)
 
 
-# --- parser ------------------------------------------------------------------
+# --- command line ------------------------------------------------------------
+
+_KEYS = _CONFIG_KEYS["config"]
+_IN = ("--in", "infile", str, ..., None, None)
+_OUT = ("--out", "outfile", str, ..., None, None)
+
+# Every subcommand, in `--help`'s order: name -> (handler, help, options). An
+# option is (flag, dest, kind, default, metavar, help), where kind is str,
+# float, int, "switch", "append" or a tuple of the allowed strings, and a
+# default of ... marks a required option.
+_COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, tuple[tuple, ...]]] = {
+    "sanitize": (_cmd_sanitize, "scrub non-ASCII \\uXXXX escapes, stdin to stdout", (
+        ("--stats", "stats", "switch", False, None, "print counters to stderr"),
+    )),
+    "parse-irc": (_cmd_parse_irc, "parse an IRC channel log into messages JSONL", (
+        ("--channel", "channel", str, ..., None, None), _IN, _OUT,
+        ("--strict", "strict", "switch", False, None, "abort on the first unparsable line"),
+        ("--tz", "tz", str, _CONFIG_KEYS["irc_logs entry"]["tz"][1], None,
+         "timezone the log was written in (default: %(default)s)"),
+    )),
+    "ingest-tweets": (_cmd_ingest_tweets, "filter a tweet capture into messages JSONL", (
+        _IN, _OUT,
+        ("--keywords", "keywords", str, ",".join(_KEYS["keywords"][1]), None,
+         "comma-separated keyword list (default: %(default)s)"),
+        ("--substring", "substring", "switch", False, None, "match keywords as substrings"),
+    )),
+    "annotate": (_cmd_annotate, "annotate messages with tokens and gazetteer lookups", (
+        _IN, ("--gazetteer", "gazetteer", str, ..., None, None), _OUT,
+    )),
+    "aggregate": (_cmd_aggregate, "bucket messages into a daily count series CSV", (
+        _IN, _OUT, ("--stream-id", "stream_id", str, "", None, "pick one stream from a mixed file"),
+    )),
+    "gaps": (_cmd_gaps, "flag likely collection outages in a daily series CSV", (
+        _IN, _OUT,
+        ("--theta", "theta", float, _KEYS["theta"][1], None, "outage threshold fraction (default: %(default)s)"),
+        ("--k", "k", int, _KEYS["k"][1], None, "rolling median window in days (default: %(default)s)"),
+    )),
+    "correlate": (_cmd_correlate, "correlate daily series against market CSVs", (
+        ("--series", "series", "append", ..., "STREAM_ID=CSV", None),
+        ("--price", "price", str, ..., None, None),
+        ("--volume", "volume", str, ..., None, None),
+        ("--exclude-outages", "exclude_outages", "switch", False, None, None),
+        ("--out", "outfile", str, "", None, "report JSON path (default stdout)"),
+    )),
+    "report": (_cmd_report, "render a report JSON as a table", (
+        _IN, ("--format", "format", _KEYS["format"][0], _KEYS["format"][1], None, None),
+        ("--out", "outfile", str, "", None, "output path (default stdout)"),
+    )),
+    "plot-series": (_cmd_plot_series, "join a daily series with a market series into plot CSV", (
+        ("--series", "series", str, ..., None, "daily series CSV"),
+        ("--market", "market", str, ..., None, "market CSV"),
+        ("--metric", "metric", _CONFIG_KEYS["plots entry"]["metric"][0], "volume", None,
+         "the metric --market holds; it only names it (default: %(default)s)"),
+        _OUT,
+    )),
+    "run-all": (_cmd_run_all, "compose the whole pipeline from a config file", (
+        ("--config", "config", str, ..., None, "JSON (or TOML on 3.11+) config path"),
+    )),
+}
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace that `build_parser()` would give for `argv`, read from
+    `_COMMANDS` without argparse, when `argv` is `<command> (--flag value |
+    --switch)*`: each flag an exact option of the command, given once unless
+    it appends, no value starting with "-", each value of its option's kind
+    and every required option present. None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    by_flag = {option[0]: option for option in options}
+    args: dict[str, object] = {}
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in by_flag:
+            return None
+        _, dest, kind, _, _, _ = by_flag[flag]
+        if kind == "switch":
+            value = True
+        else:
+            value = next(words, "-")
+            if value.startswith("-") or (isinstance(kind, tuple) and value not in kind):
+                return None
+            if kind is float or kind is int:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    return None
+        if kind == "append":
+            args.setdefault(dest, []).append(value)
+        elif dest in args:
+            return None
+        else:
+            args[dest] = value
+    for _, dest, _, default, _, _ in options:
+        if dest not in args:
+            if default is ...:
+                return None
+            args[dest] = default
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    keys = _CONFIG_KEYS["config"]
-    parser = _Parser(prog="coinbuzz", description=__doc__)
+    """The argparse parser of every command in `_COMMANDS`, which exits 64 on
+    a usage error. `main` builds it only for a command line that `_read_argv`
+    does not read, such as `--help` or a usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            _stderr_line(f"{self.format_usage()}{self.prog}: error: {message}")
+            sys.exit(64)
+
+    # `--help` describes the commands with every paragraph of the module docstring but the last.
+    parser = _Parser(prog="coinbuzz", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("sanitize", help="scrub non-ASCII \\uXXXX escapes, stdin to stdout")
-    p.add_argument("--stats", action="store_true", help="print counters to stderr")
-    p.set_defaults(func=_cmd_sanitize)
-
-    p = sub.add_parser("parse-irc", help="parse an IRC channel log into messages JSONL")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--strict", action="store_true", help="abort on the first unparsable line")
-    p.add_argument(
-        "--tz", default=_CONFIG_KEYS["irc_logs entry"]["tz"][1],
-        help="timezone the log was written in (default: %(default)s)",
-    )
-    p.set_defaults(func=_cmd_parse_irc)
-
-    p = sub.add_parser("ingest-tweets", help="filter a tweet capture into messages JSONL")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument(
-        "--keywords", default=",".join(keys["keywords"][1]),
-        help="comma-separated keyword list (default: %(default)s)",
-    )
-    p.add_argument("--substring", action="store_true", help="match keywords as substrings")
-    p.set_defaults(func=_cmd_ingest_tweets)
-
-    p = sub.add_parser("annotate", help="annotate messages with tokens and gazetteer lookups")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--gazetteer", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=_cmd_annotate)
-
-    p = sub.add_parser("aggregate", help="bucket messages into a daily count series CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--stream-id", default="", help="pick one stream from a mixed file")
-    p.set_defaults(func=_cmd_aggregate)
-
-    p = sub.add_parser("gaps", help="flag likely collection outages in a daily series CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument(
-        "--theta", type=float, default=keys["theta"][1],
-        help="outage threshold fraction (default: %(default)s)",
-    )
-    p.add_argument(
-        "--k", type=int, default=keys["k"][1],
-        help="rolling median window in days (default: %(default)s)",
-    )
-    p.set_defaults(func=_cmd_gaps)
-
-    p = sub.add_parser("correlate", help="correlate daily series against market CSVs")
-    p.add_argument("--series", action="append", required=True, metavar="STREAM_ID=CSV")
-    p.add_argument("--price", required=True)
-    p.add_argument("--volume", required=True)
-    p.add_argument("--exclude-outages", action="store_true")
-    p.add_argument("--out", dest="outfile", default="", help="report JSON path (default stdout)")
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("report", help="render a report JSON as a table")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=keys["format"][0], default=keys["format"][1])
-    p.add_argument("--out", dest="outfile", default="", help="output path (default stdout)")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("plot-series", help="join a daily series with a market series into plot CSV")
-    p.add_argument("--series", required=True, help="daily series CSV")
-    p.add_argument("--market", required=True, help="market CSV")
-    p.add_argument(
-        "--metric", choices=_CONFIG_KEYS["plots entry"]["metric"][0], default="volume",
-        help="the metric --market holds; it only names it (default: %(default)s)",
-    )
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(func=_cmd_plot_series)
-
-    p = sub.add_parser("run-all", help="compose the whole pipeline from a config file")
-    p.add_argument("--config", required=True, help="JSON (or TOML on 3.11+) config path")
-    p.set_defaults(func=_cmd_run_all)
-
+    for command, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, dest, kind, default, metavar, text in options:
+            spec: dict[str, object] = {"dest": dest, "help": text}
+            if metavar:
+                spec["metavar"] = metavar
+            if kind in ("switch", "append"):
+                spec["action"] = "store_true" if kind == "switch" else "append"
+            elif isinstance(kind, tuple):
+                spec["choices"] = kind
+            elif kind is not str:
+                spec["type"] = kind
+            if default is ...:
+                spec["required"] = True
+            else:
+                spec["default"] = default
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -437,16 +507,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run the command `argv` names and return its exit code. A command that
     writes to stdout flushes it before it returns, so a closed pipe is a
     fatal error (exit 2) like any other. `--help` and a usage error raise
-    `SystemExit`.
+    `SystemExit` from the argparse parser, which is built only for an `argv`
+    that `_read_argv` does not read.
 
     `coinbuzz.__main__.entry`, which the console script and `python -m
     coinbuzz` run, then runs the atexit handlers and exits without
     interpreter teardown; an in-process caller gets the code back instead.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
         return args.func(args)
     except _FATAL as exc:
-        print(f"coinbuzz: error: {_error_text(exc)}", file=sys.stderr)
+        _stderr_line(f"coinbuzz: error: {_error_text(exc)}")
         return 2

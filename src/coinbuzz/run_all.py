@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterator
 
 from coinbuzz import irc, message, sanitize, series, stats, twitter
-from coinbuzz.cli import _CONFIG_KEYS, _annotator, _capture_lines, _log_lines, _output, _print_stats
+from coinbuzz.cli import _CONFIG_KEYS, _annotator, _capture_lines, _log_lines, _output, _print_stats, _stderr_line
 from coinbuzz.cli import check_stream_id, emit_plot_series, render_table
 
 
@@ -190,8 +190,8 @@ def run(config_path: str) -> int:
                     emit_plot_series(by_id[stream_id], market, plot_stack.enter_context(_output(plot_path)))
                     stack.enter_context(plot_stack.pop_all())
             except series.EmptyOverlap as exc:
-                print(f"run-all: plot {stream_id}/{metric}: {exc}", file=sys.stderr)
+                _stderr_line(f"run-all: plot {stream_id}/{metric}: {exc}")
                 partial = True
 
-    print(f"run-all: wrote {out_dir}/report.{suffix}", file=sys.stderr)
+    _stderr_line(f"run-all: wrote {out_dir}/report.{suffix}")
     return 1 if partial else 0

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import importlib.util
 import io
+import itertools
 import json
 import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -13,9 +18,11 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinbuzz.annotate import AnnotatedDocument
-from coinbuzz.cli import emit_plot_series, main, render_table
+from coinbuzz.cli import _COMMANDS, _read_argv, build_parser, emit_plot_series, main, render_table
 from coinbuzz.series import (
     DailySeries,
     EmptyOverlap,
@@ -605,6 +612,156 @@ def test_missing_input_is_fatal(tmp_path):
     assert code == 2
 
 
+# --- the two command-line readers --------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+_PARSER = build_parser()
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """vars() of the namespace that argparse reads from `argv`; None where it exits (help, a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _value(kind) -> st.SearchStrategy[str]:
+    """A value that an option of `kind` accepts."""
+    if kind is float:
+        return st.one_of(st.floats(min_value=0, allow_nan=False).map(str), st.integers(0, 99).map(str))
+    if kind is int:
+        return st.integers(0, 10**6).map(str)
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    return st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6).filter(
+        lambda text: not text.startswith("-")
+    )
+
+
+def _pick(draw, groups: list[list[str]], valued: bool = False) -> int | None:
+    """The index of a drawn flag group, one with a value if `valued`; None if there is none."""
+    picks = [i for i, group in enumerate(groups) if len(group) == 2 or not valued]
+    return draw(st.sampled_from(picks)) if picks else None
+
+
+def _set_value(draw, groups, kind_of, kinds, values) -> None:
+    """Replace the value of a drawn option of one of `kinds` ("any" for all) by one of `values`."""
+    picks = [i for i, g in enumerate(groups) if len(g) == 2 and ("any" in kinds or kind_of[g[0]] in kinds)]
+    if picks:
+        i = draw(st.sampled_from(picks))
+        groups[i] = [groups[i][0], draw(st.sampled_from(values))]
+
+
+def _mutate(draw, mutation: str, options: tuple, groups: list[list[str]]) -> list[list[str]]:
+    """`groups` (one flag and its value, or a switch, each) with `mutation` applied where it applies."""
+    kind_of = {option[0]: option[2] for option in options}
+    i = _pick(draw, groups, valued=mutation == "joined")
+    if mutation == "joined" and i is not None:
+        groups[i] = ["=".join(groups[i])]
+    elif mutation == "abbreviated" and i is not None:
+        flag = groups[i][0]
+        groups[i][0] = flag[: draw(st.integers(2, len(flag) - 1))]
+    elif mutation == "repeated" and i is not None:
+        flag = groups[i][0]
+        repeat = [flag] if kind_of[flag] == "switch" else [flag, draw(_value(kind_of[flag]))]
+        groups.insert(draw(st.integers(0, len(groups))), repeat)
+    elif mutation == "unknown flag":
+        groups.insert(draw(st.integers(0, len(groups))), draw(st.sampled_from([["--bogus", "x"], ["--no-such"]])))
+    elif mutation == "missing required":
+        required = [option[0] for option in options if option[3] is ...]
+        if required:
+            flag = draw(st.sampled_from(required))
+            groups = [group for group in groups if group[0] != flag]
+    elif mutation == "dash value":
+        _set_value(draw, groups, kind_of, ("any",), ["-1", "-0.5", "-x", "--in", "-"])
+    elif mutation == "bad choice":
+        _set_value(draw, groups, kind_of, tuple(k for k in kind_of.values() if isinstance(k, tuple)), ["html", "TSV"])
+    elif mutation == "bad number":
+        _set_value(draw, groups, kind_of, (float, int), ["x", "1.5", "1e", "0x10", " "])
+    elif mutation == "empty value":
+        _set_value(draw, groups, kind_of, ("any",), [""])
+    return groups
+
+
+MUTATIONS = ["joined", "abbreviated", "repeated", "unknown flag", "missing required", "dash value",
+             "bad choice", "bad number", "empty value", "--", "-h", "command"]
+
+
+@st.composite
+def _command_lines(draw) -> tuple[list[str], str | None]:
+    """A well-formed argv from `_COMMANDS`, its options in a drawn order, and a mutation of it or None."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    options = _COMMANDS[command][2]
+    groups = []
+    for flag, _, kind, default, _, _ in options:
+        if default is not ... and draw(st.booleans()):
+            continue
+        for _ in range(draw(st.integers(1, 3)) if kind == "append" else 1):
+            groups.append([flag] if kind == "switch" else [flag, draw(_value(kind))])
+    groups = draw(st.permutations(groups))
+    mutation = draw(st.sampled_from([None, *MUTATIONS]))
+    if mutation is not None:
+        groups = _mutate(draw, mutation, options, groups)
+    argv = [command, *itertools.chain.from_iterable(groups)]
+    if mutation in ("--", "-h"):
+        argv.insert(draw(st.integers(0, len(argv))), mutation)
+    elif mutation == "command":
+        argv[0] = draw(st.sampled_from(["", "gap", "Gaps", "run_all", "--in"]))
+    return argv, mutation
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+def test_the_direct_reader_reads_what_argparse_reads_or_leaves_it_to_argparse(case):
+    argv, mutation = case
+    read = _read_argv(argv)
+    if mutation is None:
+        assert read is not None, argv
+    if read is not None:
+        assert vars(read) == _argparse_vars(argv), argv
+
+
+def test_the_direct_reader_leaves_an_empty_command_line_to_argparse():
+    assert _read_argv([]) is None
+    assert _argparse_vars([]) is None
+
+
+def _load_perfbench_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of each `coinbuzz` command in README's CLI quick tour, without its redirections."""
+    tour = (ROOT / "README.md").read_text(encoding="utf-8").split("## CLI quick tour", 1)[1].split("```")[1]
+    lines = tour.replace("\\\n", " ").splitlines()
+    return [shlex.split(re.split(" [<>] ", line)[0])[1:] for line in lines if line.startswith("coinbuzz ")]
+
+
+def test_the_direct_reader_takes_the_bench_command_lines_and_the_readme_examples(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first
+    run = _load_perfbench_run()
+    corpus = sys.modules["corpus"]
+    argvs = []
+    for exclude_outages in (False, True):
+        spec = dataclasses.replace(corpus.scaled(corpus.WORKLOADS["stage_chain"], 0), exclude_outages=exclude_outages)
+        truth = corpus.generate("stage_chain", 1, tmp_path / str(exclude_outages), spec)
+        argvs += [invocation.argv for invocation in run.chain_invocations(tmp_path / "out", truth)]
+    assert len(argvs) == 22 and ["--exclude-outages"] in [argv[-1:] for argv in argvs]
+    # How the bench and README run run-all; the tour shows every other subcommand once.
+    argvs.append(["run-all", "--config", str(tmp_path / "config.json")])
+    examples = _readme_examples()
+    assert sorted(argv[0] for argv in examples) == sorted(set(_COMMANDS) - {"run-all"})
+    for argv in argvs + examples:
+        read = _read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == _argparse_vars(argv), argv
+
+
 # --- the process exit --------------------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -707,6 +864,61 @@ def test_the_exit_gives_the_code_and_bytes_of_a_normal_exit(tmp_path, argv, code
     normal = _process([*NORMAL_EXIT, *argv], tmp_path)
     assert entry.returncode == code
     assert (entry.returncode, entry.stdout, entry.stderr) == (normal.returncode, normal.stdout, normal.stderr)
+
+
+def _coinbuzz_with(redirect: str, argv: list[str], cwd: Path, stdin: bytes = b"",
+                   stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m coinbuzz argv...` started with the shell `redirect` applied, such as `>&-`,
+    which closes descriptor 1."""
+    return subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, *COINBUZZ, *argv],
+                          input=stdin, stdout=subprocess.PIPE, stderr=stderr, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+
+
+@pytest.mark.parametrize(
+    "command, redirect",
+    [("report", ">&-"), ("correlate", ">&-"), ("sanitize", ">&-"), ("sanitize", "<&-")],
+)
+def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redirect):
+    argv = ["sanitize"] if command == "sanitize" else _stdout_commands(tmp_path, 1)[command]
+    before = sorted(tmp_path.iterdir())
+    proc = _coinbuzz_with(redirect, argv, tmp_path, stdin=b'{"text":"caf\\u00e9"}\n')
+    stream = "stdin" if redirect == "<&-" else "stdout"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"coinbuzz: error: {stream} is closed\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# Commands that print a line to stderr, with their exit codes: run-all prints one for each IRC
+# stream before it commits its files, and a usage error prints the usage too.
+STDERR_LINES = {
+    "parse-irc": (["parse-irc", "--channel", "#x", "--in", "chan.log", "--out", "messages.jsonl"], 0),
+    "gaps": (["gaps", "--in", "absent.csv", "--out", "series.csv"], 2),
+    "sanitize": (["sanitize", "--stats"], 0),
+    "run-all": (["run-all", "--config", "config.json"], 0),
+    "usage error": (["gaps", "--in", "absent.csv", "--bogus"], 64),
+}
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize("command", sorted(STDERR_LINES))
+def test_a_closed_or_failing_stderr_loses_only_its_line(tmp_path, command, stderr):
+    argv, code = STDERR_LINES[command]
+    runs = {}
+    for how in ("open", stderr):
+        cwd = tmp_path / how
+        cwd.mkdir()
+        (cwd / "chan.log").write_text(IRC_LOG, encoding="utf-8")
+        config_path, _ = _run_all_workspace(cwd)
+        config_path.write_text(config_path.read_text(encoding="utf-8").replace(str(cwd), "."), encoding="utf-8")
+        # Closed, Python sets sys.stderr to None; open only for reading, each write fails.
+        with open(os.devnull, "rb") as read_only:
+            proc = _coinbuzz_with("2>&-" if how == "closed" else "", argv, cwd, stdin=b'{"text":"caf\\u00e9"}\n',
+                                  stderr=read_only if how == "read-only" else subprocess.PIPE)
+        files = {path.relative_to(cwd): path.read_bytes() for path in sorted(cwd.rglob("*")) if path.is_file()}
+        runs[how] = proc.returncode, proc.stdout, files
+        if how == "open":
+            assert proc.returncode == code and proc.stderr.endswith(b"\n")
+    assert runs[stderr] == runs["open"]
 
 
 # --- every output appears whole or not at all -------------------------------

@@ -16,15 +16,22 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints the modules that `import coinbuzz.cli` and `main(argv)` load, one a line.
+# Prints the modules that `import coinbuzz.cli` and `main(argv)` load, one a line, and exits
+# with the code of the `SystemExit` that `main` raises (`--help`, a usage error), if any.
 _PROBE = """
 import sys
 before = set(sys.modules)
 from coinbuzz.cli import main
+code = 0
 if sys.argv[1:]:
-    main(sys.argv[1:])
-sys.stdout.flush()
+    sys.stdout = sys.stderr  # help text; stdout lists the modules alone
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout = sys.__stdout__
 print("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
 """
 
 # Costly standard-library modules: only a zone other than UTC may load `zoneinfo`,
@@ -32,13 +39,13 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 HEAVY = {"dataclasses", "statistics", "zoneinfo"}
 
 
-def _loaded(argv: list[str], cwd: Path) -> set[str]:
+def _loaded(argv: list[str], cwd: Path, code: int = 0) -> set[str]:
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         input="", capture_output=True, text=True, cwd=cwd, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    assert result.returncode == 0, result.stderr
+    assert result.returncode == code, result.stderr
     return set(result.stdout.split())
 
 
@@ -83,3 +90,31 @@ def test_parse_irc_in_utc_does_not_load_zoneinfo(tmp_path):
     assert (tmp_path / "out.jsonl").read_text(encoding="utf-8").count("\n") == 1
     assert "zoneinfo" not in loaded
     assert "zoneinfo" in _loaded([*argv[:-1], "Europe/London"], tmp_path)
+
+
+# What argparse loads: itself, and `gettext` and `locale` once it translates a string.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+# Well-formed command lines: each subcommand, then options of every kind (switch, float, int, choice, repeat).
+WELL_FORMED = [argv for argv, _ in STAGES_RUN] + [
+    ["sanitize", "--stats"],
+    ["gaps", "--theta", "0.2", "--in", "absent", "--k", "3", "--out", "out"],
+    ["report", "--in", "absent", "--format", "markdown", "--out", "out"],
+    ["correlate", "--series", "a=absent", "--series", "b=absent", "--price", "absent", "--volume", "absent",
+     "--exclude-outages", "--out", "out"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_a_well_formed_command_line_does_not_load_argparse(tmp_path, argv):
+    assert not _loaded(argv, tmp_path) & ARGPARSE
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["gaps", "--help"], 0), (["gaps"], 64), (["gaps", "--in", "x", "--bogus"], 64),
+     (["gaps", "--in=absent", "--out", "out"], 0)],
+    ids=["help", "subcommand-help", "missing-option", "unknown-option", "joined-value"],
+)
+def test_help_a_usage_error_and_another_form_load_argparse(tmp_path, argv, code):
+    assert "argparse" in _loaded(argv, tmp_path, code)
