@@ -10,8 +10,15 @@ gazetteer's lookups when one is given, handing out dense ids, tokens first, so
 identical inputs always yield identical ids.
 
 This is the per-document hot path, so spans are plain tuples: run_pipeline
-fills them straight from the tokenizer's matches, to_json formats them
-directly (byte-identical to json.dumps), and only queries build Annotations.
+takes them straight from the tokenizer, to_json formats them directly
+(byte-identical to json.dumps), and only queries build Annotations. No token
+holds whitespace, so the tokenizer splits the text on spaces and reads most
+pieces whole with str methods: an alphanumeric piece is one Token, and `#` or
+`@` before one a Hashtag or a Mention. Only the other pieces go through a
+regex, which finds no URL itself: each "://" is found once with `find`, and a
+match that starts with an ASCII letter in the run of scheme characters before
+it begins a URL. So tokenizing is linear in the text, where a URL pattern tried
+at every match start rescanned a run of scheme characters from each of them.
 to_json reads each id and offset from a table of the decimal strings "0" to
 "1023" when the document's numbers all lie in it, and formats them with str
 when they do not; it takes each span's type from a prebuilt JSON fragment,
@@ -27,7 +34,7 @@ import re
 from functools import lru_cache
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 TOKEN = "Token"
 HASHTAG = "Hashtag"
@@ -37,20 +44,19 @@ LOOKUP = "Lookup"
 
 TOKEN_TYPES = (TOKEN, HASHTAG, MENTION, URL)
 
-# One match per non-whitespace atom, tried in order: URLs before plain runs
-# so scheme letters are not eaten as a Token, then #/@ forms, then
-# alphanumeric runs, then any leftover character as one-char punctuation.
-_SCAN_RE = re.compile(
-    r"(?P<url>[A-Za-z][A-Za-z0-9+.-]*://\S*)"
-    r"|(?P<hashtag>\#[^\W_]+)"
-    r"|(?P<mention>@[^\W_]+)"
-    r"|(?P<token>[^\W_]+)"
-    r"|(?P<punct>\S)",
-    re.UNICODE,
-)
+# One match per non-whitespace atom of a piece that is not one token, tried in
+# order: #/@ forms, then alphanumeric runs (`[^\W_]+`, the characters
+# `str.isalnum` accepts), then any leftover character as one-char punctuation.
+# `_scan` finds the URLs among the matches.
+_ATOM_RE = re.compile(r"(\#[^\W_]+)|(@[^\W_]+)|([^\W_]+|\S)")
 
 # Annotation type by group number (match.lastindex), in the groups' order above.
-_INDEX_TYPE = (None, URL, HASHTAG, MENTION, TOKEN, TOKEN)
+_ATOM_TYPE = (None, HASHTAG, MENTION, TOKEN)
+
+# A URL is an ASCII letter, more scheme characters, "://" and the non-whitespace after it.
+_SCHEME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+.-"
+_SCHEME_FIRST = _SCHEME_CHARS[:52]
+_NON_SPACE_RUN = re.compile(r"\S*")
 
 # to_json output equals json.dumps(record, ensure_ascii=False,
 # separators=(",", ":")). Strings go through encode_basestring, the function
@@ -250,9 +256,8 @@ class Gazetteer:
             category = (major, minor)
             self.entries[surface] = categories.setdefault(category, category)
             tokens = 0
-            for match in _SCAN_RE.finditer(surface):
-                start, end = match.span()
-                if match.lastindex == 1:  # a URL
+            for type, start, end, _ in _tokenize(surface):
+                if type == URL:
                     tokens += end - start
                     for inside in range(start + 1, end):
                         self.prefixes.setdefault(surface[:inside], None)
@@ -346,18 +351,77 @@ def gazetteer_lookup(doc: Document, tokens: Sequence[Span], gazetteer: Gazetteer
     return lookups
 
 
+def _scheme_before(piece: str, lo: int) -> tuple[int, int]:
+    """`(start, colon)`: the first `://` of `piece` at or after `lo`, and the
+    start of the run of scheme characters that ends at it, not before `lo`;
+    `(len(piece), len(piece))` when there is none."""
+    colon = piece.find("://", lo)
+    if colon < 0:
+        return len(piece), len(piece)
+    return lo + len(piece[lo:colon].rstrip(_SCHEME_CHARS)), colon
+
+
+def _scan(piece: str, offset: int, append: Callable[[Span], object]) -> None:
+    """Append the spans of `piece`, which starts at `offset` of its text.
+
+    A match of `_ATOM_RE` that starts with an ASCII letter inside the scheme
+    run before the next `://` begins a URL, which runs to the next whitespace;
+    no other match can begin one. Each `://` is found once and its scheme run
+    is read once, so a piece costs time linear in its length."""
+    types = _ATOM_TYPE
+    scheme, colon = _scheme_before(piece, 0)
+    pos = 0
+    while pos < len(piece):
+        # A piece that holds a "://" most often starts with its URL, which needs no match.
+        if pos == scheme and piece[pos] in _SCHEME_FIRST:
+            start = pos
+        else:
+            for match in _ATOM_RE.finditer(piece, pos):
+                start = match.start()
+                if start >= scheme:
+                    if start >= colon:  # the ':' of a "://" that began no URL
+                        scheme, colon = _scheme_before(piece, colon + 3)
+                    elif piece[start] in _SCHEME_FIRST:
+                        break
+                append((types[match.lastindex], offset + start, offset + match.end(), None))
+            else:
+                return
+        pos = _NON_SPACE_RUN.match(piece, colon + 3).end()
+        append((URL, offset + start, offset + pos, None))
+        scheme, colon = _scheme_before(piece, pos)
+
+
+def _tokenize(text: str) -> list[Span]:
+    """The token spans of `text` (Token, Hashtag, Mention, URL), in text order.
+
+    No span holds whitespace, so the text is split on " " and each piece is
+    tokenized on its own: an alphanumeric piece is one Token, `#` or `@`
+    followed by one is a Hashtag or a Mention, and any other piece, which may
+    still hold other whitespace, goes through `_scan`."""
+    spans: list[Span] = []
+    append = spans.append
+    start = 0
+    for piece in text.split(" "):
+        end = start + len(piece)
+        if piece.isalnum():
+            append((TOKEN, start, end, None))
+        elif piece:
+            first = piece[0]
+            if first in "#@" and piece[1:].isalnum():
+                append((HASHTAG if first == "#" else MENTION, start, end, None))
+            else:
+                _scan(piece, start, append)
+        start = end + 1
+    return spans
+
+
 def run_pipeline(doc: Document, gazetteer: Gazetteer | None = None) -> AnnotatedDocument:
     """The document's tokens, then the gazetteer's lookups when one is given;
     ids are dense in that order, so fixed inputs always yield the same ids."""
-    # Regex spans lie inside the text by construction, so add()'s check is
+    # Token spans lie inside the text by construction, so add()'s check is
     # skipped; they are disjoint and in text order, as gazetteer_lookup wants.
-    index_type = _INDEX_TYPE
     adoc = AnnotatedDocument(doc)
-    spans = adoc._spans
-    spans.extend([
-        (index_type[match.lastindex], match.start(), match.end(), None)
-        for match in _SCAN_RE.finditer(doc.text)
-    ])
+    spans = adoc._spans = _tokenize(doc.text)
     if gazetteer is not None:
         spans.extend(gazetteer_lookup(doc, spans, gazetteer))
     return adoc

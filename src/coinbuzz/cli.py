@@ -468,6 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
             _stderr_line(f"{self.format_usage()}{self.prog}: error: {message}")
             sys.exit(64)
 
+        # argparse would print the help to stderr when stdout is None (closed): that is a fatal error, as for
+        # any command that writes to stdout.
+        def print_help(self, file: IO[str] | None = None) -> None:
+            super().print_help(file or _stdio("stdout"))
+
     # `--help` describes the commands with every paragraph of the module docstring but the last.
     parser = _Parser(prog="coinbuzz", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -517,9 +522,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
-    if args is None:
-        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     try:
+        if args is None:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         return args.func(args)
     except _FATAL as exc:
         _stderr_line(f"coinbuzz: error: {_error_text(exc)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from typing import Iterable, Mapping, Sequence
 
 import pytest
@@ -140,9 +141,14 @@ WORDS = (
     "\u0130stanbul", "istanbul", "i\u0307stanbul", "\u0130", "stra\u00dfe", "STRASSE",
     "\u00df", "\u1e9e", "caf\u00e9", "!", "\u2014", "up!", "a_b",
     "\u0391\u03a3", "\u03b1\u03c2", "\u03b1\u03c3", "\u03a3", "\u03c2", "\u03c3", "\u0391\u03a3.\u0392",
-    "\u039f\u0394\u039f\u03a3", ".", "\u0130\u03a3", "#", "",
+    "\u039f\u0394\u039f\u03a3", ".", "\u0130\u03a3", "#",
+    # Where a URL starts: at an ASCII letter of the scheme run before "://", and only at a match start.
+    "\u00e9-abc://x", "\u00e9abc://x", "_abc://x", "a.b_c://x", "x://y://z", "1a://x", "+a://x", "#a://x",
+    "@a://x", "a://", "ab:/c",
+    "",
 )
-SEPARATORS = (" ", "  ", "\t", "\n", "", " \u00a0")  # U+00A0 is whitespace to the tokenizer
+# U+00A0, U+3000, U+0085 and U+2028 are whitespace to the tokenizer, as are \x0b and \x1c.
+SEPARATORS = (" ", "  ", "\t", "\n", "", " \u00a0", "\u3000", "\x0b", "\x1c", "\x85", "\u2028")
 
 word = st.one_of(st.sampled_from(WORDS), st.text(max_size=4))
 
@@ -310,6 +316,30 @@ def test_an_entry_that_occurs_nowhere_in_a_text_changes_none_of_its_lookups(text
     doc = Document("d", text)
     annotated = run_pipeline(doc, Gazetteer.from_entries(entries)).to_json()
     assert run_pipeline(doc, Gazetteer.from_entries({**entries, extra: ("extra", "x")})).to_json() == annotated
+
+
+# Every character that `\s` matches, which ends a URL and separates tokens.
+WHITESPACE = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+# Texts drawn mostly from the characters that decide where a URL starts and ends: scheme
+# characters, "://" and its parts, characters next to a scheme that no scheme holds
+# (`_`, `#`, `@`, non-ASCII letters, the Kelvin sign that folds to "k") and whitespace.
+URL_ALPHABET = st.one_of(
+    st.sampled_from(tuple("aZk09+.-")),
+    st.sampled_from(("://", ":", "/", "_", "#", "@")),
+    st.sampled_from(("\u00e9", "\u212a", "\u0130", "\u00df", "\u0661")),
+    st.sampled_from(WHITESPACE),
+    st.characters(),
+)
+
+
+@settings(max_examples=1000)
+@given(st.lists(URL_ALPHABET, max_size=40).map("".join))
+@example("1a.b://x")  # a digit of the scheme run starts no URL
+@example("a\u3000b://x\tc://y")  # two URLs in one piece, each after whitespace other than " "
+def test_token_spans_match_the_reference_scan(text):
+    spans = [(type, start, end) for type, start, end, _ in run_pipeline(Document("d", text)).spans]
+    assert spans == list(_ref_token_spans(text))
 
 
 def test_cli_annotate_builds_no_annotation_object(tmp_path, monkeypatch):

@@ -875,12 +875,18 @@ def _coinbuzz_with(redirect: str, argv: list[str], cwd: Path, stdin: bytes = b""
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
 
 
+# argv of the commands that need no workspace. `--help` writes to stdout too: with stdout closed,
+# argparse would print the help to stderr and exit 0.
+PLAIN_ARGV = {"sanitize": ["sanitize"], "help": ["--help"], "gaps-help": ["gaps", "--help"]}
+
+
 @pytest.mark.parametrize(
     "command, redirect",
-    [("report", ">&-"), ("correlate", ">&-"), ("sanitize", ">&-"), ("sanitize", "<&-")],
+    [("report", ">&-"), ("correlate", ">&-"), ("sanitize", ">&-"), ("sanitize", "<&-"),
+     ("help", ">&-"), ("gaps-help", ">&-")],
 )
 def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redirect):
-    argv = ["sanitize"] if command == "sanitize" else _stdout_commands(tmp_path, 1)[command]
+    argv = PLAIN_ARGV.get(command) or _stdout_commands(tmp_path, 1)[command]
     before = sorted(tmp_path.iterdir())
     proc = _coinbuzz_with(redirect, argv, tmp_path, stdin=b'{"text":"caf\\u00e9"}\n')
     stream = "stdin" if redirect == "<&-" else "stdout"

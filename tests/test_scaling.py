@@ -20,6 +20,9 @@ near 16, and the bound is 8.
 - `run_pipeline(...).to_json()` reads the ids and offsets below 1,024 from a
   table and formats the rest with `str`; one document of n tokens, with n
   past the table, takes both.
+- The tokenizer finds each "://" once and reads the run of scheme
+  characters before it once, where a URL pattern tried at every match start
+  rescanned the rest of a run of scheme characters (O(n^2) in the run).
 """
 
 from __future__ import annotations
@@ -162,3 +165,23 @@ def test_annotate_grows_linearly_with_its_tokens():
 
     ratio = _growth(case, 5_000)
     assert ratio < GROWTH_BOUND, f"4x the tokens took {ratio:.1f}x the time"
+
+
+# Runs of URL scheme characters that no "://" follows, and runs that end at a character no scheme
+# holds before a "://", each one piece. A tokenizer that tries a URL at every match start rescans
+# the rest of the run from each of them: 4x the run took 13-14x the time.
+@pytest.mark.parametrize(
+    "text",
+    [lambda n: "a." * n, lambda n: "a." * n + "_b://x", lambda n: "a-" * n + "\u00e9://x"],
+    ids=["no-scheme", "underscore-before-scheme", "letter-before-scheme"],
+)
+def test_tokenizing_grows_linearly_with_a_run_of_scheme_characters(text):
+    # Building it tokenizes each surface, URLs among them.
+    gazetteer = Gazetteer({"a.a": ("x", "y"), "b://x": ("url", "x"), "a.b://x": ("url", "x")})
+
+    def case(n: int) -> Callable[[], object]:
+        doc = Document("d", text(n))
+        return lambda: run_pipeline(doc, gazetteer).to_json()
+
+    ratio = _growth(case, 5_000)
+    assert ratio < GROWTH_BOUND, f"4x the run took {ratio:.1f}x the time"
