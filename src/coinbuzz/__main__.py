@@ -17,8 +17,8 @@ def entry():
     leave with `os._exit` and `main`'s code.
 
     `os._exit` flushes no file and joins no thread. Every file a command
-    writes is closed by a `with`, `cli._output`'s for each output, before
-    `main` returns, and coinbuzz starts no thread. The handlers run before
+    writes is closed by a `with`, `cli._output`'s or `run_all._RunFiles`',
+    before `main` returns, and coinbuzz starts no thread. The handlers run before
     the flush, as in normal shutdown, so what they print is flushed too.
 
     A command that writes to stdout has flushed it, and `main` has reported

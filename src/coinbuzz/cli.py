@@ -120,9 +120,12 @@ def emit_plot_series(
 def _cmd_sanitize(args: SimpleNamespace) -> int:
     from coinbuzz.sanitize import sanitize_stream
 
-    src, dst = _stdio("stdin").buffer, _stdio("stdout").buffer
-    stats = sanitize_stream(src, dst)
-    dst.flush()
+    src = _stdio("stdin").buffer
+    # A block-buffered stream on stdout's descriptor, which stays open: one write(2) per block, where
+    # `sys.stdout.buffer` makes one per line when stdout is unbuffered (`python -u`, PYTHONUNBUFFERED).
+    with open(_stdio("stdout").buffer.fileno(), "wb", closefd=False) as dst:
+        stats = sanitize_stream(src, dst)
+        dst.flush()
     if args.stats:
         _print_stats("sanitize", stats)
     return 0
@@ -468,10 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
             _stderr_line(f"{self.format_usage()}{self.prog}: error: {message}")
             sys.exit(64)
 
-        # argparse would print the help to stderr when stdout is None (closed): that is a fatal error, as for
-        # any command that writes to stdout.
+        # The help goes to stdout and is flushed, and a closed stdout or a write that fails is a fatal error, as
+        # for any command that writes to stdout: argparse would print to stderr when stdout is None (closed), and
+        # would ignore the OSError of a write.
         def print_help(self, file: IO[str] | None = None) -> None:
-            super().print_help(file or _stdio("stdout"))
+            out = file or _stdio("stdout")
+            out.write(self.format_help())
+            out.flush()
 
     # `--help` describes the commands with every paragraph of the module docstring but the last.
     parser = _Parser(prog="coinbuzz", description=__doc__.rsplit("\n\n", 1)[0])

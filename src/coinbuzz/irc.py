@@ -29,10 +29,9 @@ NETWORK_SUBTYPES = frozenset(
     {"Join", "Topic", "Quit", "Mode", "Created", "Part", "Nick", "Notice"}
 )
 
-# Group 1 is the date text after the weekday, such as "Jan 1 2015", which `utc_time` reads.
-_STAMP = r"\[\w{3} (\w{3} \d{1,2} \d{4})\] \[(\d{2}):(\d{2}):(\d{2})\]"
-# Chat (groups 5-6: nick, text) is tried before network (groups 7-8: word, rest).
-_LINE_RE = re.compile(_STAMP + r" (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
+# Groups 1-2 are the date text after the weekday, such as "Jan 1 2015", and the time of day, which `utc_time`
+# reads. Chat (groups 3-4: nick, text) is tried before network (groups 5-6: word, rest).
+_LINE_RE = re.compile(r"\[\w{3} (\w{3} \d{1,2} \d{4})\] \[(\d{2}:\d{2}:\d{2})\] (?:<([^>]+)>\t(.*)|\*\*\* (\w+): (.*))$")
 
 
 class EventKind(Enum):
@@ -89,9 +88,9 @@ def parse_log_line(line: str, line_no: int = 0, tz: tzinfo = timezone.utc) -> Ir
         if not line.strip():
             return None
         raise UnparsableLine(line_no, "does not match chat or network grammar")
-    date_text, hh, mm, ss, nick, text, word, rest = match.groups()
+    date_text, hms, nick, text, word, rest = match.groups()
     try:
-        ts = utc_time(date_text, hh, mm, ss, tz)
+        ts = utc_time(date_text, hms, tz)
     # OverflowError: a local time outside datetime's range once converted to UTC.
     except (ValueError, OverflowError) as exc:
         raise UnparsableLine(line_no, str(exc)) from exc

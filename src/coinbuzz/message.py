@@ -8,15 +8,15 @@ schema is `{"stream_id": ..., "ts": "YYYY-MM-DDTHH:MM:SSZ", "author": ...,
 bounded cache (`_iso_day`), and the `HH:MM:SS` rest from a table of two-digit
 strings.
 
-Each stream writes its date and time in its own way, a tweet's `created_at`
-and an IRC stamp, and `utc_time` reads both: a wire date such as "Jan 1 2015"
-becomes its `YYYY-MM-DDT` prefix once per distinct text, in a small bounded
-cache (`_wire_day`), `datetime.fromisoformat` reads that prefix and the time
-as UTC, and in another zone the time's own offset there is taken off, so each
-DST fold and gap resolves per time; no offset is cached, as one date can have
-two. A time that `fromisoformat` rejects, such
-as one written in non-ASCII digits or at hour 24, is read field by field by
-`datetime`, which gives the value or the error it always gave.
+Both wire formats, a tweet's `created_at` and an IRC stamp, write a date such
+as "Jan 1 2015" and a time of day `HH:MM:SS`, and `utc_time` reads both: the
+date becomes its `YYYY-MM-DDT` prefix once per distinct text, in a small bounded
+cache (`_wire_day`), `datetime.fromisoformat` reads that prefix and the whole
+time as UTC, and in another zone the time's own offset there is taken off, so
+each DST fold and gap resolves per time; no offset is cached, as one date can
+have two. Only a time that `fromisoformat` rejects, such as one in non-ASCII
+digits or at hour 24, is split into fields, which `datetime` reads with the
+value or the error it always gave.
 
 Each per-record JSON line, a message or a tweet, is decoded by `loads_line`:
 json's C scanner, called directly, takes a line that is one JSON value with at
@@ -109,18 +109,19 @@ def _wire_day(date_text: str) -> str:
     return f"{year}-{month:02d}-{day:0>2}T"
 
 
-def utc_time(date_text: str, hh: str, mm: str, ss: str, tz: tzinfo) -> datetime:
-    """The UTC instant of the wall time `hh:mm:ss` on `date_text` ("Jan 1 2015") in `tz`.
+def utc_time(date_text: str, hms: str, tz: tzinfo) -> datetime:
+    """The UTC instant of the wall time `hms`, "HH:MM:SS" whole, on `date_text` ("Jan 1 2015") in `tz`.
 
     ValueError for an unknown month or a date or time that does not exist;
     OverflowError for a time outside datetime's range once converted to UTC.
     """
     prefix = _wire_day(date_text)
-    # fromisoformat reads ASCII digits only; what it rejects, `datetime` reads below, with the value or the
-    # error it always gave. The hour test keeps 24:00, which a later fromisoformat may accept, there too.
-    if hh < "24":
+    # fromisoformat reads ASCII digits only; what it rejects, split into fields, `datetime` reads below with the value
+    # or error it always gave. `hms < "24"` ("24:.." sorts after "24") keeps 24:00, which a later fromisoformat may
+    # accept, there too.
+    if hms < "24":
         try:
-            ts = datetime.fromisoformat(f"{prefix}{hh}:{mm}:{ss}+00:00")
+            ts = datetime.fromisoformat(f"{prefix}{hms}+00:00")
         except ValueError:
             pass
         else:
@@ -129,7 +130,7 @@ def utc_time(date_text: str, hh: str, mm: str, ss: str, tz: tzinfo) -> datetime:
             # more than the rest of the conversion on CPython 3.11.
             return ts if tz is timezone.utc else ts - tz.utcoffset(ts)
     mon, day, year = date_text.split(" ")  # the month is known: `_wire_day` raised otherwise
-    local = datetime(int(year), MONTH_BY_ABBREV[mon], int(day), int(hh), int(mm), int(ss), 0, tz)
+    local = datetime(int(year), MONTH_BY_ABBREV[mon], int(day), *map(int, hms.split(":")), 0, tz)
     return local.astimezone(timezone.utc)
 
 

@@ -44,7 +44,7 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # Group 1 is the month and day, such as "Jun 01", which with the year is the date text `utc_time` reads.
 _CREATED_AT_RE = re.compile(
-    r"^\w{3} (\w{3} \d{2}) (\d{2}):(\d{2}):(\d{2}) ([+-]\d{4}) (\d{4})$"
+    r"^\w{3} (\w{3} \d{2}) (\d{2}:\d{2}:\d{2}) ([+-]\d{4}) (\d{4})$"
 )
 
 
@@ -75,10 +75,10 @@ def parse_created_at(value: str) -> datetime:
     match = _CREATED_AT_RE.match(value)
     if not match:
         raise ValueError(f"bad created_at: {value!r}")
-    mon_day, hh, mm, ss, offset, year = match.groups()
+    mon_day, hms, offset, year = match.groups()
     if mon_day[:3] not in MONTH_BY_ABBREV:
         raise ValueError(f"bad created_at month: {value!r}")
-    return utc_time(f"{mon_day} {year}", hh, mm, ss, _utc_offset(offset))
+    return utc_time(f"{mon_day} {year}", hms, _utc_offset(offset))
 
 
 def parse_tweet(line: str) -> TweetRecord:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import io
 import itertools
@@ -829,6 +830,35 @@ def test_a_closed_stdout_is_one_fatal_error(tmp_path, command, unbuffered):
     assert (proc.returncode, proc.stderr.decode()) == (2, "coinbuzz: error: [Errno 32] Broken pipe\n")
 
 
+# `main(["sanitize"])` between two reads of the write(2) calls the process has made, which it prints to stderr.
+_COUNTED_SANITIZE = """if True:
+    import sys
+    from coinbuzz.cli import main
+    def writes():
+        with open("/proc/self/io") as io:
+            return next(int(line.split()[1]) for line in io if line.startswith("syscw:"))
+    before = writes()
+    code = main(["sanitize"])
+    print(code, writes() - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.access("/proc/self/io", os.R_OK), reason="needs /proc/self/io, which counts write(2) calls")
+def test_sanitize_writes_by_the_block_when_stdout_is_unbuffered(tmp_path):
+    capture = "".join(json.dumps({"id": i, "text": f"caf\u00e9 {i}"}) + "\n" for i in range(5000)).encode()
+    runs = {}
+    for unbuffered in (False, True):
+        with open(tmp_path / f"out-{unbuffered}", "wb") as out:
+            proc = _process(["-c", _COUNTED_SANITIZE], tmp_path, stdout=out, unbuffered=unbuffered, stdin=capture)
+        code, writes = map(int, proc.stderr.split())
+        runs[unbuffered] = code, writes, (tmp_path / f"out-{unbuffered}").read_bytes()
+    out = runs[True][2]
+    assert out == runs[False][2] and out.count(b"\n") == 5000 and len(out) == len(capture)
+    # The 5,000 lines come to about 190 KB, written by the block (the file's st_blksize, 4 KiB here, or more):
+    # one write a line would be 5,000 writes.
+    assert runs[True][0] == 0 and runs[True][1] <= len(out) // 1024
+
+
 # Exits 0, 1 and 2, of commands that write to stdout or stderr.
 EXITS = {
     0: ["report", "--in", "report.json"],
@@ -892,6 +922,18 @@ def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redir
     stream = "stdin" if redirect == "<&-" else "stdout"
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"coinbuzz: error: {stream} is closed\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, where every write fails")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["help", "gaps-help"])
+def test_help_to_a_stdout_that_fails_to_write_is_one_fatal_error(tmp_path, command, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" > /dev/full', sys.executable, *COINBUZZ, *PLAIN_ARGV[command]],
+                          stderr=subprocess.PIPE, cwd=tmp_path, env=dict(env, PYTHONPATH=str(SRC)), timeout=60)
+    assert (proc.returncode, proc.stderr.decode()) == (2, "coinbuzz: error: [Errno 28] No space left on device\n")
 
 
 # Commands that print a line to stderr, with their exit codes: run-all prints one for each IRC
@@ -1633,6 +1675,100 @@ def test_run_all_fatal_leaves_no_file_of_its_run(tmp_path, capsys, fault, rerun)
     assert main(["run-all", "--config", str(config_path)]) == 2
     assert "coinbuzz: error: " in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+class _Fault:
+    """Counts its calls and raises an OSError at the k-th."""
+
+    def __init__(self, k: int):
+        self.k, self.calls = k, 0
+
+    def __call__(self) -> None:
+        self.calls += 1
+        if self.calls == self.k:
+            raise OSError(errno.EIO, "injected fault")
+
+
+class _FaultyFile:
+    """A file opened for writing, whose every write calls `fault` first."""
+
+    def __init__(self, file, fault: _Fault):
+        self._file, self._fault = file, fault
+
+    def write(self, text: str) -> int:
+        self._fault()
+        return self._file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+    def __getattr__(self, name: str):
+        return getattr(self._file, name)
+
+
+def _inject(patch: pytest.MonkeyPatch, step: str, fault: _Fault) -> None:
+    """Call `fault` before each rename, or before each write to a file opened for writing."""
+    if step == "rename":
+        replace = os.replace
+        patch.setattr(os, "replace", lambda *args, **kwargs: fault() or replace(*args, **kwargs))
+    else:
+        real_open = open
+
+        def faulty_open(file, mode="r", *args, **kwargs):
+            opened = real_open(file, mode, *args, **kwargs)
+            return _FaultyFile(opened, fault) if "w" in mode else opened
+
+        patch.setattr("builtins.open", faulty_open)
+
+
+@pytest.mark.parametrize("step", ["rename", "write"])
+def test_run_all_commits_every_file_or_none_whichever_step_fails(tmp_path, capsys, monkeypatch, step):
+    # Two streams, plots and a gazetteer: every kind of file run-all writes.
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    assert main(["run-all", "--config", str(config_path)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    config = json.loads(config_path.read_text())
+    # Had it gone through, the rerun would have rewritten every file with other bytes and written one more plot.
+    config["window"] = {"start": "2015-06-02", "end": "2015-06-04"}
+    config["plots"].append({"series": "irc:#bitcoin", "metric": "price"})
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    mixed = []
+    for k in itertools.count(1):
+        fault = _Fault(k)
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            _inject(patch, step, fault)
+            code = main(["run-all", "--config", str(config_path)])
+        if fault.calls < k:  # the run took fewer steps than k and went through
+            break
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("coinbuzz: error: ")]
+        if (code, len(errors), {p.name: p.read_bytes() for p in out_dir.iterdir()}) != (2, 1, before):
+            mixed.append(k)
+    assert mixed == []
+    assert code == 0 and k > 8
+    after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(after) == sorted([*before, "plot_irc_bitcoin_price.csv"])
+    assert all(after[name] != before[name] for name in before)
+
+
+def test_run_all_onto_a_directory_is_fatal_and_leaves_the_earlier_files(tmp_path, capsys):
+    config_path, out_dir = _run_all_workspace(tmp_path)
+    assert main(["run-all", "--config", str(config_path)]) == 0
+    in_the_way = out_dir / "messages_irc_bitcoin.jsonl"
+    in_the_way.unlink()
+    (in_the_way / "kept").mkdir(parents=True)
+    before = sorted((p.relative_to(out_dir), p.is_dir() or p.read_bytes()) for p in out_dir.rglob("*"))
+    config = json.loads(config_path.read_text())
+    config["window"] = {"start": "2015-06-02", "end": "2015-06-04"}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.endswith("\ncoinbuzz: error: Is a directory: "
+                                            f"{f'{in_the_way}.partial'!r:.40} -> {str(in_the_way)!r:.40}\n")
+    assert sorted((p.relative_to(out_dir), p.is_dir() or p.read_bytes()) for p in out_dir.rglob("*")) == before
 
 
 def test_run_all_reports_a_malformed_market_csv_before_the_ingest(tmp_path, capsys):
