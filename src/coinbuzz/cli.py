@@ -9,8 +9,8 @@ it; an IRC log line ends at "\\n", "\\r\\n" or "\\r".
 
 Every output file appears whole or not at all: it is written as
 `<path>.partial`, which exists only while the file is being written, and
-renamed onto `<path>` when its command succeeds. After exit 2 no output of
-the command is left.
+renamed onto `<path>` when its command succeeds; run-all renames all of its
+files as one. After exit 2 no output of the command is left.
 
 Each subcommand's handler imports the stage modules it runs; at load time
 this module imports only the standard library and the package's defaults, so
@@ -25,8 +25,10 @@ print `--help`, to report a usage error or to read any other form, such as
 from __future__ import annotations
 
 import functools
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from datetime import date
 from pathlib import Path
 from types import SimpleNamespace
@@ -157,29 +159,88 @@ def _print_stats(label: str, stats: object) -> None:
     _stderr_line(f"{label}: {counters}")
 
 
-@contextmanager
-def _output(path: str | Path) -> Iterator[IO[str]]:
-    """A utf-8 text file, without newline translation, that appears at `path`
-    whole or not at all: the block writes `<path>.partial`, which is renamed
-    onto `path` when the block completes and removed when an exception leaves it.
-    """
-    partial = Path(f"{path}.partial")
+class _Outputs:
+    """Output files in one directory, each written as `<path>.partial` and renamed onto its path when
+    the `with` block completes, all as one; a subcommand's `--out` is a commit of one file. Each file
+    but the last first has an earlier file of its name moved aside into `.run-all-backup`, made only
+    when there is one: the last rename is the final step, so nothing after it needs undoing. If a step
+    fails, the renames made are undone, last first, and the error is re-raised: no file of the block
+    is left, and the earlier files are as they were."""
+
+    def __init__(self) -> None:
+        self._files = ExitStack()
+        self._paths: list[str | Path] = []
+
+    def create(self, path: str | Path) -> IO[str]:
+        """`<path>.partial`, open for writing: utf-8 text without newline translation."""
+        out = self._files.enter_context(open(Path(f"{path}.partial"), "w", encoding="utf-8", newline=""))
+        self._paths.append(path)
+        return out
+
+    def discard(self, path: str | Path, out: IO[str]) -> None:
+        """Drop the file `create(path)` gave as `out`."""
+        out.close()
+        self._paths.remove(path)
+        Path(f"{path}.partial").unlink()
+
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
+        committed = False
+        try:
+            self._files.close()
+            if exc_type is None:
+                self._commit()
+                committed = True
+        finally:
+            if not committed:
+                for path in self._paths:
+                    Path(f"{path}.partial").unlink(missing_ok=True)
+
+    def _commit(self) -> None:
+        aside: list[Path] = []  # the earlier files, in `.run-all-backup`, which is made for the first
+        moves: list[tuple[str | Path, str | Path]] = []  # (source, destination) of each rename made, in order
+        try:
+            for n, path in enumerate(self._paths, 1):
+                backup, partial = Path(path).parent / ".run-all-backup", Path(f"{path}.partial")
+                if n < len(self._paths) and _exists_as_file(path):
+                    if not aside:
+                        backup.mkdir()
+                    aside.append(backup / Path(path).name)
+                    os.replace(path, aside[-1])
+                    moves.append((path, aside[-1]))
+                os.replace(partial, path)
+                moves.append((partial, path))
+        except BaseException:
+            for source, destination in reversed(moves):
+                os.replace(destination, source)
+            if aside:
+                aside[0].parent.rmdir()
+            raise
+        for path in aside:
+            path.unlink()
+        if aside:
+            aside[0].parent.rmdir()
+
+
+def _exists_as_file(path: str | Path) -> bool:
+    """Whether something other than a directory is at `path`, a symlink as itself. A directory
+    is not moved aside, so the rename onto it fails and the error names it."""
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as out:
-            yield out
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+        return not stat.S_ISDIR(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        return False
 
 
 @contextmanager
-def _output_or_stdout(path: str) -> Iterator[IO[str]]:
-    """`_output(path)`, or stdout when `path` is empty, flushed when the block
-    completes: writing to a closed pipe fails there if not before."""
+def _output(path: str) -> Iterator[IO[str]]:
+    """A file that `_Outputs` commits alone at `path`, or stdout when `path` is
+    empty, flushed when the block completes: writing to a closed pipe fails
+    there if not before."""
     if path:
-        with _output(path) as out:
-            yield out
+        with _Outputs() as files:
+            yield files.create(path)
     else:
         out = _stdio("stdout")
         yield out
@@ -307,7 +368,7 @@ def _cmd_correlate(args: SimpleNamespace) -> int:
     report = stats_mod.correlation_report(
         daily, price, volume, exclude_outages=args.exclude_outages
     )
-    with _output_or_stdout(args.outfile) as out:
+    with _output(args.outfile) as out:
         out.write(stats_mod.report_to_json(report) + "\n")
     return 1 if any(row.has_error for row in report.rows) else 0
 
@@ -317,7 +378,7 @@ def _cmd_report(args: SimpleNamespace) -> int:
 
     with open(args.infile, "r", encoding="utf-8") as src:
         report = stats_mod.report_from_json(src)
-    with _output_or_stdout(args.outfile) as out:
+    with _output(args.outfile) as out:
         out.write(render_table(report, args.format))
     return 0
 

@@ -5,7 +5,7 @@ or a value that a stage would reject only after writing, is fatal (exit 2)
 before `out_dir` is made. Into `out_dir` go, per stream, `messages_<slug>.jsonl`
 and `series_<slug>.csv`, then `report.json`, `report.tsv` (or `.md`), a
 `plot_<slug>_<metric>.csv` per plot and, with a gazetteer, `annotated.jsonl`,
-each as its subcommand writes it. `_RunFiles` moves all of them into place on
+each as its subcommand writes it. One `cli._Outputs` commits all of them on
 exit 0 or 1; after exit 2 none is left, and the files of an earlier run stay
 as they were.
 
@@ -17,17 +17,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import os
 import re
-import stat
 import sys
-from contextlib import ExitStack
 from datetime import date
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
 from coinbuzz import irc, message, sanitize, series, stats, twitter
-from coinbuzz.cli import _CONFIG_KEYS, _annotator, _capture_lines, _log_lines, _print_stats, _stderr_line
+from coinbuzz.cli import _CONFIG_KEYS, _annotator, _capture_lines, _log_lines, _Outputs, _print_stats, _stderr_line
 from coinbuzz.cli import check_stream_id, emit_plot_series, render_table
 
 
@@ -117,84 +114,6 @@ def _load_config(path: Path) -> dict:
     return config
 
 
-class _RunFiles:
-    """The files of one run in `out_dir`, each written as `<name>.partial`.
-
-    When the `with` block completes, every file is moved into place as one: each
-    earlier file of its name is first moved aside into `.run-all-backup`, made
-    only when such a file exists. If a step fails, the moves made are undone,
-    last first, and the error is re-raised. After an exception no file of the
-    run is left, and the earlier files are as they were.
-    """
-
-    def __init__(self, out_dir: Path) -> None:
-        self._dir = out_dir
-        self._files = ExitStack()
-        self._names: list[str] = []
-
-    def create(self, name: str) -> IO[str]:
-        """`<name>.partial`, open for writing: utf-8 text without newline translation."""
-        out = self._files.enter_context(open(self._dir / f"{name}.partial", "w", encoding="utf-8", newline=""))
-        self._names.append(name)
-        return out
-
-    def discard(self, name: str, out: IO[str]) -> None:
-        """Drop the file `create(name)` gave as `out`."""
-        out.close()
-        self._names.remove(name)
-        (self._dir / f"{name}.partial").unlink()
-
-    def __enter__(self) -> _RunFiles:
-        return self
-
-    def __exit__(self, exc_type: type[BaseException] | None, *_: object) -> None:
-        committed = False
-        try:
-            self._files.close()
-            if exc_type is None:
-                self._commit()
-                committed = True
-        finally:
-            if not committed:
-                for name in self._names:
-                    (self._dir / f"{name}.partial").unlink(missing_ok=True)
-
-    def _commit(self) -> None:
-        backup = self._dir / ".run-all-backup"
-        aside: list[Path] = []  # the earlier files, in `backup`, which is made for the first
-        moves: list[tuple[Path, Path]] = []  # (source, destination) of each rename made, in order
-        try:
-            for name in self._names:
-                target, partial = self._dir / name, self._dir / f"{name}.partial"
-                if _exists_as_file(target):
-                    if not aside:
-                        backup.mkdir()
-                    aside.append(backup / name)
-                    os.replace(target, aside[-1])
-                    moves.append((target, aside[-1]))
-                os.replace(partial, target)
-                moves.append((partial, target))
-        except BaseException:
-            for source, destination in reversed(moves):
-                os.replace(destination, source)
-            if aside:
-                backup.rmdir()
-            raise
-        for path in aside:
-            path.unlink()
-        if aside:
-            backup.rmdir()
-
-
-def _exists_as_file(path: Path) -> bool:
-    """Whether something other than a directory is at `path`, a symlink as itself. A directory
-    is not moved aside: the rename onto it fails, with the error it gave before there was a backup."""
-    try:
-        return not stat.S_ISDIR(path.lstat().st_mode)
-    except FileNotFoundError:
-        return False
-
-
 def run(config_path: str) -> int:
     """The exit code of the run that the config at `config_path` describes."""
     config = _load_config(Path(config_path))
@@ -232,13 +151,13 @@ def run(config_path: str) -> int:
         if annotated_out is not None:
             annotated_out.write(annotated_line(msg, next(line_nos)))
 
-    with _RunFiles(out_dir) as files:
+    with _Outputs() as files:
         if config["gazetteer"]:
             annotated_line = _annotator(config["gazetteer"])
-            annotated_out = files.create("annotated.jsonl")
+            annotated_out = files.create(out_dir / "annotated.jsonl")
         for stream_id, lines, ingest in sources:
             if stream_id not in sinks:
-                out = files.create(f"messages_{_slug(stream_id)}.jsonl")
+                out = files.create(out_dir / f"messages_{_slug(stream_id)}.jsonl")
                 counters[stream_id] = series.DailyCounter()
                 sinks[stream_id] = functools.partial(handle, out, counters[stream_id], itertools.count(1))
             ingest_stats = ingest(lines, sinks[stream_id])
@@ -249,25 +168,25 @@ def run(config_path: str) -> int:
         by_id: dict[str, series.DailySeries] = {}
         for stream_id in sorted(counters):
             by_id[stream_id] = series.detect_gaps(counters[stream_id].build(stream_id), config["theta"], config["k"])
-            series.write_daily_csv(by_id[stream_id], files.create(f"series_{_slug(stream_id)}.csv"))
+            series.write_daily_csv(by_id[stream_id], files.create(out_dir / f"series_{_slug(stream_id)}.csv"))
 
         report = stats.correlation_report(list(by_id.values()), price, volume, config["exclude_outages"])
-        files.create("report.json").write(stats.report_to_json(report) + "\n")
+        files.create(out_dir / "report.json").write(stats.report_to_json(report) + "\n")
         suffix = "md" if config["format"] == "markdown" else "tsv"
-        files.create(f"report.{suffix}").write(render_table(report, config["format"]))
+        files.create(out_dir / f"report.{suffix}").write(render_table(report, config["format"]))
         partial = partial or any(row.has_error for row in report.rows)
 
         for plot in config["plots"]:
             stream_id = plot["series"]
             metric = plot["metric"]
             market = volume if metric == "volume" else price
-            plot_name = f"plot_{_slug(stream_id)}_{metric}.csv"
-            plot_out = files.create(plot_name)
+            plot_path = out_dir / f"plot_{_slug(stream_id)}_{metric}.csv"
+            plot_out = files.create(plot_path)
             try:
                 emit_plot_series(by_id[stream_id], market, plot_out)
             except series.EmptyOverlap as exc:
                 # A plot without overlap is dropped alone; the others commit with the run.
-                files.discard(plot_name, plot_out)
+                files.discard(plot_path, plot_out)
                 _stderr_line(f"run-all: plot {stream_id}/{metric}: {exc}")
                 partial = True
 

@@ -12,7 +12,8 @@ outage the next day.
 
 A market CSV (`date,value`) and a daily series CSV (`date,count,flag`) share
 one reader: the exact header, one row per ISO date, blank rows skipped, values
-non-negative. A market series is a plain date -> value map.
+non-negative and written in ASCII without `_`. A market series is a plain
+date -> value map.
 """
 
 from __future__ import annotations
@@ -173,6 +174,14 @@ def _dated_rows(source: str | Path | IO[str], header: tuple[str, ...]) -> Iterat
             source.close()
 
 
+def _number(kind: type, cell: str) -> float:
+    """`kind(cell)`, but ValueError for an underscore or a non-ASCII character other than surrounding
+    whitespace, which `int` and `float` would read as a digit separator or a digit (`1_0`, `\u0663`)."""
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(cell)
+    return kind(cell)
+
+
 def _non_negative(day: date, value: float) -> float:
     if value < 0:
         raise ValueError(f"negative value {value!r:.40} on {day.isoformat()}")
@@ -184,7 +193,7 @@ def load_market_csv(source: str | Path | IO[str]) -> dict[date, float]:
     values: dict[date, float] = {}
     for line_no, day, (cell,) in _dated_rows(source, ("date", "value")):
         try:
-            value = float(cell)
+            value = _number(float, cell)
         except ValueError:
             raise ValueError(f"row {line_no}: bad value {cell!r:.40}") from None
         if not math.isfinite(value):
@@ -233,7 +242,7 @@ def read_daily_csv(source: str | Path | IO[str], stream_id: str = "") -> DailySe
     flags: dict[date, Flag] = {}
     for line_no, day, (count, flag) in _dated_rows(source, _DAILY_HEADER):
         try:
-            value, flags[day] = int(count), Flag(flag.strip())
+            value, flags[day] = _number(int, count), Flag(flag.strip())
         except ValueError:
             raise ValueError(f"row {line_no}: bad count or flag {[count, flag]!r:.40}") from None
         counts[day] = _non_negative(day, value)

@@ -773,15 +773,20 @@ ENTRY = "from coinbuzz.__main__ import entry; entry()"
 NORMAL_EXIT = ["-c", "import sys; from coinbuzz.cli import main; sys.exit(main())"]
 
 
-def _process(args: list[str], cwd: Path, stdout=subprocess.PIPE, unbuffered: bool = False,
-             stdin: bytes = b"") -> subprocess.CompletedProcess:
-    """`python args...` with coinbuzz from src/, its stdout block-buffered unless `unbuffered`."""
+def _env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a child python with coinbuzz from src/, its stdout block-buffered unless `unbuffered`."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _process(args: list[str], cwd: Path, stdout=subprocess.PIPE, unbuffered: bool = False,
+             stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """`python args...` with coinbuzz from src/, its stdout block-buffered unless `unbuffered`."""
     return subprocess.run([sys.executable, *args], input=stdin, stdout=stdout,
-                          stderr=subprocess.PIPE, cwd=cwd, env=env, timeout=60)
+                          stderr=subprocess.PIPE, cwd=cwd, env=_env(unbuffered), timeout=60)
 
 
 def _stdout_commands(tmp_path: Path, streams: int) -> dict[str, list[str]]:
@@ -897,12 +902,18 @@ def test_the_exit_gives_the_code_and_bytes_of_a_normal_exit(tmp_path, argv, code
 
 
 def _coinbuzz_with(redirect: str, argv: list[str], cwd: Path, stdin: bytes = b"",
-                   stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
+                   stderr=subprocess.PIPE, unbuffered: bool = False) -> subprocess.CompletedProcess:
     """`python -m coinbuzz argv...` started with the shell `redirect` applied, such as `>&-`,
-    which closes descriptor 1."""
+    which closes descriptor 1; its stdout is block-buffered unless `unbuffered`."""
     return subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable, *COINBUZZ, *argv],
                           input=stdin, stdout=subprocess.PIPE, stderr=stderr, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+                          env=_env(unbuffered), timeout=60)
+
+
+def _with_buffering(cases: list[tuple]) -> list:
+    """Each case once with stdout block-buffered, under the case's own id, and once unbuffered."""
+    return [pytest.param(*case, unbuffered, id="-".join(case) + "-unbuffered" * unbuffered)
+            for case in cases for unbuffered in (False, True)]
 
 
 # argv of the commands that need no workspace. `--help` writes to stdout too: with stdout closed,
@@ -911,14 +922,14 @@ PLAIN_ARGV = {"sanitize": ["sanitize"], "help": ["--help"], "gaps-help": ["gaps"
 
 
 @pytest.mark.parametrize(
-    "command, redirect",
-    [("report", ">&-"), ("correlate", ">&-"), ("sanitize", ">&-"), ("sanitize", "<&-"),
-     ("help", ">&-"), ("gaps-help", ">&-")],
+    "command, redirect, unbuffered",
+    _with_buffering([("report", ">&-"), ("correlate", ">&-"), ("sanitize", ">&-"), ("sanitize", "<&-"),
+                     ("help", ">&-"), ("gaps-help", ">&-")]),
 )
-def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redirect):
+def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redirect, unbuffered):
     argv = PLAIN_ARGV.get(command) or _stdout_commands(tmp_path, 1)[command]
     before = sorted(tmp_path.iterdir())
-    proc = _coinbuzz_with(redirect, argv, tmp_path, stdin=b'{"text":"caf\\u00e9"}\n')
+    proc = _coinbuzz_with(redirect, argv, tmp_path, stdin=b'{"text":"caf\\u00e9"}\n', unbuffered=unbuffered)
     stream = "stdin" if redirect == "<&-" else "stdout"
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"coinbuzz: error: {stream} is closed\n")
     assert sorted(tmp_path.iterdir()) == before
@@ -928,11 +939,7 @@ def test_a_stream_closed_at_start_up_is_one_fatal_error(tmp_path, command, redir
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["help", "gaps-help"])
 def test_help_to_a_stdout_that_fails_to_write_is_one_fatal_error(tmp_path, command, unbuffered):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" > /dev/full', sys.executable, *COINBUZZ, *PLAIN_ARGV[command]],
-                          stderr=subprocess.PIPE, cwd=tmp_path, env=dict(env, PYTHONPATH=str(SRC)), timeout=60)
+    proc = _coinbuzz_with("> /dev/full", PLAIN_ARGV[command], tmp_path, unbuffered=unbuffered)
     assert (proc.returncode, proc.stderr.decode()) == (2, "coinbuzz: error: [Errno 28] No space left on device\n")
 
 
@@ -947,9 +954,11 @@ STDERR_LINES = {
 }
 
 
-@pytest.mark.parametrize("stderr", ["closed", "read-only"])
-@pytest.mark.parametrize("command", sorted(STDERR_LINES))
-def test_a_closed_or_failing_stderr_loses_only_its_line(tmp_path, command, stderr):
+@pytest.mark.parametrize(
+    "command, stderr, unbuffered",
+    _with_buffering([(command, stderr) for command in sorted(STDERR_LINES) for stderr in ("closed", "read-only")]),
+)
+def test_a_closed_or_failing_stderr_loses_only_its_line(tmp_path, command, stderr, unbuffered):
     argv, code = STDERR_LINES[command]
     runs = {}
     for how in ("open", stderr):
@@ -961,7 +970,7 @@ def test_a_closed_or_failing_stderr_loses_only_its_line(tmp_path, command, stder
         # Closed, Python sets sys.stderr to None; open only for reading, each write fails.
         with open(os.devnull, "rb") as read_only:
             proc = _coinbuzz_with("2>&-" if how == "closed" else "", argv, cwd, stdin=b'{"text":"caf\\u00e9"}\n',
-                                  stderr=read_only if how == "read-only" else subprocess.PIPE)
+                                  stderr=read_only if how == "read-only" else subprocess.PIPE, unbuffered=unbuffered)
         files = {path.relative_to(cwd): path.read_bytes() for path in sorted(cwd.rglob("*")) if path.is_file()}
         runs[how] = proc.returncode, proc.stdout, files
         if how == "open":
@@ -1065,6 +1074,10 @@ REPORT_ROW = {
         pytest.param(
             ["gaps", "--in", "daily.csv"], {"daily.csv": SERIES_CSV + "2015-06-06,-5,ok\n"},
             "negative value -5 on 2015-06-06", id="gaps.negative-count",
+        ),
+        pytest.param(
+            ["gaps", "--in", "daily.csv"], {"daily.csv": SERIES_CSV + "2015-06-06,1_0,ok\n"},
+            "row 7: bad count or flag ['1_0', 'ok']", id="gaps.underscore-count",
         ),
         pytest.param(
             ["correlate", "--series", "s=series.csv", "--price", "price.csv", "--volume", "volume.csv"],
@@ -1769,6 +1782,67 @@ def test_run_all_onto_a_directory_is_fatal_and_leaves_the_earlier_files(tmp_path
     assert capsys.readouterr().err.endswith("\ncoinbuzz: error: Is a directory: "
                                             f"{f'{in_the_way}.partial'!r:.40} -> {str(in_the_way)!r:.40}\n")
     assert sorted((p.relative_to(out_dir), p.is_dir() or p.read_bytes()) for p in out_dir.rglob("*")) == before
+
+
+# Each subcommand that writes an --out file, with inputs it succeeds on.
+FIVE_DAY_MARKET = "date,value\n" + "".join(f"2015-06-0{d},{d}\n" for d in range(1, 6))
+OUT_CASES = {
+    "parse-irc": (["parse-irc", "--channel", "#x", "--in", "chan.log"], {"chan.log": IRC_LOG}),
+    "ingest-tweets": (["ingest-tweets", "--in", "cap.jsonl"], {"cap.jsonl": _tweet_line(1, "bitcoin up") + "\n"}),
+    "annotate": (["annotate", "--gazetteer", "gaz.tsv", "--in", "msgs.jsonl"],
+                 {"msgs.jsonl": MESSAGE, "gaz.tsv": GAZETTEER}),
+    "aggregate": (["aggregate", "--in", "msgs.jsonl"], {"msgs.jsonl": MESSAGE}),
+    "gaps": (["gaps", "--in", "daily.csv"], {"daily.csv": SERIES_CSV}),
+    "correlate": (["correlate", "--series", "s=daily.csv", "--price", "market.csv", "--volume", "market.csv"],
+                  {"daily.csv": SERIES_CSV, "market.csv": FIVE_DAY_MARKET}),
+    "report": (["report", "--in", "report.json"], {"report.json": json.dumps({"rows": [REPORT_ROW]})}),
+    "plot-series": (["plot-series", "--series", "daily.csv", "--market", "market.csv"],
+                    {"daily.csv": SERIES_CSV, "market.csv": FIVE_DAY_MARKET}),
+}
+
+
+def _out_workspace(tmp_path: Path, command: str) -> tuple[list[str], bytes]:
+    """The argv of `command` without --out, in `tmp_path` with its inputs and an earlier
+    `out.txt`, and the bytes that it writes to a fresh --out file, which is removed."""
+    argv, inputs = OUT_CASES[command]
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main([*argv, "--out", str(tmp_path / "fresh.txt")]) == 0
+    fresh = (tmp_path / "fresh.txt").read_bytes()
+    (tmp_path / "fresh.txt").unlink()
+    (tmp_path / "out.txt").write_text("earlier\n", encoding="utf-8")
+    return argv, fresh
+
+
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+def test_a_subcommand_commits_its_out_file_with_one_rename(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv, fresh = _out_workspace(tmp_path, command)
+    # The backup directory that a killed run-all leaves: moving the earlier file aside would fail on it.
+    (tmp_path / ".run-all-backup").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    renames = _Fault(0)  # counts, never raises
+    with monkeypatch.context() as patch:
+        _inject(patch, "rename", renames)
+        assert main([*argv, "--out", "out.txt"]) == 0
+    assert renames.calls == 1
+    assert (tmp_path / "out.txt").read_bytes() == fresh
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / ".run-all-backup").iterdir()) == []
+
+
+@pytest.mark.parametrize("step", ["rename", "write"])
+@pytest.mark.parametrize("command", sorted(OUT_CASES))
+def test_a_subcommand_whose_commit_fails_leaves_the_earlier_file(tmp_path, capsys, monkeypatch, command, step):
+    monkeypatch.chdir(tmp_path)
+    argv, _ = _out_workspace(tmp_path, command)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        _inject(patch, step, _Fault(1))
+        assert main([*argv, "--out", "out.txt"]) == 2
+    assert capsys.readouterr().err.endswith("coinbuzz: error: [Errno 5] injected fault\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_run_all_reports_a_malformed_market_csv_before_the_ingest(tmp_path, capsys):

@@ -8,11 +8,13 @@ of a float or of C sizes, deep JSON nesting and dates at the edges of
 structure: decoded, one field set to a value of another type, re-encoded.
 Whatever the input, the exit code is 0, 1 or 2, no exception leaves `main`,
 no `.partial` file is left, exit 2 leaves no output file, and every
-`coinbuzz: error:` line is short.
+`coinbuzz: error:` line is short. A bad line of a capture or a log, outside
+strict mode, exits 0 or 1 and leaves every output file written.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -93,14 +95,13 @@ TOKENS = [
     b"[Fri Dec 31 9999]", b"[99:99:99]", b"\xe2\x80\xa6",
 ]
 
-# (which input, what, where, how many bytes, token); positions wrap at the file's length.
-mutations = st.lists(
-    st.tuples(
-        st.integers(0, 5), st.sampled_from(["truncate", "delete", "insert", "replace"]),
-        st.integers(0, 2**16), st.integers(1, 64), st.sampled_from(TOKENS),
-    ),
-    min_size=1, max_size=4,
+# (what, where, how many bytes, token); positions wrap at the file's length.
+one_edit = st.tuples(
+    st.sampled_from(["truncate", "delete", "insert", "replace"]), st.integers(0, 2**16), st.integers(1, 64),
+    st.sampled_from(TOKENS),
 )
+# (which input, edit) pairs.
+mutations = st.lists(st.tuples(st.integers(0, 5), one_edit), min_size=1, max_size=4)
 
 
 def _mutate(data: bytes, op: str, at: int, length: int, token: bytes) -> bytes:
@@ -121,7 +122,7 @@ def test_no_input_yields_a_traceback(name, edits):
     inputs, _ = CASES[name]
     files = {file: text.encode("utf-8") for file, text in inputs.items()}
     names = list(files)
-    for which, *edit in edits:
+    for which, edit in edits:
         file = names[which % len(names)]
         files[file] = _mutate(files[file], *edit)
     _assert_no_traceback(name, files)
@@ -166,9 +167,38 @@ def test_no_json_structure_yields_a_traceback(name, file, path):
         _assert_no_traceback(name, files)
 
 
-def _assert_no_traceback(name: str, files: dict[str, bytes]) -> None:
-    """Run case `name` on `files`: exit 0, 1 or 2, no exception, no `.partial` file, no output
-    file after exit 2 and short error lines."""
+# The skip rule: outside strict mode a bad line of a capture or a log is skipped, never fatal. One line
+# of an input is edited as above; the command exits 0 or 1 and writes every file it writes unedited.
+SKIP_CASES = [
+    ("ingest-tweets", "cap.jsonl"), ("parse-irc", "chan.log"), ("run-all", "cap.jsonl"), ("run-all", "chan.log"),
+]
+
+
+@functools.cache
+def _unedited_files(name: str) -> list[str]:
+    """The files that case `name` leaves on its unedited inputs, which it exits 0 on."""
+    code, left, _ = _run(name, {file: text.encode("utf-8") for file, text in CASES[name][0].items()})
+    assert code == 0
+    return left
+
+
+@pytest.mark.parametrize("name, file", SKIP_CASES, ids=[f"{name}-{file}" for name, file in SKIP_CASES])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(line=st.integers(0, 6), edit=one_edit)
+def test_a_bad_line_outside_strict_mode_is_skipped_not_fatal(name, file, line, edit):
+    files = {path: text.encode("utf-8") for path, text in CASES[name][0].items()}
+    lines = files[file].split(b"\n")  # the last is the empty rest after the final newline
+    line %= len(lines) - 1
+    lines[line] = _mutate(lines[line], *edit)
+    files[file] = b"\n".join(lines)
+    code, left, err = _run(name, files)
+    assert code in (0, 1), err
+    assert left == _unedited_files(name)
+
+
+def _run(name: str, files: dict[str, bytes]) -> tuple[int, list[str], str]:
+    """Run case `name` on `files` in a temporary directory: its exit code, the files it
+    leaves there and its stderr."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp).resolve()
@@ -183,10 +213,17 @@ def _assert_no_traceback(name: str, files: dict[str, bytes]) -> None:
         finally:
             os.chdir(cwd)
         left = sorted(str(path.relative_to(d)) for path in d.rglob("*") if path.is_file())
+    return code, left, err.getvalue()
+
+
+def _assert_no_traceback(name: str, files: dict[str, bytes]) -> None:
+    """Run case `name` on `files`: exit 0, 1 or 2, no exception, no `.partial` file, no output
+    file after exit 2 and short error lines."""
+    code, left, err = _run(name, files)
     assert code in (0, 1, 2)
     assert not [path for path in left if path.endswith(".partial")]
     if code == 2:
         assert left == sorted(files), "exit 2 left an output file"
-    for line in err.getvalue().splitlines():
+    for line in err.splitlines():
         if line.startswith("coinbuzz: error:"):
             assert len(line) < 200, line

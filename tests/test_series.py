@@ -158,6 +158,7 @@ def test_load_market_csv_two_rows():
 
 # Each dated-CSV fault is a ValueError, told apart by the start of its message.
 MALFORMED_ROW, DUPLICATE_DATE, NEGATIVE_VALUE = r"^row \d+: ", "^duplicate date ", "^negative value "
+BAD_VALUE, BAD_COUNT = "^row 2: bad value ", "^row 2: bad count or flag "
 
 
 def test_load_market_csv_rejects_duplicate_date():
@@ -183,6 +184,10 @@ MARKET_FAULTS = [
     ("", MALFORMED_ROW),
     ("date,value\n2015-06-01,1\n\n2015-06-01,2\n", DUPLICATE_DATE),
     ("date,value\n2015-06-01,1\n2015-06-02,-0.5\n", NEGATIVE_VALUE),
+    # `float` reads an underscore as a digit separator and any Unicode digit as a digit.
+    ("date,value\n2015-06-01,1_000.5\n", BAD_VALUE),
+    ("date,value\n2015-06-01,\u0663\n", BAD_VALUE),
+    ("date,value\n2015-06-01,1.\uff15\n", BAD_VALUE),
 ]
 DAILY_FAULTS = [
     ("wrong,header,row\n2015-06-01,1,ok\n", MALFORMED_ROW),
@@ -193,6 +198,10 @@ DAILY_FAULTS = [
     ("", MALFORMED_ROW),
     ("date,count,flag\n2015-06-01,1,ok\n\n2015-06-01,2,ok\n", DUPLICATE_DATE),
     ("date,count,flag\n2015-06-01,1,ok\n2015-06-02,-5,ok\n", NEGATIVE_VALUE),
+    # `int` reads them alike.
+    ("date,count,flag\n2015-06-01,1_0,ok\n", BAD_COUNT),
+    ("date,count,flag\n2015-06-01,\u0663,ok\n", BAD_COUNT),
+    ("date,count,flag\n2015-06-01, \u0661\u0660 ,ok\n", BAD_COUNT),
 ]
 
 
@@ -204,6 +213,12 @@ DAILY_FAULTS = [
 def test_load_market_csv_rejects_malformed_rows(read, payload, error):
     with pytest.raises(ValueError, match=error):
         read(io.StringIO(payload))
+
+
+def test_dated_csv_values_may_have_surrounding_whitespace():
+    assert load_market_csv(io.StringIO("date,value\n2015-06-01, 1000.5\t\n")) == {date(2015, 6, 1): 1000.5}
+    daily = read_daily_csv(io.StringIO("date,count,flag\n 2015-06-01 ,\xa010\xa0, ok\n"))
+    assert (daily.counts, daily.flags) == ({date(2015, 6, 1): 10}, {date(2015, 6, 1): Flag.OK})
 
 
 # --- align -------------------------------------------------------------------
